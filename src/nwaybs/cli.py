@@ -183,8 +183,7 @@ def write_csv(path, header_lines, columns, rows) -> None:
 # subcommands
 
 
-def cmd_transfer(args) -> int:
-    cfg = load_config(args.config)
+def cmd_transfer(args, cfg: dict) -> int:
     kind = cfg.get("transfer", "ideal")
     n_modes = int(cfg.get("n_modes", 3))
     if kind == "ideal":
@@ -217,8 +216,7 @@ def cmd_transfer(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
+def cmd_sweep(args, cfg: dict) -> int:
     n_modes = int(cfg.get("n_modes", 3))
     state = parse_input(cfg["input"])
     sweep = dict(cfg.get("sweep", {}))
@@ -258,8 +256,7 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def cmd_phasematch(args) -> int:
-    cfg = load_config(args.config)
+def cmd_phasematch(args, cfg: dict) -> int:
     profile = parse_profile(cfg["profile"])
     grid = parse_grid(cfg["grid"])
     pumps = parse_pumps(cfg["pumps"])
@@ -326,8 +323,7 @@ def _oracle_quantum_rows(cfg, tol):
     return rows, worst
 
 
-def cmd_oracle(args) -> int:
-    cfg = load_config(args.config)
+def cmd_oracle(args, cfg: dict) -> int:
     rows = []
     worst = 0.0
     if args.check in ("classical", "all"):
@@ -410,8 +406,7 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def cmd_synth(args) -> int:
-    cfg = load_config(args.config)
+def cmd_synth(args, cfg: dict) -> int:
     sweep = cfg.get("sweep", {})
     if "powers_w" not in sweep or "phase_scale_rad_per_w" not in sweep:
         raise ConfigError("synth needs sweep.powers_w and sweep.phase_scale_rad_per_w")
@@ -422,7 +417,7 @@ def cmd_synth(args) -> int:
         phase_scale=float(sweep["phase_scale_rad_per_w"]),
         powers=sweep["powers_w"],
         n_modes=n_modes,
-        input_kind=state.kind,
+        state=state,
         noise=args.noise,
         seed=seed,
     )
@@ -451,8 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1,
-                       help="evaluation parallelism (row order is always by phi)")
 
     p = sub.add_parser("transfer", help="emit a transfer matrix as CSV")
     add_common(p)
@@ -499,25 +492,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command == "fit":
+            return cmd_fit(args)
+        cfg = load_config(args.config)
         if getattr(args, "input", None):
             # CLI override for the config's input kind
-            cfg = load_config(args.config)
             cfg.setdefault("input", {})["kind"] = _INPUT_KIND_ALIASES[args.input]
-            tmp = json.dumps(cfg)
-            import tempfile, os
-
-            with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-                fh.write(tmp)
-                args.config = fh.name
         handler = {
             "transfer": cmd_transfer,
             "sweep": cmd_sweep,
             "phasematch": cmd_phasematch,
             "oracle": cmd_oracle,
-            "fit": cmd_fit,
             "synth": cmd_synth,
         }[args.command]
-        return handler(args)
+        return handler(args, cfg)
     except (ConfigError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

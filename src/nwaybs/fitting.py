@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import least_squares, minimize_scalar
 
-from .quantum import multiphoton_ratio_model
+from .quantum import InputState, correlation_curve, multiphoton_ratio_model
 from .transfer import p_coeff, q_coeff
 
 ITERATION_CAP = 10_000
@@ -205,15 +205,16 @@ def generate_synthetic(
     accidental_rate: float = 1.0,
     noise: float = 0.0,
     seed: int = 0,
+    state: InputState | None = None,
 ):
     """Synthetic CountRecords from the closed-form model at phi = kappa P.
 
-    Applies per-channel scale factors and multiplicative Gaussian noise of
-    relative width ``noise``; deterministic for a fixed seed.  The returned
-    list always starts with a zero-power record usable for normalization.
+    ``state`` is the full ``InputState`` (modes, amplitude, zeta, losses);
+    without it, ``input_kind`` selects that kind on modes (1, 3).  Applies
+    per-channel scale factors and multiplicative Gaussian noise of relative
+    width ``noise``; deterministic for a fixed seed.  The returned list
+    always starts with a zero-power record usable for normalization.
     """
-    from .quantum import InputState, correlation_curve
-
     if noise < 0:
         raise ValueError("noise must be >= 0")
     powers = np.asarray(powers, dtype=float)
@@ -221,7 +222,8 @@ def generate_synthetic(
         powers = np.concatenate([[0.0], powers])
     scales = np.ones(n_modes) if channel_scales is None else np.asarray(channel_scales)
     rng = np.random.default_rng(seed)
-    state = InputState(kind=input_kind, modes=(1, 3))
+    if state is None:
+        state = InputState(kind=input_kind, modes=(1, 3))
     curve = correlation_curve(state, phase_scale * powers, n_modes=n_modes)
     records = []
     for k, power in enumerate(powers):

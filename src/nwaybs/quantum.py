@@ -12,6 +12,12 @@ All formulas are written through the diagonal/off-diagonal coefficients
 p_N, q_N (or a full transfer matrix), so they hold for any N; the familiar
 three-channel expressions are the N = 3 specialization.  Coincidences are
 normalized to their value at zero nonlinear phase.
+
+The observables (``singles``, ``pair_coincidence``, ``coincidence_squeezed``)
+accept a single N x N transfer matrix or a (..., N, N) stack of them; a
+stack gives arrays over its leading axes, one matrix gives the same value
+as before (a ``float`` for the coincidences).  ``correlation_curve``
+evaluates a phase grid as stacks of bounded size.
 """
 
 from __future__ import annotations
@@ -24,6 +30,10 @@ import numpy as np
 from .transfer import TransferMatrix, ideal_transfer, p_coeff, q_coeff
 
 INPUT_KINDS = ("single_coherent", "dual_coherent", "photon_pair", "squeezed_vacuum")
+
+# Matrix entries per transfer stack in correlation_curve (2**16 complex128 =
+# 1 MiB): bounds the memory of a sweep at any grid size.
+BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -83,26 +93,26 @@ class CorrelationResult:
 
 
 def singles(state: InputState, transfer: TransferMatrix) -> np.ndarray:
-    """Expected singles counts per channel for the given transfer matrix."""
+    """Expected singles counts per channel, shape (..., N), for a matrix or stack."""
     u = transfer.entries
     n = transfer.n_modes
     if any(m > n for m in state.modes):
         raise ValueError("input mode index exceeds the number of channels")
     cols = [m - 1 for m in state.modes]
     if state.kind == "single_coherent":
-        return state.amplitude**2 * np.abs(u[:, cols[0]]) ** 2
+        return state.amplitude**2 * np.abs(u[..., cols[0]]) ** 2
     if state.kind == "dual_coherent":
         if not state.phase_averaged:
-            amp = u[:, cols[0]] + u[:, cols[1]]
+            amp = u[..., cols[0]] + u[..., cols[1]]
             return state.amplitude**2 * np.abs(amp) ** 2
-        return state.amplitude**2 * (np.abs(u[:, cols]) ** 2).sum(axis=1)
+        return state.amplitude**2 * (np.abs(u[..., cols]) ** 2).sum(axis=-1)
     if state.kind == "photon_pair":
-        return (np.abs(u[:, cols]) ** 2).sum(axis=1)
+        return (np.abs(u[..., cols]) ** 2).sum(axis=-1)
     # squeezed vacuum with losses
     t_pre = state.transmissions("pre_loss", n)
     t_post = state.transmissions("post_loss", n)
     s2 = math.sinh(abs(state.zeta)) ** 2
-    body = (np.abs(u[:, cols] * t_pre[cols]) ** 2).sum(axis=1)
+    body = (np.abs(u[..., cols] * t_pre[cols]) ** 2).sum(axis=-1)
     return t_post**2 * s2 * body
 
 
@@ -116,17 +126,32 @@ def g2_dual_coherent(phi, n_modes: int = 3):
     return (1.0 - q2) ** 2
 
 
-def pair_coincidence(transfer: TransferMatrix, in_modes=(1, 3), ports=(1, 3)) -> float:
+def _entry(u: np.ndarray, i: int, j: int):
+    """U_ij: a numpy scalar for one matrix, an array over a stack.
+
+    ``[()]`` turns the 0-d result of indexing one matrix into a scalar, so a
+    single matrix keeps numpy's scalar arithmetic and its exact values.
+    """
+    return u[..., i, j][()]
+
+
+def _float_or_array(x):
+    """A float for one matrix, the array itself for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def pair_coincidence(transfer: TransferMatrix, in_modes=(1, 3), ports=(1, 3)):
     """Unnormalized two-photon coincidence |U_i,m1 U_j,m2 + U_i,m2 U_j,m1|^2.
 
     The coherent sum of the two routing amplitudes carries the two-photon
     interference; for a balanced two-channel splitter it vanishes (the
-    Hong-Ou-Mandel null).
+    Hong-Ou-Mandel null).  A float for one matrix, an array for a stack.
     """
     u = transfer.entries
     i, j = (p - 1 for p in ports)
     m1, m2 = (m - 1 for m in in_modes)
-    return float(np.abs(u[i, m1] * u[j, m2] + u[i, m2] * u[j, m1]) ** 2)
+    return _float_or_array(np.abs(_entry(u, i, m1) * _entry(u, j, m2)
+                                  + _entry(u, i, m2) * _entry(u, j, m1)) ** 2)
 
 
 def g2_photon_pair(phi, n_modes: int = 3):
@@ -162,8 +187,11 @@ def g2_multiphoton(phi, zeta: complex, t1_alpha: float = 1.0, t3_alpha: float = 
     return pair + mult
 
 
-def coincidence_squeezed(state: InputState, transfer: TransferMatrix, ports=(1, 3)) -> float:
-    """Unnormalized squeezed-vacuum coincidence G2_ij with both loss stages."""
+def coincidence_squeezed(state: InputState, transfer: TransferMatrix, ports=(1, 3)):
+    """Unnormalized squeezed-vacuum coincidence G2_ij with both loss stages.
+
+    A float for one matrix, an array for a stack.
+    """
     if state.kind != "squeezed_vacuum":
         raise ValueError("requires a squeezed_vacuum input state")
     u = transfer.entries
@@ -175,12 +203,13 @@ def coincidence_squeezed(state: InputState, transfer: TransferMatrix, ports=(1, 
     t1, t2 = t_pre[m1], t_pre[m2]
     s2 = math.sinh(abs(state.zeta)) ** 2
     prefac = t_post[i] ** 2 * t_post[j] ** 2 * t1**2 * t2**2
-    paired = np.abs(u[i, m1] * u[j, m2] + u[i, m2] * u[j, m1]) ** 2 * (s2 + 2.0 * s2**2)
+    ui1, uj1, ui2, uj2 = (_entry(u, *ix) for ix in ((i, m1), (j, m1), (i, m2), (j, m2)))
+    paired = np.abs(ui1 * uj2 + ui2 * uj1) ** 2 * (s2 + 2.0 * s2**2)
     uncorr = 2.0 * (
-        np.abs(u[i, m1]) ** 2 * np.abs(u[j, m1]) ** 2 * (t1 / t2) ** 2
-        + np.abs(u[i, m2]) ** 2 * np.abs(u[j, m2]) ** 2 * (t2 / t1) ** 2
+        np.abs(ui1) ** 2 * np.abs(uj1) ** 2 * (t1 / t2) ** 2
+        + np.abs(ui2) ** 2 * np.abs(uj2) ** 2 * (t2 / t1) ** 2
     ) * s2**2
-    return float(prefac * (paired + uncorr))
+    return _float_or_array(prefac * (paired + uncorr))
 
 
 def g2_squeezed_full(state: InputState, transfer: TransferMatrix, ports=(1, 3)) -> float:
@@ -232,36 +261,35 @@ def multiphoton_ratio_model(sinh2) -> np.ndarray:
 
 
 def correlation_curve(state: InputState, phis, n_modes: int = 3) -> CorrelationResult:
-    """Sweep singles and normalized coincidences over a nonlinear-phase grid."""
+    """Sweep singles and normalized coincidences over a nonlinear-phase grid.
+
+    The grid is evaluated in blocks of at most ``BLOCK_ENTRIES`` transfer
+    matrix entries; each block is one ``ideal_transfer`` stack.
+    """
     phis = np.asarray(phis, dtype=float)
     sgl = np.empty((len(phis), n_modes))
     pairs = [(i, j) for i in range(1, n_modes + 1) for j in range(i + 1, n_modes + 1)]
     g2 = {pr: np.full(len(phis), np.nan) for pr in pairs}
+    # unnormalized coincidence from a transfer stack and its singles; the
+    # phase-averaged dual coherent intensities are independent, so it factorizes
+    coincidence = {
+        "dual_coherent": lambda u, s, pr: s[..., pr[0] - 1] * s[..., pr[1] - 1],
+        "photon_pair": lambda u, s, pr: pair_coincidence(u, state.modes, pr),
+        "squeezed_vacuum": lambda u, s, pr: coincidence_squeezed(state, u, pr),
+    }.get(state.kind)
     ref = 0.0
-    if state.kind != "single_coherent":
+    if coincidence is not None:
         # one common normalization: the zero-phase coincidence on the input
         # port pair.  Cross-port pairs start at exactly zero, so normalizing
         # each pair by its own zero-phase value would be 0/0 for them.
         ident = ideal_transfer(n_modes, 0.0)
-        in_pair = (min(state.modes), max(state.modes))
-        ref = _coincidence(state, ident, in_pair)
-    for k, phi in enumerate(phis):
-        u = ideal_transfer(n_modes, phi)
-        sgl[k] = singles(state, u)
-        if state.kind == "single_coherent" or ref <= 0.0:
-            continue
-        for pr in pairs:
-            g2[pr][k] = _coincidence(state, u, pr) / ref
+        ref = coincidence(ident, singles(state, ident), (min(state.modes), max(state.modes)))
+    block = max(1, BLOCK_ENTRIES // n_modes**2)
+    for start in range(0, len(phis), block):
+        rows = slice(start, start + block)
+        u = ideal_transfer(n_modes, phis[rows])
+        s = sgl[rows] = singles(state, u)
+        if ref > 0.0:
+            for pr in pairs:
+                g2[pr][rows] = coincidence(u, s, pr) / ref
     return CorrelationResult(phi=phis, singles=sgl, g2=g2)
-
-
-def _coincidence(state: InputState, transfer: TransferMatrix, ports) -> float:
-    """Unnormalized coincidence for any dual-channel input class."""
-    if state.kind == "dual_coherent":
-        s = singles(state, transfer)
-        return float(s[ports[0] - 1] * s[ports[1] - 1])
-    if state.kind == "photon_pair":
-        return pair_coincidence(transfer, state.modes, ports)
-    if state.kind == "squeezed_vacuum":
-        return coincidence_squeezed(state, transfer, ports)
-    raise ValueError(f"no coincidence model for input kind {state.kind!r}")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import DispersionProfile, FrequencyGrid, MismatchReport
+from .dispersion import DispersionProfile, FrequencyGrid, MismatchReport, delta_beta_pair
 
 
 @dataclass(frozen=True)
@@ -64,15 +64,17 @@ class PumpConfig:
 
 @dataclass(frozen=True)
 class TransferMatrix:
-    """N x N complex mode map for the weak fields.
+    """(..., N, N) complex mode map for the weak fields.
 
-    ``entries / lossy_scale`` is unitary; ``lossy_scale`` is exp(-alpha z)
-    (1 for lossless routes).  ``phi`` records the nonlinear phase used for
-    the closed-form routes (NaN for general_transfer).
+    ``entries`` is one N x N matrix or a stack of them, one per nonlinear
+    phase.  ``entries / lossy_scale`` is unitary; ``lossy_scale`` is
+    exp(-alpha z) (1 for lossless routes).  ``phi`` records the nonlinear
+    phase used for the closed-form routes (NaN for general_transfer), with
+    the stack's leading shape.
     """
 
     entries: np.ndarray
-    phi: float
+    phi: float | np.ndarray
     lossy_scale: float = 1.0
 
     def __post_init__(self):
@@ -80,11 +82,12 @@ class TransferMatrix:
 
     @property
     def n_modes(self) -> int:
-        return self.entries.shape[0]
+        return self.entries.shape[-1]
 
     def unitarity_residual(self) -> float:
+        """Largest |U^dagger U - 1| entry over the whole stack."""
         u = self.entries / self.lossy_scale
-        return float(np.max(np.abs(u.conj().T @ u - np.eye(self.n_modes))))
+        return float(np.max(np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(self.n_modes))))
 
 
 @dataclass(frozen=True)
@@ -120,14 +123,20 @@ def p_coeff(n_modes: int, phi: float) -> complex:
     return q_coeff(n_modes, phi) + 1.0
 
 
-def ideal_transfer(n_modes: int, phi: float) -> TransferMatrix:
-    """Closed-form transfer for zero mismatch and equal pump powers."""
+def ideal_transfer(n_modes: int, phi) -> TransferMatrix:
+    """Closed-form transfer for zero mismatch and equal pump powers.
+
+    A scalar ``phi`` gives one N x N matrix; an array of phases gives a
+    stack of shape ``phi.shape + (N, N)``.
+    """
     if n_modes < 2:
         raise ValueError("need at least 2 modes")
-    q = q_coeff(n_modes, phi)
-    u = np.full((n_modes, n_modes), q, dtype=complex)
-    np.fill_diagonal(u, q + 1.0)
-    return TransferMatrix(entries=u, phi=float(phi))
+    phi = np.asarray(phi, dtype=float)
+    q = np.asarray(q_coeff(n_modes, phi))[..., np.newaxis, np.newaxis]
+    u = np.broadcast_to(q, phi.shape + (n_modes, n_modes)).copy()
+    diag = np.arange(n_modes)
+    u[..., diag, diag] += 1.0
+    return TransferMatrix(entries=u, phi=float(phi) if phi.ndim == 0 else phi)
 
 
 def coupling_matrix(
@@ -238,8 +247,6 @@ def rotating_frame_phases(
     b_lab_n(z) = e^{-i varphi_n z} b_rot_n(z), with
     varphi_n = dbeta_n1 + gamma (P_1 - P_n - 2 sum_p P_p).
     """
-    from .dispersion import delta_beta_pair
-
     powers = np.asarray(pumps.powers)
     n = grid.n_modes
     dbeta = np.array([delta_beta_pair(profile, grid, i, 1) for i in range(1, n + 1)])

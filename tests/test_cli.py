@@ -2,11 +2,13 @@
 
 import json
 import math
+import tempfile
 
 import numpy as np
 import pytest
 
 from nwaybs.cli import lambda_nm_to_omega, main
+from nwaybs.quantum import InputState, correlation_curve
 from nwaybs.transfer import p_coeff, q_coeff
 
 W0 = 2 * math.pi * 233e12
@@ -170,6 +172,20 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfgp, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_input_override_leaves_no_files(self, tmp_path, monkeypatch):
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        cfgp = write_config(tmp_path, BASE_CONFIG)
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", cfgp, "--out", str(out), "--input", "dual"]) == 0
+        assert list(scratch.iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "s.csv", "tmp"]
+
+    def test_threads_flag_rejected(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["sweep", "--config", write_config(tmp_path, BASE_CONFIG), "--threads", "2"])
+
 
 class TestPhasematchCommand:
     def test_symmetric_grid_all_negligible(self, tmp_path):
@@ -328,3 +344,32 @@ class TestSynthCommand:
         assert main(["synth", "--config", cfgp, "--out", str(out2),
                      "--noise", "0.02"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def _synth(self, tmp_path, input_section, powers=(0.1, 0.4, 0.7, 1.0), kappa=1.3):
+        cfg = {"n_modes": 3, "input": input_section,
+               "sweep": {"powers_w": list(powers), "phase_scale_rad_per_w": kappa}}
+        out = tmp_path / "synth.csv"
+        assert main(["synth", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out), "--noise", "0.0"]) == 0
+        header, rows = read_rows(out)
+        return {name: rows[:, k] for k, name in enumerate(header)}, kappa * rows[:, 0]
+
+    def test_synth_squeezed_vacuum(self, tmp_path):
+        section = {"kind": "squeezed_vacuum", "modes": [1, 3], "zeta": 0.4,
+                   "pre_loss": [0.9, 1.0, 0.6]}
+        col, phis = self._synth(tmp_path, section)
+        state = InputState(kind="squeezed_vacuum", modes=(1, 3), zeta=0.4,
+                           pre_loss=(0.9, 1.0, 0.6))
+        curve = correlation_curve(state, phis)
+        assert np.all(sum(col[f"singles_{i}"] for i in (1, 2, 3)) > 0)
+        assert np.array_equal(np.column_stack([col[f"singles_{i}"] for i in (1, 2, 3)]),
+                              curve.singles)
+        for i, j in [(1, 2), (1, 3), (2, 3)]:
+            assert np.array_equal(col[f"coinc_{i}{j}"], curve.g2[(i, j)])
+
+    def test_synth_honours_input_modes(self, tmp_path):
+        col, phis = self._synth(tmp_path, {"kind": "photon_pair", "modes": [1, 2]})
+        assert (col["singles_1"][0], col["singles_2"][0], col["singles_3"][0]) == (1, 1, 0)
+        curve = correlation_curve(InputState(kind="photon_pair", modes=(1, 2)), phis)
+        for i, j in [(1, 2), (1, 3), (2, 3)]:
+            assert np.array_equal(col[f"coinc_{i}{j}"], curve.g2[(i, j)])

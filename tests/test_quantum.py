@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nwaybs import quantum
 from nwaybs.quantum import (
+    INPUT_KINDS,
     InputState,
+    coincidence_squeezed,
     correlation_curve,
     g2_dual_coherent,
     g2_multiphoton,
@@ -286,3 +289,81 @@ class TestCorrelationCurve:
         state = InputState(kind="dual_coherent", modes=(1, 3))
         curve = correlation_curve(state, PHI_GRID)
         assert np.allclose(curve.g2[(1, 3)], g2_dual_coherent(PHI_GRID), atol=1e-12)
+
+
+def _per_phase_reference(state, phi, n, pairs):
+    """Singles and unnormalized coincidences at one phase from the scalar observables."""
+    tm = ideal_transfer(n, phi)
+    sgl = singles(state, tm)
+    if state.kind == "single_coherent":
+        coinc = {}
+    elif state.kind == "dual_coherent":
+        coinc = {(i, j): sgl[i - 1] * sgl[j - 1] for i, j in pairs}
+    elif state.kind == "photon_pair":
+        coinc = {pr: pair_coincidence(tm, state.modes, pr) for pr in pairs}
+    else:
+        coinc = {pr: coincidence_squeezed(state, tm, pr) for pr in pairs}
+    return sgl, coinc
+
+
+@st.composite
+def sweep_cases(draw):
+    kind = draw(st.sampled_from(INPUT_KINDS))
+    n = draw(st.sampled_from([2, 3, 8, 16]))
+    count = 1 if kind == "single_coherent" else 2
+    modes = tuple(draw(st.lists(st.integers(1, n), min_size=count, max_size=count,
+                                unique=True)))
+    kwargs = {}
+    if kind in ("single_coherent", "dual_coherent"):
+        kwargs["amplitude"] = draw(st.floats(0.1, 2.0))
+    if kind == "squeezed_vacuum":
+        zeta = draw(st.floats(0.05, 1.0)) * np.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
+        trans = st.lists(st.floats(0.3, 1.0), min_size=n, max_size=n)
+        kwargs.update(zeta=complex(zeta), pre_loss=tuple(draw(trans)),
+                      post_loss=tuple(draw(trans)))
+    block = quantum.BLOCK_ENTRIES // n**2
+    # long enough to cross at least one block boundary
+    points = block + draw(st.integers(1, 2 * block))
+    lo = draw(st.floats(-1.0, 1.0))
+    phis = np.linspace(lo, lo + draw(st.floats(0.5, 8.0)), points)
+    return InputState(kind=kind, modes=modes, **kwargs), n, phis
+
+
+class TestCorrelationCurveStack:
+    @given(sweep_cases(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_phase_reference(self, case, data):
+        state, n, phis = case
+        curve = correlation_curve(state, phis, n_modes=n)
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        block = quantum.BLOCK_ENTRIES // n**2
+        edges = [k for b in range(block, len(phis), block) for k in (b - 1, b)]
+        extra = data.draw(st.lists(st.integers(0, len(phis) - 1), max_size=4))
+        in_pair = (min(state.modes), max(state.modes))
+        ref = None
+        if state.kind != "single_coherent":
+            ref = _per_phase_reference(state, 0.0, n, [in_pair])[1][in_pair]
+        for k in sorted({0, len(phis) - 1, *edges, *extra}):
+            sgl, coinc = _per_phase_reference(state, phis[k], n, pairs)
+            assert np.max(np.abs(curve.singles[k] - sgl)) <= 1e-14
+            for pr in pairs:
+                if ref is None:
+                    assert np.isnan(curve.g2[pr][k])
+                else:
+                    assert abs(curve.g2[pr][k] - coinc[pr] / ref) <= 1e-14
+
+    def test_observables_take_a_stack(self):
+        phis = np.linspace(0.0, 2.0, 9)
+        stack = ideal_transfer(4, phis)
+        state = InputState(kind="squeezed_vacuum", modes=(2, 4), zeta=0.6,
+                           pre_loss=(0.9, 0.8, 1.0, 0.5), post_loss=(0.7, 1.0, 0.6, 0.9))
+        assert singles(state, stack).shape == (9, 4)
+        pc = pair_coincidence(stack, (2, 4), (1, 3))
+        cs = coincidence_squeezed(state, stack, (1, 3))
+        assert pc.shape == cs.shape == (9,)
+        for k, phi in enumerate(phis):
+            one = ideal_transfer(4, phi)
+            assert isinstance(pair_coincidence(one, (2, 4), (1, 3)), float)
+            assert isinstance(coincidence_squeezed(state, one, (1, 3)), float)
+            assert pc[k] == pytest.approx(pair_coincidence(one, (2, 4), (1, 3)), abs=1e-15)
+            assert cs[k] == pytest.approx(coincidence_squeezed(state, one, (1, 3)), abs=1e-15)

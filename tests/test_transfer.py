@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from nwaybs.dispersion import DispersionProfile, nonlinear_mismatch, symmetric_grid
 from nwaybs.transfer import (
     PumpConfig,
+    TransferMatrix,
     general_transfer,
     ideal_transfer,
     loss_reduced_phase,
@@ -93,6 +94,33 @@ class TestIdealTransfer:
     def test_row_normalization(self):
         u = ideal_transfer(4, 1.234).entries
         assert np.abs((np.abs(u) ** 2).sum(axis=1) - 1).max() < 1e-12
+
+
+class TestTransferStack:
+    PHIS = np.linspace(-1.0, 4 * math.pi, 257)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 16])
+    def test_stack_entries_bitwise_equal_per_phase(self, n):
+        stack = ideal_transfer(n, self.PHIS)
+        assert stack.entries.shape == (len(self.PHIS), n, n)
+        assert stack.n_modes == n
+        assert np.array_equal(stack.phi, self.PHIS)
+        for k, phi in enumerate(self.PHIS):
+            assert stack.entries[k].tobytes() == ideal_transfer(n, phi).entries.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 16])
+    def test_stack_unitarity_residual(self, n):
+        assert ideal_transfer(n, self.PHIS).unitarity_residual() <= 1e-14
+
+    def test_scalar_phase_gives_one_matrix(self):
+        tm = ideal_transfer(3, 0.4)
+        assert tm.entries.shape == (3, 3) and isinstance(tm.phi, float)
+        assert ideal_transfer(3, np.zeros((2, 5))).entries.shape == (2, 5, 3, 3)
+
+    def test_residual_sees_every_matrix_in_stack(self):
+        entries = ideal_transfer(3, self.PHIS).entries.copy()
+        entries[100, 1, 2] += 1e-6
+        assert TransferMatrix(entries=entries, phi=self.PHIS).unitarity_residual() > 1e-7
 
 
 class TestGeneralTransfer:
