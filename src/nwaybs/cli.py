@@ -251,7 +251,7 @@ def cmd_sweep(args, cfg: dict) -> int:
             v = curve.g2[pr][k]
             row.append(v if not np.isnan(v) else math.nan)
         rows.append(row)
-    seed = cfg.get("seed", args.seed)
+    seed = cfg.get("seed") if args.seed is None else args.seed
     write_csv(args.out, _header_lines(cfg, seed), columns, rows)
     return EXIT_OK
 
@@ -283,15 +283,15 @@ def _oracle_classical_rows(cfg, tol):
     n = grid.n_modes
     settings = IntegratorSettings(step=profile.length / 2000)
     seed_amp = math.sqrt(1e-7 * min(pumps.powers))
+    # one seed per column: every column of the transfer in a single integration
+    seeds = seed_amp * np.eye(n, dtype=complex)
+    numeric = integrate_weak(profile, grid, pumps, seeds, settings)
+    tm = general_transfer(profile, pumps, mismatch, absorb_global_phase=False)
+    analytic = to_lab_frame(tm.entries, profile, grid, pumps, profile.length) @ seeds
     rows = []
     worst = 0.0
     for k in range(n):
-        b0 = np.zeros(n, dtype=complex)
-        b0[k] = seed_amp
-        numeric = integrate_weak(profile, grid, pumps, b0, settings)
-        tm = general_transfer(profile, pumps, mismatch, absorb_global_phase=False)
-        analytic = to_lab_frame(tm.entries, profile, grid, pumps, profile.length) @ b0
-        err = float(np.max(np.abs(numeric - analytic)) / seed_amp)
+        err = float(np.max(np.abs(numeric[:, k] - analytic[:, k])) / seed_amp)
         worst = max(worst, err)
         rows.append([f"classical_seed_{k + 1}", err, err < tol])
     return rows, worst
@@ -441,18 +441,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="nwaybs", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="JSON experiment config")
+    def add_common(p, seeded=False):
+        p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=None)
+        if seeded:  # only where the seed reaches the output
+            p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("transfer", help="emit a transfer matrix as CSV")
     add_common(p)
     p.add_argument("--phi", type=float, default=0.0)
 
     p = sub.add_parser("sweep", help="correlation curve versus nonlinear phase")
-    add_common(p)
+    add_common(p, seeded=True)
     p.add_argument("--phi-min", type=float, default=None)
     p.add_argument("--phi-max", type=float, default=None)
     p.add_argument("--steps", type=int, default=None)
@@ -474,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("synth", help="generate synthetic count records")
-    add_common(p)
+    add_common(p, seeded=True)
     p.add_argument("--noise", type=float, default=0.0)
 
     return parser

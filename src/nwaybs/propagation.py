@@ -5,6 +5,19 @@ pump self/cross-phase equations and the weak-field Bragg-scattering
 equations (including attenuation and the mismatch phasors supplied by the
 dispersion module) with a fixed-step RK4 scheme, and optionally the full
 unapproximated four-wave-mixing sum to quantify the undepleted-pump error.
+
+The weak-field integration is the joint (pump, weak) RK4 scheme computed in
+two parts.  The pump equations do not involve the weak fields, so one
+pump-only RK4 pass yields the pump amplitudes at all four stages of every
+step, exactly as the joint scheme evaluates them.  The weak-field equations
+are linear, dB/dz = M(z, A) B, so the weak part of each step is the linear
+map B -> B + D B, built from the four stage matrices M1..M4:
+
+    D = h/6 (S1 + 2 S2 + 2 S3 + S4),  S1 = M1,  S2 = M2 (I + h/2 S1),
+    S3 = M3 (I + h/2 S2),  S4 = M4 (I + h S3),
+
+which is the joint scheme's weak-field update k1..k4 regrouped.  The maps
+are built for blocks of steps at once and applied in order as increments.
 """
 
 from __future__ import annotations
@@ -19,6 +32,10 @@ from .transfer import PumpConfig
 
 # Weak seeds may carry at most this fraction of the smallest pump power.
 UNDEPLETED_POWER_RATIO = 1e-6
+
+# Stage-matrix entries held at once while building the weak-field step maps
+# (2**16 complex128 = 1 MiB): bounds the memory at any step count.
+MAP_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -40,18 +57,22 @@ class IntegratorSettings:
             raise ValueError("step must be <= L/100")
 
 
+def _step_grid(z_end: float, step: float) -> np.ndarray:
+    n_steps = max(1, int(math.ceil(z_end / step - 1e-12)))
+    return np.linspace(0.0, z_end, n_steps + 1)
+
+
 def rk4_integrate(rhs, y0: np.ndarray, z_end: float, step: float) -> np.ndarray:
     """Integrate dy/dz = rhs(z, y) from 0 to z_end; returns the trajectory.
 
     The grid is n_steps + 1 points including both endpoints; the last
     interval is shrunk so the final point lands exactly on z_end.
     """
-    n_steps = max(1, int(math.ceil(z_end / step - 1e-12)))
-    zs = np.linspace(0.0, z_end, n_steps + 1)
-    traj = np.empty((n_steps + 1, len(y0)), dtype=complex)
+    zs = _step_grid(z_end, step)
+    traj = np.empty((len(zs), len(y0)), dtype=complex)
     traj[0] = y0
     y = np.array(y0, dtype=complex)
-    for i in range(n_steps):
+    for i in range(len(zs) - 1):
         z = zs[i]
         h = zs[i + 1] - zs[i]
         k1 = rhs(z, y)
@@ -63,13 +84,18 @@ def rk4_integrate(rhs, y0: np.ndarray, z_end: float, step: float) -> np.ndarray:
     return traj
 
 
-def _run_with_richardson(rhs, y0, z_end, settings: IntegratorSettings):
+def _run_with_richardson(solve, settings: IntegratorSettings):
+    """Return the result of solve(step), checked against solve(step / 2).
+
+    ``solve`` returns (result, final state); the max-norm discrepancy of the
+    final states must stay within ``richardson_tol`` times max(1, |state|).
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        traj = rk4_integrate(rhs, y0, z_end, settings.step)
+        result, final = solve(settings.step)
         if settings.richardson_check:
-            fine = rk4_integrate(rhs, y0, z_end, settings.step / 2)
-            err = np.max(np.abs(fine[-1] - traj[-1]))
-            scale = max(1.0, float(np.max(np.abs(traj[-1]))))
+            _, fine = solve(settings.step / 2)
+            err = np.max(np.abs(fine - final))
+            scale = max(1.0, float(np.max(np.abs(final))))
             # a non-finite err means the integration diverged outright,
             # which must also be reported as a step failure
             if not np.isfinite(err) or err > settings.richardson_tol * scale:
@@ -77,7 +103,15 @@ def _run_with_richardson(rhs, y0, z_end, settings: IntegratorSettings):
                     f"step-halving discrepancy {err:.3e} exceeds tolerance; "
                     "reduce step"
                 )
-    return traj
+    return result
+
+
+def _trajectory(rhs, y0, z_end):
+    def solve(step):
+        traj = rk4_integrate(rhs, y0, z_end, step)
+        return traj, traj[-1]
+
+    return solve
 
 
 def _pump_rhs(profile: DispersionProfile):
@@ -97,8 +131,34 @@ def integrate_pumps(
     """Pump amplitude trajectory under self/cross-phase modulation and loss."""
     settings.validate(profile.length)
     return _run_with_richardson(
-        _pump_rhs(profile), pumps.amplitudes, profile.length, settings
+        _trajectory(_pump_rhs(profile), pumps.amplitudes, profile.length), settings
     )
+
+
+def _weak_increments(z, a, h, dbeta, gamma, alpha):
+    """RK4 increment matrices D for a block of steps (module docstring).
+
+    ``z`` (S, 4) and ``a`` (S, 4, N) are the stage positions and pump
+    amplitudes of S steps of size ``h`` (S,); returns D with shape (S, N, N).
+    """
+    n = a.shape[-1]
+    # m[..., n, l] = 2 i gamma e^{i dbeta_ln z} A_l A_n^*: channel l into n
+    m = np.exp((1j * dbeta.T) * z[..., None, None])
+    m *= a[..., None, :] * a.conj()[..., :, None]
+    m *= 2j * gamma
+    xpm = 2.0 * np.sum(np.abs(a) ** 2, axis=-1)
+    diag = np.arange(n)
+    m[..., diag, diag] = (-alpha + 1j * gamma * xpm)[..., None]
+    h = h[:, None, None]
+    s = m[:, 0]
+    total = s.copy()
+    s = m[:, 1] + h / 2 * (m[:, 1] @ s)
+    total += 2 * s
+    s = m[:, 2] + h / 2 * (m[:, 2] @ s)
+    total += 2 * s
+    s = m[:, 3] + h * (m[:, 3] @ s)
+    total += s
+    return h / 6 * total
 
 
 def integrate_weak(
@@ -112,12 +172,16 @@ def integrate_weak(
 
     Integrates the linearized Bragg-scattering equations jointly with the
     pump equations; the mismatch phasors come from the dispersion module.
-    Raises if the seed power violates the undepleted-pump regime.
+    The joint RK4 scheme runs as one pump-only pass plus one linear map per
+    step (see the module docstring), so ``initial_weak`` may be one seed of
+    shape (N,) or a block of K seeds as columns, shape (N, K); the result
+    has the same shape.  The Richardson check covers the pumps and every
+    column.  Raises if the seed power violates the undepleted-pump regime.
     """
     settings.validate(profile.length)
     b0 = np.asarray(initial_weak, dtype=complex)
     n = grid.n_modes
-    if len(b0) != n or pumps.n_modes != n:
+    if b0.ndim not in (1, 2) or b0.shape[0] != n or pumps.n_modes != n:
         raise ValueError("dimension mismatch between grid, pumps, and seed")
     min_pump = min(p for p in pumps.powers if p > 0) if any(pumps.powers) else 0.0
     # with no pumps at all the weak fields only pick up loss: no seed limit
@@ -136,23 +200,28 @@ def integrate_weak(
                 dbeta[l - 1, k - 1] = delta_beta_pair(profile, grid, l, k)
 
     pump_rhs = _pump_rhs(profile)
+    steps_per_block = max(1, MAP_BLOCK_ENTRIES // (4 * n * n))
 
-    def rhs(z, y):
-        a = y[:n]
-        b = y[n:]
-        da = pump_rhs(z, a)
-        xpm = 2.0 * np.sum(np.abs(a) ** 2)
-        db = (-alpha + 1j * gamma * xpm) * b
-        phasor = np.exp(1j * dbeta * z)
-        # sum_l e^{i dbeta_ln z} A_l A_n^* b_l  for each n
-        coupling = (phasor * np.outer(a * b, np.ones(n))).sum(axis=0) * a.conj()
-        coupling -= a * b * a.conj()  # remove the l = n term
-        db = db + 2j * gamma * coupling
-        return np.concatenate([da, db])
+    def solve(step):
+        stage_z, stage_a = [], []
 
-    y0 = np.concatenate([pumps.amplitudes, b0])
-    traj = _run_with_richardson(rhs, y0, profile.length, settings)
-    return traj[-1, n:]
+        def recording_rhs(z, a):
+            stage_z.append(z)
+            stage_a.append(a)
+            return pump_rhs(z, a)
+
+        a_end = rk4_integrate(recording_rhs, pumps.amplitudes, profile.length, step)[-1]
+        h = np.diff(_step_grid(profile.length, step))
+        z = np.reshape(stage_z, (len(h), 4))
+        a = np.reshape(stage_a, (len(h), 4, n))
+        b = b0
+        for start in range(0, len(h), steps_per_block):
+            rows = slice(start, start + steps_per_block)
+            for d in _weak_increments(z[rows], a[rows], h[rows], dbeta, gamma, alpha):
+                b = b + d @ b
+        return b, np.concatenate([a_end, b.ravel()])
+
+    return _run_with_richardson(solve, settings)
 
 
 def full_fwm_reference(
@@ -165,8 +234,9 @@ def full_fwm_reference(
 
     Every ordered index triple (k, l, m) with omega_k + omega_l = omega_m +
     omega_n (on the supplied discrete grid, to relative tolerance 1e-9)
-    contributes i gamma e^{i dbeta z} A_k A_l A_m^* to field n.  Limited to
-    8 fields; the term count grows combinatorially.
+    contributes i gamma e^{i dbeta z} A_k A_l A_m^* to field n.  Every field
+    has at least the trivial closures (k, l) = (n, m) and (m, n), so no sum
+    is empty.  Limited to 8 fields; the term count grows combinatorially.
     """
     settings.validate(profile.length)
     w = np.asarray(freqs, dtype=float)
@@ -179,27 +249,16 @@ def full_fwm_reference(
 
     beta = np.array([beta_eval(profile, wi) for wi in w])
     scale = np.max(np.abs(w))
-    triples = [[] for _ in range(nf)]
-    for n in range(nf):
-        for k in range(nf):
-            for l in range(nf):
-                for m in range(nf):
-                    if abs(w[k] + w[l] - w[m] - w[n]) <= 1e-9 * scale:
-                        db = beta[k] + beta[l] - beta[m] - beta[n]
-                        triples[n].append((k, l, m, db))
-    if any(len(t) == 0 for t in triples):
-        raise ValueError("grid admits no energy-conserving closure for some field")
+    # all closures as index arrays over [n, k, l, m], in lexicographic order
+    wn, wk, wl, wm = np.ix_(w, w, w, w)
+    n_idx, k_idx, l_idx, m_idx = np.nonzero(np.abs(wk + wl - wm - wn) <= 1e-9 * scale)
+    phase = 1j * (beta[k_idx] + beta[l_idx] - beta[m_idx] - beta[n_idx])
 
     gamma, alpha = profile.gamma, profile.alpha
 
     def rhs(z, a):
-        da = np.zeros(nf, dtype=complex)
-        for n in range(nf):
-            acc = 0.0 + 0.0j
-            for k, l, m, db in triples[n]:
-                acc += np.exp(1j * db * z) * a[k] * a[l] * a[m].conjugate()
-            da[n] = 1j * gamma * acc - alpha * a[n]
-        return da
+        terms = np.exp(phase * z) * a[k_idx] * a[l_idx] * a[m_idx].conjugate()
+        acc = np.bincount(n_idx, terms.real, nf) + 1j * np.bincount(n_idx, terms.imag, nf)
+        return 1j * gamma * acc - alpha * a
 
-    traj = _run_with_richardson(rhs, a0, profile.length, settings)
-    return traj[-1]
+    return _run_with_richardson(_trajectory(rhs, a0, profile.length), settings)[-1]

@@ -72,6 +72,11 @@ class TestConfigParsing:
         w = lambda_nm_to_omega(1285.0)
         assert w == 2 * math.pi * 299792458.0 / 1285.0e-9
 
+    @pytest.mark.parametrize("command", ["transfer", "phasematch", "oracle"])
+    def test_seed_flag_rejected_where_it_changes_nothing(self, tmp_path, command):
+        with pytest.raises(SystemExit):
+            main([command, "--config", write_config(tmp_path, BASE_CONFIG), "--seed", "5"])
+
 
 class TestTransferCommand:
     def test_identity_at_zero_phi(self, tmp_path):
@@ -181,6 +186,15 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfgp, "--out", str(out), "--input", "dual"]) == 0
         assert list(scratch.iterdir()) == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "s.csv", "tmp"]
+
+    def test_seed_flag_beats_config_seed(self, tmp_path):
+        cfgp = write_config(tmp_path, BASE_CONFIG)
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["sweep", "--config", cfgp, "--out", str(out1)]) == 0
+        assert main(["sweep", "--config", cfgp, "--out", str(out2), "--seed", "11"]) == 0
+        seeds = [[line for line in out.read_text().splitlines() if line.startswith("# seed=")]
+                 for out in (out1, out2)]
+        assert seeds == [["# seed=3"], ["# seed=11"]]
 
     def test_threads_flag_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

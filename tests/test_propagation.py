@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from nwaybs.dispersion import DispersionProfile, nonlinear_mismatch, symmetric_grid
+from nwaybs.dispersion import (
+    DispersionProfile,
+    beta_eval,
+    delta_beta_pair,
+    nonlinear_mismatch,
+    symmetric_grid,
+)
 from nwaybs.propagation import (
     IntegratorSettings,
     full_fwm_reference,
@@ -32,6 +38,48 @@ def flat_profile(gamma=2e-3, length=100.0, alpha=0.0):
 
 def settings_for(profile, n_steps=2000):
     return IntegratorSettings(step=profile.length / n_steps)
+
+
+def joint_weak_reference(profile, grid, pumps, b0, step):
+    """Weak fields from one RK4 pass over the joint (pump, weak) state vector."""
+    n = grid.n_modes
+    gamma, alpha = profile.gamma, profile.alpha
+    dbeta = np.zeros((n, n))
+    for l in range(n):
+        for k in range(n):
+            if l != k:
+                dbeta[l, k] = delta_beta_pair(profile, grid, l + 1, k + 1)
+
+    def rhs(z, y):
+        a, b = y[:n], y[n:]
+        powers = np.abs(a) ** 2
+        da = (-alpha + 1j * gamma * (powers + 2.0 * (powers.sum() - powers))) * a
+        db = (-alpha + 1j * gamma * 2.0 * np.sum(powers)) * b
+        phasor = np.exp(1j * dbeta * z)
+        coupling = (phasor * np.outer(a * b, np.ones(n))).sum(axis=0) * a.conj()
+        coupling -= a * b * a.conj()
+        return np.concatenate([da, db + 2j * gamma * coupling])
+
+    y0 = np.concatenate([pumps.amplitudes, b0])
+    return rk4_integrate(rhs, y0, profile.length, step)[-1, n:]
+
+
+def weak_case(kind, n):
+    """Profile, grid and pumps for a matched, mismatched or lossy N-mode case."""
+    offsets = (1 + np.arange(n)) * 1e12
+    rng = np.random.default_rng(n)
+    phases = tuple(rng.uniform(0, 2 * math.pi, n))
+    if kind == "mismatched":
+        prof = DispersionProfile(omega0=W0, beta_coeffs=(0.0, 0.0, 0.0, 1e-40, 1e-55),
+                                 gamma=2e-3, length=100.0)
+        grid = symmetric_grid(W0 + 2 * math.pi * 0.04e12, offsets)
+        pumps = PumpConfig(powers=tuple(rng.uniform(0.2, 0.8, n)), phases=phases)
+    else:
+        prof = flat_profile(alpha=4.950556e-5 if kind == "lossy" else 0.0)
+        grid = symmetric_grid(W0, offsets)
+        pumps = PumpConfig(powers=(0.7,) * n, phases=phases)
+    seed = math.sqrt(1e-7 * min(pumps.powers))
+    return prof, grid, pumps, seed
 
 
 class TestRK4:
@@ -178,6 +226,50 @@ class TestIntegrateWeak:
             assert np.max(np.abs(out - tm.entries @ b0)) / seed < 1e-9
 
 
+class TestWeakMapsMatchJointRK4:
+    @pytest.mark.parametrize("richardson", [True, False])
+    @pytest.mark.parametrize("kind", ["matched", "mismatched", "lossy"])
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_matches_joint_integration(self, n, kind, richardson):
+        prof, grid, pumps, seed = weak_case(kind, n)
+        rng = np.random.default_rng(100 + n)
+        b0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        b0 *= seed / np.max(np.abs(b0))
+        settings = IntegratorSettings(step=prof.length / 200, richardson_check=richardson)
+        out = integrate_weak(prof, grid, pumps, b0, settings)
+        ref = joint_weak_reference(prof, grid, pumps, b0, settings.step)
+        assert out.shape == (n,)
+        assert np.max(np.abs(out - ref)) / seed < 1e-13
+
+    @pytest.mark.parametrize("kind", ["matched", "mismatched", "lossy"])
+    def test_seed_block_equals_single_columns(self, kind):
+        n, k = 5, 3
+        prof, grid, pumps, seed = weak_case(kind, n)
+        rng = np.random.default_rng(7)
+        block = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        block *= seed / np.max(np.abs(block))
+        settings = IntegratorSettings(step=prof.length / 200)
+        out = integrate_weak(prof, grid, pumps, block, settings)
+        assert out.shape == (n, k)
+        for j in range(k):
+            col = integrate_weak(prof, grid, pumps, block[:, j], settings)
+            assert np.max(np.abs(out[:, j] - col)) / seed < 1e-13
+
+    def test_identity_block_gives_lab_transfer(self):
+        prof, grid, pumps, seed = weak_case("matched", 3)
+        out = integrate_weak(prof, grid, pumps, seed * np.eye(3), settings_for(prof))
+        tm = general_transfer(prof, pumps, absorb_global_phase=False)
+        lab = to_lab_frame(tm.entries, prof, grid, pumps, prof.length)
+        assert np.max(np.abs(out / seed - lab)) < 1e-6
+
+    def test_seed_shape_checked(self):
+        prof, grid, pumps, seed = weak_case("matched", 3)
+        with pytest.raises(ValueError, match="dimension"):
+            integrate_weak(prof, grid, pumps, np.zeros((4, 2)), settings_for(prof))
+        with pytest.raises(ValueError, match="dimension"):
+            integrate_weak(prof, grid, pumps, np.zeros((3, 2, 1)), settings_for(prof))
+
+
 class TestFullFwmReference:
     def test_single_field_self_phase(self):
         prof = flat_profile()
@@ -230,3 +322,35 @@ class TestFullFwmReference:
                                  np.array([0.1, 0.2], dtype=complex),
                                  settings_for(prof))
         assert out.shape == (2,)
+
+    def test_matches_per_term_sum(self):
+        prof = DispersionProfile(omega0=W0, beta_coeffs=(0.0, 0.0, 1e-27, 1e-40),
+                                 gamma=2e-3, length=100.0, alpha=3e-5)
+        grid = symmetric_grid(W0, [1e12, 2e12, 3e12])
+        freqs = np.array(list(grid.pump_freqs) + list(grid.weak_freqs))
+        rng = np.random.default_rng(3)
+        amps = np.concatenate([np.sqrt([0.5, 0.3, 0.6]) + 0j,
+                               1e-3 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))])
+        beta = np.array([beta_eval(prof, w) for w in freqs])
+        scale = np.max(np.abs(freqs))
+        terms = [[] for _ in freqs]
+        for n in range(6):
+            for k in range(6):
+                for l in range(6):
+                    for m in range(6):
+                        if abs(freqs[k] + freqs[l] - freqs[m] - freqs[n]) <= 1e-9 * scale:
+                            terms[n].append((k, l, m, beta[k] + beta[l] - beta[m] - beta[n]))
+
+        def rhs(z, a):
+            da = np.zeros(6, dtype=complex)
+            for n in range(6):
+                acc = 0.0 + 0.0j
+                for k, l, m, db in terms[n]:
+                    acc += np.exp(1j * db * z) * a[k] * a[l] * a[m].conjugate()
+                da[n] = 1j * prof.gamma * acc - prof.alpha * a[n]
+            return da
+
+        settings = IntegratorSettings(step=prof.length / 200)
+        out = full_fwm_reference(prof, freqs, amps, settings)
+        ref = rk4_integrate(rhs, amps, prof.length, settings.step)[-1]
+        assert np.max(np.abs(out - ref)) < 1e-13
