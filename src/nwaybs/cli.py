@@ -441,18 +441,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="nwaybs", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, seeded=False):
+    # --seed only where it reaches the output: sweep, fit and synth
+    def add_common(p):
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        if seeded:  # only where the seed reaches the output
-            p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("transfer", help="emit a transfer matrix as CSV")
     add_common(p)
     p.add_argument("--phi", type=float, default=0.0)
 
     p = sub.add_parser("sweep", help="correlation curve versus nonlinear phase")
-    add_common(p, seeded=True)
+    add_common(p)
+    p.add_argument("--seed", type=int, default=None, help="overrides the config seed")
     p.add_argument("--phi-min", type=float, default=None)
     p.add_argument("--phi-max", type=float, default=None)
     p.add_argument("--steps", type=int, default=None)
@@ -474,7 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("synth", help="generate synthetic count records")
-    add_common(p, seeded=True)
+    add_common(p)
+    p.add_argument("--seed", type=int, default=None, help="overrides the config seed")
     p.add_argument("--noise", type=float, default=0.0)
 
     return parser

@@ -22,6 +22,7 @@ are built for blocks of steps at once and applied in order as increments.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -203,17 +204,17 @@ def integrate_weak(
     steps_per_block = max(1, MAP_BLOCK_ENTRIES // (4 * n * n))
 
     def solve(step):
-        stage_z, stage_a = [], []
+        h = np.diff(_step_grid(profile.length, step))
+        z = np.empty((len(h), 4))
+        a = np.empty((len(h), 4, n), dtype=complex)
+        stage_z, stage_a, stages = z.reshape(-1), a.reshape(-1, n), itertools.count()
 
-        def recording_rhs(z, a):
-            stage_z.append(z)
-            stage_a.append(a)
-            return pump_rhs(z, a)
+        def recording_rhs(zi, ai):
+            i = next(stages)
+            stage_z[i], stage_a[i] = zi, ai
+            return pump_rhs(zi, ai)
 
         a_end = rk4_integrate(recording_rhs, pumps.amplitudes, profile.length, step)[-1]
-        h = np.diff(_step_grid(profile.length, step))
-        z = np.reshape(stage_z, (len(h), 4))
-        a = np.reshape(stage_a, (len(h), 4, n))
         b = b0
         for start in range(0, len(h), steps_per_block):
             rows = slice(start, start + steps_per_block)
