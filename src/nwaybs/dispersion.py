@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
+import scipy  # scipy.optimize loads on first attribute access
 
 # Taylor orders above beta_6 add nothing physical here and condition badly.
 MAX_BETA_ORDER = 6
@@ -193,7 +193,7 @@ def find_zgvd(
     if len(sign_change) == 0:
         raise ValueError("beta2 has constant sign over the search interval; no zero-GVD point")
     i = sign_change[0]
-    root = brentq(lambda w: beta2_eval(profile, w), grid[i], grid[i + 1], xtol=tol)
+    root = scipy.optimize.brentq(lambda w: beta2_eval(profile, w), grid[i], grid[i + 1], xtol=tol)
     return float(root)
 
 

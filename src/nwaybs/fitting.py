@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares, minimize_scalar
+import scipy  # scipy.optimize loads on first attribute access
 
 from .quantum import InputState, correlation_curve, multiphoton_ratio_model
 from .transfer import p_coeff, q_coeff
@@ -123,7 +123,7 @@ def fit_phase_scale(powers, values, n_modes: int = 3, kappa_max: float | None = 
     best = int(np.argmin(obj))  # argmin takes the first (smallest kappa) on ties
     lo = grid[max(0, best - 1)]
     hi = grid[min(len(grid) - 1, best + 1)]
-    res = minimize_scalar(
+    res = scipy.optimize.minimize_scalar(
         objective, bounds=(lo, hi), method="bounded",
         options={"xatol": PARAM_TOL * max(kappa_max, 1.0), "maxiter": ITERATION_CAP},
     )
@@ -183,8 +183,8 @@ def fit_zeta(singles_rates, ratios) -> FitResult:
     # initial guess from the small-s slope assuming unit efficiency scale
     slope0 = float(ratios[-1] / s_rates[-1]) if s_rates[-1] > 0 else 1.0
     x0 = np.array([1.0, 2.0 * slope0])
-    res = least_squares(resid, x0, method="lm", xtol=PARAM_TOL, ftol=RESIDUAL_TOL,
-                        max_nfev=ITERATION_CAP)
+    res = scipy.optimize.least_squares(resid, x0, method="lm", xtol=PARAM_TOL,
+                                       ftol=RESIDUAL_TOL, max_nfev=ITERATION_CAP)
     scale, conv = np.abs(res.x)
     zeta = math.asinh(math.sqrt(conv * smax))
     return FitResult(

@@ -201,6 +201,37 @@ class TestSweepCommand:
             main(["sweep", "--config", write_config(tmp_path, BASE_CONFIG), "--threads", "2"])
 
 
+# keys that sweep and synth would ignore, since both run on the ideal transfer
+IGNORED_KEYS = [
+    pytest.param("profile", {"omega0_rad_s": W0, "beta_coeffs_si": [0.0],
+                             "gamma_per_w_m": 2e-3, "length_m": 100.0}, id="profile"),
+    pytest.param("pumps", {"powers_w": [0.5, 0.5, 0.5]}, id="pumps"),
+    pytest.param("grid", {"pump_freqs_rad_s": [W0 + 1e12, W0 + 2e12, W0 + 3e12],
+                          "weak_freqs_rad_s": [W0 - 1e12, W0 - 2e12, W0 - 3e12]}, id="grid"),
+    pytest.param("transfer", "general", id="transfer-general"),
+    pytest.param("transfer", "lossy", id="transfer-lossy"),
+]
+
+
+@pytest.mark.parametrize("command", ["sweep", "synth"])
+@pytest.mark.parametrize("key,value", IGNORED_KEYS)
+def test_ignored_config_key_is_exit_1(tmp_path, capsys, command, key, value):
+    cfg = dict(BASE_CONFIG, sweep={"powers_w": [0.2, 0.5], "phase_scale_rad_per_w": 1.5})
+    cfg[key] = value
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+    assert repr(key) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "synth"])
+def test_ideal_transfer_key_accepted(tmp_path, command):
+    cfg = dict(BASE_CONFIG, sweep={"powers_w": [0.2, 0.5], "phase_scale_rad_per_w": 1.5})
+    assert cfg["transfer"] == "ideal"
+    assert main([command, "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o.csv")]) == 0
+
+
 class TestPhasematchCommand:
     def test_symmetric_grid_all_negligible(self, tmp_path):
         zg = W0
@@ -268,6 +299,53 @@ class TestOracleCommand:
         rc = main(["oracle", "--config", oracle_cfg, "--check", "quantum",
                    "--tol", "1e-18", "--out", str(tmp_path / "o.csv")])
         assert rc == 2
+
+    @staticmethod
+    def classical_cfg(tmp_path, powers, alpha=0.0):
+        offs = [1e12, 2e12, 3e12]
+        cfg = {
+            "profile": {"omega0_rad_s": W0, "beta_coeffs_si": [0.0],
+                        "gamma_per_w_m": 2e-3, "length_m": 100.0, "alpha_per_m": alpha},
+            "grid": {"pump_freqs_rad_s": [W0 + o for o in offs],
+                     "weak_freqs_rad_s": [W0 - o for o in offs]},
+            "pumps": {"powers_w": powers},
+        }
+        return write_config(tmp_path, cfg)
+
+    @staticmethod
+    def read_oracle_rows(path):
+        """(max_error, pass) of each case row of an oracle CSV."""
+        lines = [l for l in open(path).read().splitlines() if l and not l.startswith("#")]
+        assert lines[0] == "case,max_error,pass"
+        return [(float(err), int(ok)) for _, err, ok in (l.split(",") for l in lines[1:])]
+
+    @pytest.mark.parametrize("check", ["classical", "all"])
+    def test_nan_error_is_a_failure(self, tmp_path, capsys, check):
+        # a zero pump power gives a zero seed amplitude, so every error is 0/0
+        cfgp = self.classical_cfg(tmp_path, [0.5, 0.0, 0.5])
+        out = tmp_path / "o.csv"
+        with np.errstate(invalid="ignore"):
+            rc = main(["oracle", "--config", cfgp, "--check", check, "--out", str(out)])
+        assert rc == 2
+        assert "max_error=nan" in capsys.readouterr().out
+        classical = self.read_oracle_rows(out)[:3]
+        assert all(math.isnan(err) and ok == 0 for err, ok in classical)
+
+    def test_lossy_operating_point_passes(self, tmp_path, capsys):
+        # the tier-1 lossy operating point of test_propagation
+        cfgp = self.classical_cfg(tmp_path, [0.7, 0.7, 0.7], alpha=4.950556e-5)
+        out = tmp_path / "o.csv"
+        rc = main(["oracle", "--config", cfgp, "--check", "classical", "--tol", "1e-9",
+                   "--out", str(out)])
+        assert rc == 0, capsys.readouterr()
+        assert [ok for _, ok in self.read_oracle_rows(out)] == [1, 1, 1]
+
+    def test_lossy_unequal_powers_is_exit_1(self, tmp_path, capsys):
+        cfgp = self.classical_cfg(tmp_path, [0.7, 0.5, 0.7], alpha=4.950556e-5)
+        rc = main(["oracle", "--config", cfgp, "--check", "classical",
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 1
+        assert "equal pump powers" in capsys.readouterr().err
 
 
 class TestFitCommand:
@@ -387,3 +465,65 @@ class TestSynthCommand:
         curve = correlation_curve(InputState(kind="photon_pair", modes=(1, 2)), phis)
         for i, j in [(1, 2), (1, 3), (2, 3)]:
             assert np.array_equal(col[f"coinc_{i}{j}"], curve.g2[(i, j)])
+
+
+IMPORT_PATH_SCRIPT = r"""
+import json, math, os, sys, tempfile
+
+import nwaybs.cli
+
+def loaded():
+    return "scipy.optimize" in sys.modules
+
+report = [("import", 0, loaded())]
+base = {"n_modes": 3, "input": {"kind": "squeezed_vacuum", "modes": [1, 3], "zeta": 0.4},
+        "sweep": {"powers_w": [0.2, 0.5], "phase_scale_rad_per_w": 1.5}}
+physics = {
+    "profile": {"omega0_rad_s": 1.46e15, "beta_coeffs_si": [0.0, 0.0, 0.0, 1e-41],
+                "gamma_per_w_m": 2e-3, "length_m": 100.0},
+    "grid": {"pump_freqs_rad_s": [1.47e15, 1.48e15], "weak_freqs_rad_s": [1.45e15, 1.44e15]},
+    "pumps": {"powers_w": [0.5, 0.5]},
+}
+with tempfile.TemporaryDirectory() as tmp:
+    def path(name, text):
+        p = os.path.join(tmp, name)
+        with open(p, "w") as fh:
+            fh.write(text)
+        return p
+    base_cfg = path("base.json", json.dumps(base))
+    physics_cfg = path("physics.json", json.dumps(physics))
+    out = os.path.join(tmp, "out")
+    runs = [
+        ["transfer", "--config", base_cfg, "--phi", "0.3"],
+        ["sweep", "--config", base_cfg],
+        ["phasematch", "--config", physics_cfg],
+        ["oracle", "--config", base_cfg, "--check", "quantum"],
+        ["synth", "--config", base_cfg],
+        ["fit", "--model", "pair", "--data", path("curve.csv", "power_w,value\n" + "".join(
+            f"{p},{math.cos(p) ** 2}\n" for p in (0.1 * k for k in range(12))))],
+    ]
+    for argv in runs:
+        rc = nwaybs.cli.main(argv + ["--out", out])
+        report.append((argv[0], rc, loaded()))
+print(json.dumps(report))
+"""
+
+
+def test_scipy_optimize_loads_only_for_fit(tmp_path):
+    """A fresh interpreter loads scipy.optimize only when a fit runs."""
+    import os
+    import subprocess
+    import sys
+
+    import nwaybs
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nwaybs.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PATH_SCRIPT], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, check=True)
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report == [["import", 0, False], ["transfer", 0, False], ["sweep", 0, False],
+                      ["phasematch", 0, False], ["oracle", 0, False], ["synth", 0, False],
+                      ["fit", 0, True]]
+    assert list(tmp_path.iterdir()) == []
