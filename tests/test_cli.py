@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
 import pytest
 
+import nwaybs
 from nwaybs.cli import lambda_nm_to_omega, main
 from nwaybs.quantum import InputState, correlation_curve
 from nwaybs.transfer import p_coeff, q_coeff
@@ -511,14 +515,8 @@ print(json.dumps(report))
 
 def test_scipy_optimize_loads_only_for_fit(tmp_path):
     """A fresh interpreter loads scipy.optimize only when a fit runs."""
-    import os
-    import subprocess
-    import sys
-
-    import nwaybs
-
     src = os.path.dirname(os.path.dirname(os.path.abspath(nwaybs.__file__)))
-    env = dict(os.environ)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", IMPORT_PATH_SCRIPT], cwd=tmp_path, env=env,
                           capture_output=True, text=True, check=True)
