@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy  # scipy.optimize loads on first attribute access
 
-from .quantum import InputState, correlation_curve, multiphoton_ratio_model
+from .quantum import BLOCK_ENTRIES, InputState, correlation_curve, multiphoton_ratio_model
 from .transfer import p_coeff, q_coeff
 
 ITERATION_CAP = 10_000
@@ -90,16 +90,35 @@ def normalize_coincidences(records, ports=(1, 3)):
     return np.asarray(powers), values / values[0]
 
 
-def _depletion_model(kappa: float, powers: np.ndarray, n_modes: int) -> np.ndarray:
+def _depletion_model(kappa, powers: np.ndarray, n_modes: int) -> np.ndarray:
     return np.abs(p_coeff(n_modes, kappa * powers)) ** 2
+
+
+def _scan_objective(grid: np.ndarray, powers: np.ndarray, values: np.ndarray,
+                    n_modes: int) -> np.ndarray:
+    """Squared residual at every kappa of ``grid``.
+
+    Evaluated in blocks of at most ``BLOCK_ENTRIES`` (kappa, power) entries.
+    Each row's sum of squares is a stacked (1, P) @ (P, 1) product, which
+    equals the scalar ``r @ r`` bit for bit.
+    """
+    obj = np.empty(len(grid))
+    block = max(1, BLOCK_ENTRIES // len(powers))
+    for start in range(0, len(grid), block):
+        rows = slice(start, start + block)
+        r = values - _depletion_model(grid[rows, np.newaxis], powers, n_modes)
+        obj[rows] = (r[:, np.newaxis, :] @ r[:, :, np.newaxis])[:, 0, 0]
+    return obj
 
 
 def fit_phase_scale(powers, values, n_modes: int = 3, kappa_max: float | None = None) -> FitResult:
     """Fit the power-to-phase conversion kappa against |p(kappa P)|^2.
 
     Coarse scan over [0, kappa_max] followed by bounded golden-section /
-    parabolic refinement of the squared-residual objective.  Ties in the
-    coarse scan break toward smaller kappa.
+    parabolic refinement of the squared-residual objective.  The 513-point
+    scan is evaluated as one array, in blocks of at most ``BLOCK_ENTRIES``
+    (kappa, power) entries, and gives the same floats as the scalar
+    objective.  Ties in the coarse scan break toward smaller kappa.
     """
     powers = np.asarray(powers, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -119,7 +138,7 @@ def fit_phase_scale(powers, values, n_modes: int = 3, kappa_max: float | None = 
         return float(r @ r)
 
     grid = np.linspace(0.0, kappa_max, 513)
-    obj = np.array([objective(k) for k in grid])
+    obj = _scan_objective(grid, powers, values, n_modes)
     best = int(np.argmin(obj))  # argmin takes the first (smallest kappa) on ties
     lo = grid[max(0, best - 1)]
     hi = grid[min(len(grid) - 1, best + 1)]
@@ -225,18 +244,22 @@ def generate_synthetic(
     if state is None:
         state = InputState(kind=input_kind, modes=(1, 3))
     curve = correlation_curve(state, phase_scale * powers, n_modes=n_modes)
+    pairs = list(curve.g2)
+    g2 = np.column_stack([curve.g2[pr] for pr in pairs])
+    pair_scales = np.array([scales[i - 1] * scales[j - 1] * accidental_rate**2 for i, j in pairs])
+    # one (P, N + pairs) table: scaled singles, then the scaled coincidences;
+    # every single is kept, a pair only where its coincidence is defined
+    table = np.hstack([scales[:n_modes] * curve.singles, pair_scales * g2])
+    kept = np.hstack([np.ones(curve.singles.shape, dtype=bool), ~np.isnan(g2)])
+    if noise:
+        # one draw per kept entry, record by record: singles, then pairs
+        table[kept] *= 1.0 + noise * rng.standard_normal(np.count_nonzero(kept))
+    acc = (accidental_rate,) * n_modes
     records = []
-    for k, power in enumerate(powers):
-        noisy = lambda x: float(x * (1.0 + noise * rng.standard_normal())) if noise else float(x)
-        sgl = tuple(noisy(scales[c] * curve.singles[k, c]) for c in range(n_modes))
-        coinc = {}
-        for (i, j), vals in curve.g2.items():
-            if not np.isnan(vals[k]):
-                base = scales[i - 1] * scales[j - 1] * accidental_rate**2 * vals[k]
-                coinc[(i, j)] = noisy(base)
-        acc = tuple(accidental_rate for _ in range(n_modes))
+    for power, row, keep in zip(powers, table.tolist(), kept.tolist()):
+        coinc = {pr: v for pr, v, k in zip(pairs, row[n_modes:], keep[n_modes:]) if k}
         records.append(
-            CountRecord(pump_peak_power=power, singles=sgl, coincidences=coinc,
+            CountRecord(pump_peak_power=power, singles=row[:n_modes], coincidences=coinc,
                         accidental_singles=acc)
         )
     return records

@@ -69,8 +69,9 @@ class TransferMatrix:
     ``entries`` is one N x N matrix or a stack of them, one per nonlinear
     phase.  ``entries / lossy_scale`` is unitary; ``lossy_scale`` is
     exp(-alpha z) (1 for lossless routes).  ``phi`` records the nonlinear
-    phase used for the closed-form routes (NaN for general_transfer), with
-    the stack's leading shape.
+    phase, with the stack's leading shape: the phase given to
+    ``ideal_transfer``, the loss-reduced phase phi_alpha for
+    ``lossy_transfer``, and 2 gamma L mean(P) for ``general_transfer``.
     """
 
     entries: np.ndarray
@@ -191,6 +192,8 @@ def lossy_transfer(
 ) -> TransferMatrix:
     """Analytic transfer with attenuation, for equal powers and zero mismatch.
 
+    A ``mismatch`` report is accepted only if every ``delta_k`` is exactly 0.
+
     entries = e^{-alpha z} e^{i phi_alpha (N-1)} * [p/q structure at
     phi_alpha(z)] with pump-phase factors e^{i(theta_l - theta_n)} on the
     off-diagonal.  The e^{i phi_alpha (N-1)} prefactor is the integrated
@@ -201,8 +204,10 @@ def lossy_transfer(
     """
     if not pumps.equal_powers():
         raise ValueError("lossy closed form requires equal pump powers")
-    if mismatch is not None and not bool(np.all(mismatch.negligible)):
-        raise ValueError("lossy closed form requires negligible phase mismatch")
+    if mismatch is not None and np.any(np.asarray(mismatch.delta_k) != 0.0):
+        # a negligible mismatch is still a mismatch: dropping it would
+        # compare the closed form against a different device
+        raise ValueError("lossy closed form requires zero phase mismatch")
     if z is None:
         z = profile.length
     if not 0 <= z <= profile.length:

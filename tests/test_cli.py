@@ -344,6 +344,23 @@ class TestOracleCommand:
         assert rc == 0, capsys.readouterr()
         assert [ok for _, ok in self.read_oracle_rows(out)] == [1, 1, 1]
 
+    def test_lossy_negligible_mismatch_is_exit_1(self, tmp_path, capsys):
+        # beta4 = 1e-55 on the symmetric grid: every |dk| L is negligible but
+        # not zero, and the lossy closed form models zero mismatch only
+        offs = [2 * math.pi * f for f in (0.5e12, 1.0e12, 1.7e12)]
+        cfg = {
+            "profile": {"omega0_rad_s": W0, "beta_coeffs_si": [0.0, 0.0, 0.0, 0.0, 1e-55],
+                        "gamma_per_w_m": 2e-3, "length_m": 100.0,
+                        "alpha_per_m": 4.950556e-5},
+            "grid": {"pump_freqs_rad_s": [W0 + o for o in offs],
+                     "weak_freqs_rad_s": [W0 - o for o in offs]},
+            "pumps": {"powers_w": [0.7, 0.7, 0.7]},
+        }
+        rc = main(["oracle", "--config", write_config(tmp_path, cfg), "--check", "classical",
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 1
+        assert "mismatch" in capsys.readouterr().err
+
     def test_lossy_unequal_powers_is_exit_1(self, tmp_path, capsys):
         cfgp = self.classical_cfg(tmp_path, [0.7, 0.5, 0.7], alpha=4.950556e-5)
         rc = main(["oracle", "--config", cfgp, "--check", "classical",

@@ -243,6 +243,26 @@ class TestLossyTransfer:
                 assert tm.entries[i, j] == pytest.approx(base.entries[i, j] * factor,
                                                          abs=1e-12)
 
+    def test_negligible_nonzero_mismatch_rejected(self):
+        # the closed form models zero mismatch only; a negligible one is not dropped
+        prof = DispersionProfile(omega0=W0, beta_coeffs=(0.0, 0.0, 0.0, 0.0, 1e-55),
+                                 gamma=2e-3, length=100.0, alpha=1e-5)
+        offs = [2 * math.pi * f for f in (0.5e12, 1.0e12, 1.7e12)]
+        pumps = PumpConfig(powers=(0.5, 0.5, 0.5))
+        rep = nonlinear_mismatch(prof, symmetric_grid(W0, offs), pumps.powers)
+        assert np.all(rep.negligible) and np.any(rep.delta_k != 0.0)
+        with pytest.raises(ValueError, match="zero phase mismatch"):
+            lossy_transfer(prof, pumps, mismatch=rep)
+
+    def test_exactly_zero_mismatch_accepted(self):
+        prof = flat_profile(alpha=1e-5)
+        offs = [2 * math.pi * f for f in (0.5e12, 1.0e12, 1.7e12)]
+        pumps = PumpConfig(powers=(0.5, 0.5, 0.5))
+        rep = nonlinear_mismatch(prof, symmetric_grid(W0, offs), pumps.powers)
+        assert np.all(rep.delta_k == 0.0)
+        assert np.array_equal(lossy_transfer(prof, pumps, mismatch=rep).entries,
+                              lossy_transfer(prof, pumps).entries)
+
     def test_z_out_of_range(self):
         prof = flat_profile(alpha=1e-4)
         with pytest.raises(ValueError):
