@@ -4,10 +4,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
+from nwaybs import fitting
 from nwaybs.fitting import (
+    ITERATION_CAP,
+    PARAM_TOL,
     CountRecord,
+    FitResult,
     fit_channel_scales,
     fit_phase_scale,
     fit_zeta,
@@ -48,6 +53,67 @@ class TestCountRecord:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             CountRecord(pump_peak_power=-1.0, singles=(1.0,))
+
+
+def reference_objective(kappa, powers, values, n_modes):
+    """The scalar squared residual of the depletion fit at one kappa."""
+    r = values - np.abs(p_coeff(n_modes, kappa * powers)) ** 2
+    return float(r @ r)
+
+
+def reference_fit_phase_scale(powers, values, n_modes):
+    """fit_phase_scale with its coarse scan as one scalar objective call per kappa."""
+    kappa_max = 2.0 * (2.0 * math.pi / n_modes) / powers.max() * 2.0
+
+    def objective(kappa):
+        return reference_objective(kappa, powers, values, n_modes)
+
+    grid = np.linspace(0.0, kappa_max, 513)
+    best = int(np.argmin([objective(k) for k in grid]))
+    res = scipy.optimize.minimize_scalar(
+        objective, bounds=(grid[max(0, best - 1)], grid[min(len(grid) - 1, best + 1)]),
+        method="bounded",
+        options={"xatol": PARAM_TOL * max(kappa_max, 1.0), "maxiter": ITERATION_CAP},
+    )
+    kappa = float(res.x)
+    return FitResult(phase_scale=kappa, residual_norm=math.sqrt(objective(kappa)),
+                     converged=bool(res.success), iterations=int(res.nfev) + len(grid))
+
+
+def reference_synthetic(phase_scale, powers, n_modes, state, channel_scales,
+                        accidental_rate, noise, seed):
+    """generate_synthetic as one record at a time, one noise draw per value."""
+    powers = np.asarray(powers, dtype=float)
+    if powers[0] != 0.0:
+        powers = np.concatenate([[0.0], powers])
+    scales = np.ones(n_modes) if channel_scales is None else np.asarray(channel_scales)
+    rng = np.random.default_rng(seed)
+    curve = correlation_curve(state, phase_scale * powers, n_modes=n_modes)
+
+    def noisy(x):
+        return float(x * (1.0 + noise * rng.standard_normal())) if noise else float(x)
+
+    records = []
+    for k, power in enumerate(powers):
+        sgl = tuple(noisy(scales[c] * curve.singles[k, c]) for c in range(n_modes))
+        coinc = {}
+        for (i, j), vals in curve.g2.items():
+            if not np.isnan(vals[k]):
+                coinc[(i, j)] = noisy(scales[i - 1] * scales[j - 1] * accidental_rate**2 * vals[k])
+        records.append(CountRecord(pump_peak_power=power, singles=sgl, coincidences=coinc,
+                                   accidental_singles=(accidental_rate,) * n_modes))
+    return records
+
+
+def depletion_data(n_modes, n_points, noisy, seed):
+    """A depletion curve at a random kappa, with or without 2 % noise."""
+    rng = np.random.default_rng(seed)
+    kappa = rng.uniform(0.2, 2.0)
+    powers = np.sort(rng.uniform(0.0, 2.0, n_points))
+    values = np.abs(p_coeff(n_modes, kappa * powers)) ** 2
+    if noisy:
+        values = values * (1 + 0.02 * rng.standard_normal(n_points))
+    return powers, values
 
 
 class TestNormalizeCoincidences:
@@ -146,6 +212,35 @@ class TestFitPhaseScale:
             fit = fit_phase_scale(powers, noisy)
             errs.append(abs(fit.phase_scale - kappa) / kappa)
         assert np.median(errs) < 0.01
+
+    @given(st.integers(2, 8), st.integers(5, 600), st.booleans(), st.integers(0, 2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_scan_matches_per_kappa_loop(self, n, n_points, noisy, seed):
+        powers, values = depletion_data(n, n_points, noisy, seed)
+        # the scan itself, bit for bit: a last-ulp change rarely moves the fit
+        grid = np.linspace(0.0, 8.0 * math.pi / n / powers.max(), 513)
+        scan = [reference_objective(k, powers, values, n) for k in grid]
+        assert fitting._scan_objective(grid, powers, values, n).tolist() == scan
+        fit = fit_phase_scale(powers, values, n_modes=n)
+        ref = reference_fit_phase_scale(powers, values, n)
+        assert fit.phase_scale == ref.phase_scale
+        assert fit.residual_norm == ref.residual_norm
+        assert fit.iterations == ref.iterations
+        assert fit.converged == ref.converged
+
+    @pytest.mark.parametrize("rows", [1, 2, 7, 512, 513])
+    def test_scan_blocks_do_not_change_result(self, monkeypatch, rows):
+        powers, values = depletion_data(3, 30, True, 11)
+        grid = np.linspace(0.0, 5.0, 513)
+        whole = fitting._scan_objective(grid, powers, values, 3)
+        assert whole.tolist() == [reference_objective(k, powers, values, 3) for k in grid]
+        fit = fit_phase_scale(powers, values)
+        monkeypatch.setattr(fitting, "BLOCK_ENTRIES", rows * len(powers))
+        assert np.array_equal(fitting._scan_objective(grid, powers, values, 3), whole)
+        assert fit_phase_scale(powers, values) == fit
+        # below one row per block: still one kappa at a time
+        monkeypatch.setattr(fitting, "BLOCK_ENTRIES", 1)
+        assert np.array_equal(fitting._scan_objective(grid, powers, values, 3), whole)
 
 
 class TestFitChannelScales:
@@ -253,6 +348,33 @@ class TestGenerateSynthetic:
     def test_any_seed_valid(self, seed):
         recs = generate_synthetic(1.0, [0.5], noise=0.02, seed=seed)
         assert all(s >= 0 or True for r in recs for s in r.singles)
+
+    @given(
+        st.sampled_from(["single_coherent", "dual_coherent", "photon_pair", "squeezed_vacuum"]),
+        st.integers(2, 8),
+        st.sampled_from([0.0, 0.03]),
+        st.booleans(),
+        st.booleans(),
+        st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_record_loop(self, kind, n, noise, leading_zero, scaled, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "single_coherent":
+            modes = (int(rng.integers(1, n + 1)),)
+        else:
+            modes = tuple(sorted(int(m) for m in rng.choice(np.arange(1, n + 1), 2, replace=False)))
+        state = InputState(kind=kind, modes=modes, zeta=0.3 if kind == "squeezed_vacuum" else 0.0)
+        powers = np.sort(rng.uniform(0.05, 1.5, int(rng.integers(1, 40))))
+        if leading_zero:
+            powers[0] = 0.0
+        scales = rng.uniform(0.5, 1.5, n) if scaled else None
+        kwargs = dict(n_modes=n, state=state, channel_scales=scales, accidental_rate=1.7,
+                      noise=noise, seed=seed)
+        recs = generate_synthetic(1.1, powers, **kwargs)
+        ref = reference_synthetic(1.1, powers, **kwargs)
+        assert recs == ref
+        assert repr(recs) == repr(ref)
 
 
 class TestFullClosedLoop:
