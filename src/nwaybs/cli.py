@@ -196,23 +196,30 @@ def write_csv(path, header_lines, columns, rows) -> None:
 
 def cmd_transfer(args, cfg: dict) -> int:
     kind = cfg.get("transfer", "ideal")
-    n_modes = int(cfg.get("n_modes", 3))
+    if kind not in ("ideal", "general", "lossy"):
+        raise ConfigError(f"unknown transfer kind {kind!r}")
+    unused = ("input", "sweep") + (("profile", "pumps", "grid") if kind == "ideal" else ())
+    for key in unused:
+        if key in cfg:
+            raise ConfigError(f"transfer ({kind} route) does not use config key {key!r}; "
+                              "remove it")
     if kind == "ideal":
-        tm = ideal_transfer(n_modes, args.phi)
-    elif kind == "general":
+        tm = ideal_transfer(int(cfg.get("n_modes", 3)), args.phi)
+    else:
         profile = parse_profile(cfg["profile"])
         pumps = parse_pumps(cfg["pumps"])
+        if "n_modes" in cfg and int(cfg["n_modes"]) != pumps.n_modes:
+            raise ConfigError(f"config key 'n_modes' is {cfg['n_modes']}, but the {kind} "
+                              f"route takes one mode per pump ({pumps.n_modes})")
         mismatch = None
         if "grid" in cfg:
             grid = parse_grid(cfg["grid"])
             mismatch = nonlinear_mismatch(profile, grid, pumps.powers)
-        tm = general_transfer(profile, pumps, mismatch)
-    elif kind == "lossy":
-        profile = parse_profile(cfg["profile"])
-        pumps = parse_pumps(cfg["pumps"])
-        tm = lossy_transfer(profile, pumps)
-    else:
-        raise ConfigError(f"unknown transfer kind {kind!r}")
+        if kind == "general":
+            tm = general_transfer(profile, pumps, mismatch)
+        else:
+            # zero mismatch only: any other raises ValueError, so exit 1
+            tm = lossy_transfer(profile, pumps, mismatch=mismatch)
     n = tm.n_modes
     columns = []
     for i in range(n):
@@ -301,7 +308,10 @@ def _oracle_classical_rows(cfg, tol):
         lab = to_lab_frame(tm.entries, profile, grid, pumps, profile.length)
     n = grid.n_modes
     settings = IntegratorSettings(step=profile.length / 2000)
-    seed_amp = math.sqrt(1e-7 * min(pumps.powers))
+    # the seed bound integrate_weak applies: a share of the weakest pump that
+    # is on; with every pump off there is no bound
+    on = [p for p in pumps.powers if p > 0]
+    seed_amp = math.sqrt(1e-7 * min(on)) if on else 1.0
     # one seed per column: every column of the transfer in a single integration
     seeds = seed_amp * np.eye(n, dtype=complex)
     numeric = integrate_weak(profile, grid, pumps, seeds, settings)

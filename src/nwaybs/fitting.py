@@ -254,6 +254,11 @@ def generate_synthetic(
     if noise:
         # one draw per kept entry, record by record: singles, then pairs
         table[kept] *= 1.0 + noise * rng.standard_normal(np.count_nonzero(kept))
+        # the noise factor has no floor, so a wide noise can flip a rate's sign
+        negative = (table < 0).any(axis=1)
+        if negative.any():
+            raise ValueError(f"noise {noise:g} drew a negative rate at pump power "
+                             f"{powers[negative.argmax()]:g} W; use a smaller noise")
     acc = (accidental_rate,) * n_modes
     records = []
     for power, row, keep in zip(powers, table.tolist(), kept.tolist()):

@@ -25,6 +25,9 @@ BASE_CONFIG = {
     "seed": 3,
 }
 
+# transfer uses neither input nor sweep, so it rejects BASE_CONFIG
+TRANSFER_CONFIG = {"n_modes": 3, "transfer": "ideal"}
+
 
 def write_config(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
@@ -85,7 +88,7 @@ class TestConfigParsing:
 class TestTransferCommand:
     def test_identity_at_zero_phi(self, tmp_path):
         out = tmp_path / "t.csv"
-        rc = main(["transfer", "--config", write_config(tmp_path, BASE_CONFIG),
+        rc = main(["transfer", "--config", write_config(tmp_path, TRANSFER_CONFIG),
                    "--out", str(out), "--phi", "0.0"])
         assert rc == 0
         header, rows = read_rows(out)
@@ -98,7 +101,7 @@ class TestTransferCommand:
 
     def test_tritter_point(self, tmp_path):
         out = tmp_path / "t.csv"
-        rc = main(["transfer", "--config", write_config(tmp_path, BASE_CONFIG),
+        rc = main(["transfer", "--config", write_config(tmp_path, TRANSFER_CONFIG),
                    "--out", str(out), "--phi", str(2 * math.pi / 9)])
         assert rc == 0
         header, rows = read_rows(out)
@@ -125,11 +128,63 @@ class TestTransferCommand:
 
     def test_header_has_version_and_hash(self, tmp_path):
         out = tmp_path / "t.csv"
-        main(["transfer", "--config", write_config(tmp_path, BASE_CONFIG),
+        main(["transfer", "--config", write_config(tmp_path, TRANSFER_CONFIG),
               "--out", str(out), "--phi", "0.1"])
         text = out.read_text()
         assert text.startswith("# nwaybs ")
         assert "# config_hash=" in text
+
+    @staticmethod
+    def route_cfg(route, n=3, alpha=0.0):
+        cfg = {"transfer": route}
+        if route != "ideal":
+            offs = [(k + 1) * 1e12 for k in range(n)]
+            cfg["profile"] = {"omega0_rad_s": W0, "beta_coeffs_si": [0.0],
+                              "gamma_per_w_m": 2e-3, "length_m": 100.0, "alpha_per_m": alpha}
+            cfg["pumps"] = {"powers_w": [0.5] * n}
+            cfg["grid"] = {"pump_freqs_rad_s": [W0 + o for o in offs],
+                           "weak_freqs_rad_s": [W0 - o for o in offs]}
+        return cfg
+
+    @pytest.mark.parametrize("route,key,value", [
+        *[(route, key, value) for route in ("ideal", "general", "lossy")
+          for key, value in (("input", BASE_CONFIG["input"]), ("sweep", BASE_CONFIG["sweep"]))],
+        ("ideal", "profile", {"omega0_rad_s": W0, "beta_coeffs_si": [0.0],
+                              "gamma_per_w_m": 2e-3, "length_m": 100.0}),
+        ("ideal", "pumps", {"powers_w": [0.5, 0.5, 0.5]}),
+        ("ideal", "grid", {"pump_freqs_rad_s": [W0 + 1e12, W0 + 2e12, W0 + 3e12],
+                           "weak_freqs_rad_s": [W0 - 1e12, W0 - 2e12, W0 - 3e12]}),
+        ("general", "n_modes", 5),
+        ("lossy", "n_modes", 2),
+    ])
+    def test_unused_key_is_exit_1(self, tmp_path, capsys, route, key, value):
+        cfg = self.route_cfg(route, alpha=2e-5 if route == "lossy" else 0.0)
+        cfg[key] = value
+        out = tmp_path / "t.csv"
+        assert main(["transfer", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+        assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("route", ["general", "lossy"])
+    def test_matching_n_modes_accepted(self, tmp_path, route):
+        cfg = self.route_cfg(route, n=4)
+        outs = []
+        for name, extra in (("a", {}), ("b", {"n_modes": 4})):
+            outs.append(tmp_path / f"{name}.csv")
+            assert main(["transfer", "--config", write_config(tmp_path, dict(cfg, **extra)),
+                         "--out", str(outs[-1])]) == 0
+        assert read_rows(outs[0])[1].shape == (1, 32)
+        assert np.array_equal(read_rows(outs[0])[1], read_rows(outs[1])[1])
+
+    def test_lossy_uses_grid_mismatch(self, tmp_path, capsys):
+        # the lossy closed form models zero mismatch only, so a grid that
+        # gives a non-zero mismatch is refused rather than ignored
+        cfg = self.route_cfg("lossy", alpha=2e-5)
+        cfg["profile"]["beta_coeffs_si"] = [0.0, 0.0, 2e-26]
+        rc = main(["transfer", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "t.csv")])
+        assert rc == 1
+        assert "mismatch" in capsys.readouterr().err
 
 
 class TestSweepCommand:
@@ -324,16 +379,26 @@ class TestOracleCommand:
         return [(float(err), int(ok)) for _, err, ok in (l.split(",") for l in lines[1:])]
 
     @pytest.mark.parametrize("check", ["classical", "all"])
-    def test_nan_error_is_a_failure(self, tmp_path, capsys, check):
-        # a zero pump power gives a zero seed amplitude, so every error is 0/0
-        cfgp = self.classical_cfg(tmp_path, [0.5, 0.0, 0.5])
+    def test_nan_error_is_a_failure(self, tmp_path, capsys, monkeypatch, check):
+        # an integrator that returns NaN makes every classical error NaN
+        monkeypatch.setattr("nwaybs.cli.integrate_weak",
+                            lambda *args: np.full((3, 3), np.nan, dtype=complex))
+        cfgp = self.classical_cfg(tmp_path, [0.5, 0.5, 0.5])
         out = tmp_path / "o.csv"
-        with np.errstate(invalid="ignore"):
-            rc = main(["oracle", "--config", cfgp, "--check", check, "--out", str(out)])
+        rc = main(["oracle", "--config", cfgp, "--check", check, "--out", str(out)])
         assert rc == 2
         assert "max_error=nan" in capsys.readouterr().out
         classical = self.read_oracle_rows(out)[:3]
         assert all(math.isnan(err) and ok == 0 for err, ok in classical)
+
+    @pytest.mark.parametrize("powers", [[0.5, 0.0, 0.5], [0.0, 0.0, 0.0]])
+    def test_pump_switched_off_passes(self, tmp_path, capsys, powers):
+        # the seed is sized by the weakest pump that is on, or 1 with none on
+        out = tmp_path / "o.csv"
+        rc = main(["oracle", "--config", self.classical_cfg(tmp_path, powers),
+                   "--check", "classical", "--out", str(out)])
+        assert rc == 0, capsys.readouterr()
+        assert [ok for _, ok in self.read_oracle_rows(out)] == [1, 1, 1]
 
     def test_lossy_operating_point_passes(self, tmp_path, capsys):
         # the tier-1 lossy operating point of test_propagation
@@ -458,6 +523,17 @@ class TestSynthCommand:
                      "--noise", "0.02"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_negative_noisy_rate_is_exit_1(self, tmp_path, capsys):
+        cfg = {"n_modes": 3, "input": {"kind": "photon_pair", "modes": [1, 3]},
+               "sweep": {"powers_w": list(np.linspace(0.1, 1.0, 10)),
+                         "phase_scale_rad_per_w": 1.3}}
+        out = tmp_path / "synth.csv"
+        assert main(["synth", "--config", write_config(tmp_path, cfg), "--out", str(out),
+                     "--noise", "0.5"]) == 1
+        err = capsys.readouterr().err
+        assert "noise 0.5" in err and "pump power" in err
+        assert not out.exists()
+
     def _synth(self, tmp_path, input_section, powers=(0.1, 0.4, 0.7, 1.0), kappa=1.3):
         cfg = {"n_modes": 3, "input": input_section,
                "sweep": {"powers_w": list(powers), "phase_scale_rad_per_w": kappa}}
@@ -512,10 +588,11 @@ with tempfile.TemporaryDirectory() as tmp:
             fh.write(text)
         return p
     base_cfg = path("base.json", json.dumps(base))
+    transfer_cfg = path("transfer.json", json.dumps({"n_modes": 3}))
     physics_cfg = path("physics.json", json.dumps(physics))
     out = os.path.join(tmp, "out")
     runs = [
-        ["transfer", "--config", base_cfg, "--phi", "0.3"],
+        ["transfer", "--config", transfer_cfg, "--phi", "0.3"],
         ["sweep", "--config", base_cfg],
         ["phasematch", "--config", physics_cfg],
         ["oracle", "--config", base_cfg, "--check", "quantum"],

@@ -347,7 +347,15 @@ class TestGenerateSynthetic:
     @settings(max_examples=20, deadline=None)
     def test_any_seed_valid(self, seed):
         recs = generate_synthetic(1.0, [0.5], noise=0.02, seed=seed)
-        assert all(s >= 0 or True for r in recs for s in r.singles)
+        rates = [v for r in recs for v in r.singles + tuple(r.coincidences.values())]
+        assert all(math.isfinite(v) and v >= 0 for v in rates)
+        assert len(recs) == 2 and recs[0].pump_peak_power == 0.0
+        assert generate_synthetic(1.0, [0.5], noise=0.02, seed=seed) == recs
+
+    def test_negative_noisy_rate_names_noise_and_power(self):
+        # noise 0.5 draws a factor 1 + 0.5 z below zero for some z < -2
+        with pytest.raises(ValueError, match=r"noise 0\.5 .* pump power [0-9.]+ W"):
+            generate_synthetic(1.3, np.linspace(0.1, 1.0, 10), noise=0.5, seed=0)
 
     @given(
         st.sampled_from(["single_coherent", "dual_coherent", "photon_pair", "squeezed_vacuum"]),

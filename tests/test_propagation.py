@@ -14,6 +14,7 @@ from nwaybs.dispersion import (
 )
 from nwaybs.propagation import (
     IntegratorSettings,
+    _pump_stages,
     full_fwm_reference,
     integrate_pumps,
     integrate_weak,
@@ -62,6 +63,28 @@ def joint_weak_reference(profile, grid, pumps, b0, step):
 
     y0 = np.concatenate([pumps.amplitudes, b0])
     return rk4_integrate(rhs, y0, profile.length, step)[-1, n:]
+
+
+def recorded_pump_pass(profile, a0, step):
+    """Stage positions and amplitudes of rk4_integrate on the numpy pump equations.
+
+    The vector form of the pump pass, kept as the loop reference for the
+    scalar pass in ``propagation``: returns (S, 4) positions, (S, 4, N)
+    amplitudes and the (S + 1, N) trajectory.
+    """
+    gamma, alpha = profile.gamma, profile.alpha
+    stage_z, stage_a = [], []
+
+    def rhs(z, a):
+        stage_z.append(z)
+        stage_a.append(a)
+        powers = np.abs(a) ** 2
+        xpm = powers + 2.0 * (powers.sum() - powers)
+        return (-alpha + 1j * gamma * xpm) * a
+
+    traj = rk4_integrate(rhs, a0, profile.length, step)
+    return (np.array(stage_z).reshape(-1, 4),
+            np.array(stage_a).reshape(-1, 4, len(a0)), traj)
 
 
 def weak_case(kind, n):
@@ -143,6 +166,47 @@ class TestIntegratePumps:
         traj = integrate_pumps(prof, pumps, settings_for(prof))
         expected = pump_evolution(pumps, prof, prof.length)
         assert np.max(np.abs(traj[-1] - expected)) < 1e-9
+
+
+PUMP_CASES = {
+    "n1": (PumpConfig(powers=(0.7,)), 0.0),
+    "n2-unequal": (PumpConfig(powers=(0.6, 0.3), phases=(0.4, 2.0)), 0.0),
+    "n3-lossy": (PumpConfig(powers=(0.7, 0.7, 0.7), phases=(0.1, 1.0, 2.0)), 4.950556e-5),
+    "n3-one-off": (PumpConfig(powers=(0.5, 0.0, 0.5)), 0.0),
+    "n8-unequal-lossy": (PumpConfig(powers=tuple(np.linspace(0.1, 0.9, 8)),
+                                    phases=tuple(np.linspace(0.0, 3.0, 8))), 2e-4),
+    "n16": (PumpConfig(powers=(0.4,) * 16, phases=tuple(np.linspace(0.0, 6.0, 16))), 0.0),
+}
+
+
+class TestScalarPumpPass:
+    """The scalar pump pass against the numpy pass run through rk4_integrate."""
+
+    @staticmethod
+    def rel_err(got, ref):
+        return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("case", list(PUMP_CASES))
+    def test_matches_vector_pass(self, case):
+        pumps, alpha = PUMP_CASES[case]
+        prof = flat_profile(alpha=alpha)
+        step = prof.length / 200
+        z, a, a_end = _pump_stages(prof, pumps.amplitudes, step)
+        ref_z, ref_a, ref_traj = recorded_pump_pass(prof, pumps.amplitudes, step)
+        assert z.shape == (200, 4) and a.shape == (200, 4, pumps.n_modes)
+        assert np.array_equal(z, ref_z)
+        assert self.rel_err(a, ref_a) < 1e-13
+        assert self.rel_err(a_end, ref_traj[-1]) < 1e-13
+
+    @pytest.mark.parametrize("case", list(PUMP_CASES))
+    def test_integrate_pumps_trajectory(self, case):
+        pumps, alpha = PUMP_CASES[case]
+        prof = flat_profile(alpha=alpha)
+        settings = settings_for(prof, 200)
+        traj = integrate_pumps(prof, pumps, settings)
+        ref = recorded_pump_pass(prof, pumps.amplitudes, settings.step)[2]
+        assert traj.shape == ref.shape
+        assert self.rel_err(traj, ref) < 1e-13
 
 
 class TestIntegrateWeak:
