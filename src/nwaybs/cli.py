@@ -35,9 +35,8 @@ from .dispersion import (
 )
 from .fitting import fit_phase_scale, fit_zeta, generate_synthetic, normalize_coincidences
 from .propagation import IntegratorSettings, integrate_weak
-from .quantum import InputState, correlation_curve
 from .oracle import loss_chain, wick_moments
-from .quantum import g2_squeezed_full
+from .quantum import INPUT_FIELDS, InputState, correlation_curve, g2_squeezed_full
 from .transfer import (
     PumpConfig,
     general_transfer,
@@ -124,12 +123,14 @@ def parse_pumps(section: dict) -> PumpConfig:
 
 
 def parse_input(section: dict) -> InputState:
-    allowed = {"kind", "modes", "amplitude", "zeta", "phase_averaged",
-               "pre_loss", "post_loss"}
-    _require_keys(section, allowed, "input")
     kind = section.get("kind")
     if kind is None:
         raise ConfigError("input: missing kind")
+    if kind not in INPUT_FIELDS:
+        raise ConfigError(f"input: unknown kind {kind!r}; expected one of {list(INPUT_FIELDS)}")
+    unread = sorted(set(section) - {"kind", *INPUT_FIELDS[kind]})
+    if unread:
+        raise ConfigError(f"input kind {kind!r} does not read field(s) {unread}; remove them")
     zeta = section.get("zeta", 0.0)
     if isinstance(zeta, (list, tuple)):
         zeta = complex(zeta[0], zeta[1])
@@ -152,11 +153,21 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+def _reject_unused(cfg: dict, keys, command: str) -> None:
+    for key in keys:
+        if key in cfg:
+            raise ConfigError(f"{command} does not use config key {key!r}; remove it")
+
+
+def _require_pump_count(cfg: dict, pumps: PumpConfig, command: str) -> None:
+    if "n_modes" in cfg and int(cfg["n_modes"]) != pumps.n_modes:
+        raise ConfigError(f"config key 'n_modes' is {cfg['n_modes']}, but {command} takes "
+                          f"one mode per pump ({pumps.n_modes})")
+
+
 def _require_ideal_transfer(cfg: dict, command: str) -> None:
     """Refuse the keys that sweep and synth, which run on the ideal transfer, would ignore."""
-    for key in ("profile", "pumps", "grid"):
-        if key in cfg:
-            raise ConfigError(f"{command} uses the ideal transfer only; remove config key {key!r}")
+    _reject_unused(cfg, ("profile", "pumps", "grid"), f"{command} (ideal transfer only)")
     kind = cfg.get("transfer", "ideal")
     if kind != "ideal":
         raise ConfigError(f"{command} uses the ideal transfer only; config key 'transfer' "
@@ -198,19 +209,14 @@ def cmd_transfer(args, cfg: dict) -> int:
     kind = cfg.get("transfer", "ideal")
     if kind not in ("ideal", "general", "lossy"):
         raise ConfigError(f"unknown transfer kind {kind!r}")
-    unused = ("input", "sweep") + (("profile", "pumps", "grid") if kind == "ideal" else ())
-    for key in unused:
-        if key in cfg:
-            raise ConfigError(f"transfer ({kind} route) does not use config key {key!r}; "
-                              "remove it")
+    unused = ("input", "sweep", "seed") + (("profile", "pumps", "grid") if kind == "ideal" else ())
+    _reject_unused(cfg, unused, f"transfer ({kind} route)")
     if kind == "ideal":
         tm = ideal_transfer(int(cfg.get("n_modes", 3)), args.phi)
     else:
         profile = parse_profile(cfg["profile"])
         pumps = parse_pumps(cfg["pumps"])
-        if "n_modes" in cfg and int(cfg["n_modes"]) != pumps.n_modes:
-            raise ConfigError(f"config key 'n_modes' is {cfg['n_modes']}, but the {kind} "
-                              f"route takes one mode per pump ({pumps.n_modes})")
+        _require_pump_count(cfg, pumps, f"the {kind} route")
         mismatch = None
         if "grid" in cfg:
             grid = parse_grid(cfg["grid"])
@@ -241,16 +247,23 @@ def cmd_sweep(args, cfg: dict) -> int:
     sweep = dict(cfg.get("sweep", {}))
     _require_keys(sweep, {"phi_min", "phi_max", "steps", "powers_w", "phase_scale_rad_per_w"},
                   "sweep")
-    if args.phi_min is not None:
-        sweep["phi_min"] = args.phi_min
-    if args.phi_max is not None:
-        sweep["phi_max"] = args.phi_max
-    if args.steps is not None:
-        sweep["steps"] = args.steps
+    flags = {"phi_min": args.phi_min, "phi_max": args.phi_max, "steps": args.steps}
     if "powers_w" in sweep:
+        # the powers give the phase grid, so the linear-grid settings would be ignored
+        for key, flag in flags.items():
+            if key in sweep:
+                raise ConfigError(f"sweep: key {key!r} is ignored when powers_w is set; "
+                                  "remove it")
+            if flag is not None:
+                raise ConfigError(f"--{key.replace('_', '-')} is ignored when sweep.powers_w "
+                                  "is set")
         kappa = float(sweep["phase_scale_rad_per_w"])
         phis = kappa * np.asarray(sweep["powers_w"], dtype=float)
     else:
+        if "phase_scale_rad_per_w" in sweep:
+            raise ConfigError("sweep: key 'phase_scale_rad_per_w' is used only with "
+                              "powers_w; remove it")
+        sweep.update({key: flag for key, flag in flags.items() if flag is not None})
         steps = int(sweep.get("steps", 101))
         if steps < 2:
             raise ConfigError("sweep: steps must be >= 2")
@@ -276,9 +289,11 @@ def cmd_sweep(args, cfg: dict) -> int:
 
 
 def cmd_phasematch(args, cfg: dict) -> int:
+    _reject_unused(cfg, ("input", "sweep", "transfer", "seed"), "phasematch")
     profile = parse_profile(cfg["profile"])
     grid = parse_grid(cfg["grid"])
     pumps = parse_pumps(cfg["pumps"])
+    _require_pump_count(cfg, pumps, "phasematch")
     report = nonlinear_mismatch(profile, grid, pumps.powers)
     columns = ["channel", "delta_beta_per_m", "delta_k_per_m", "dk_L_over_pi", "negligible"]
     rows = []
@@ -430,6 +445,7 @@ def cmd_fit(args) -> int:
 def cmd_synth(args, cfg: dict) -> int:
     _require_ideal_transfer(cfg, "synth")
     sweep = cfg.get("sweep", {})
+    _require_keys(sweep, {"powers_w", "phase_scale_rad_per_w"}, "synth's sweep section")
     if "powers_w" not in sweep or "phase_scale_rad_per_w" not in sweep:
         raise ConfigError("synth needs sweep.powers_w and sweep.phase_scale_rad_per_w")
     state = parse_input(cfg["input"])

@@ -16,8 +16,14 @@ normalized to their value at zero nonlinear phase.
 The observables (``singles``, ``pair_coincidence``, ``coincidence_squeezed``)
 accept a single N x N transfer matrix or a (..., N, N) stack of them; a
 stack gives arrays over its leading axes, one matrix gives the same value
-as before (a ``float`` for the coincidences).  ``correlation_curve``
-evaluates a phase grid as stacks of bounded size.
+as before (a ``float`` for the coincidences).  The coincidences take
+``ports`` as one output pair or as a (K, 2) array of pairs; an array adds a
+trailing axis K, one entry per pair.  ``correlation_curve`` evaluates a
+phase grid as stacks of bounded size, with every port pair of a stack in
+one call.
+
+``INPUT_FIELDS`` lists the ``InputState`` fields each input kind reads; the
+command line rejects any other field.
 """
 
 from __future__ import annotations
@@ -29,7 +35,14 @@ import numpy as np
 
 from .transfer import TransferMatrix, ideal_transfer, p_coeff, q_coeff
 
-INPUT_KINDS = ("single_coherent", "dual_coherent", "photon_pair", "squeezed_vacuum")
+# the InputState fields each input kind reads
+INPUT_FIELDS = {
+    "single_coherent": ("modes", "amplitude"),
+    "dual_coherent": ("modes", "amplitude", "phase_averaged"),
+    "photon_pair": ("modes",),
+    "squeezed_vacuum": ("modes", "zeta", "pre_loss", "post_loss"),
+}
+INPUT_KINDS = tuple(INPUT_FIELDS)
 
 # Matrix entries per transfer stack in correlation_curve (2**16 complex128 =
 # 1 MiB): bounds the memory of a sweep at any grid size.
@@ -126,8 +139,10 @@ def g2_dual_coherent(phi, n_modes: int = 3):
     return (1.0 - q2) ** 2
 
 
-def _entry(u: np.ndarray, i: int, j: int):
+def _entry(u: np.ndarray, i, j):
     """U_ij: a numpy scalar for one matrix, an array over a stack.
+
+    An index array ``i`` adds its axis after the stack axes.
 
     ``[()]`` turns the 0-d result of indexing one matrix into a scalar, so a
     single matrix keeps numpy's scalar arithmetic and its exact values.
@@ -136,8 +151,20 @@ def _entry(u: np.ndarray, i: int, j: int):
 
 
 def _float_or_array(x):
-    """A float for one matrix, the array itself for a stack."""
+    """A float for one matrix and one port pair, the array itself otherwise."""
     return float(x) if np.ndim(x) == 0 else x
+
+
+def _port_indices(ports):
+    """0-based output indices (i, j): ints for one pair, (K,) arrays for a (K, 2) array."""
+    shape = np.shape(ports)
+    if shape == (2,):
+        i, j = ports
+        return i - 1, j - 1
+    if len(shape) == 2 and shape[1] == 2:
+        ports = np.asarray(ports)
+        return ports[:, 0] - 1, ports[:, 1] - 1
+    raise ValueError(f"ports must be one pair or a (K, 2) array of pairs, not shape {shape}")
 
 
 def pair_coincidence(transfer: TransferMatrix, in_modes=(1, 3), ports=(1, 3)):
@@ -145,10 +172,14 @@ def pair_coincidence(transfer: TransferMatrix, in_modes=(1, 3), ports=(1, 3)):
 
     The coherent sum of the two routing amplitudes carries the two-photon
     interference; for a balanced two-channel splitter it vanishes (the
-    Hong-Ou-Mandel null).  A float for one matrix, an array for a stack.
+    Hong-Ou-Mandel null).  A float for one matrix and one pair, an array
+    for a stack; a (K, 2) array of ``ports`` adds a trailing axis K.
     """
     u = transfer.entries
-    i, j = (p - 1 for p in ports)
+    if u.ndim == 2 and np.ndim(ports) == 2:
+        # one matrix keeps numpy's scalar arithmetic, pair by pair
+        return np.array([pair_coincidence(transfer, in_modes, pr) for pr in ports])
+    i, j = _port_indices(ports)
     m1, m2 = (m - 1 for m in in_modes)
     return _float_or_array(np.abs(_entry(u, i, m1) * _entry(u, j, m2)
                                   + _entry(u, i, m2) * _entry(u, j, m1)) ** 2)
@@ -190,19 +221,26 @@ def g2_multiphoton(phi, zeta: complex, t1_alpha: float = 1.0, t3_alpha: float = 
 def coincidence_squeezed(state: InputState, transfer: TransferMatrix, ports=(1, 3)):
     """Unnormalized squeezed-vacuum coincidence G2_ij with both loss stages.
 
-    A float for one matrix, an array for a stack.
+    A float for one matrix and one pair, an array for a stack; a (K, 2)
+    array of ``ports`` adds a trailing axis K.
     """
     if state.kind != "squeezed_vacuum":
         raise ValueError("requires a squeezed_vacuum input state")
     u = transfer.entries
+    if u.ndim == 2 and np.ndim(ports) == 2:
+        # one matrix keeps numpy's scalar arithmetic, pair by pair
+        return np.array([coincidence_squeezed(state, transfer, pr) for pr in ports])
     n = transfer.n_modes
-    i, j = (p - 1 for p in ports)
+    i, j = _port_indices(ports)
     m1, m2 = (m - 1 for m in state.modes)
     t_pre = state.transmissions("pre_loss", n)
     t_post = state.transmissions("post_loss", n)
     t1, t2 = t_pre[m1], t_pre[m2]
     s2 = math.sinh(abs(state.zeta)) ** 2
-    prefac = t_post[i] ** 2 * t_post[j] ** 2 * t1**2 * t2**2
+    # squared channel by channel with numpy's scalar power, as for one pair:
+    # an array square rounds differently in rare cases
+    t_post2 = np.array([t**2 for t in t_post])
+    prefac = t_post2[i] * t_post2[j] * t1**2 * t2**2
     ui1, uj1, ui2, uj2 = (_entry(u, *ix) for ix in ((i, m1), (j, m1), (i, m2), (j, m2)))
     paired = np.abs(ui1 * uj2 + ui2 * uj1) ** 2 * (s2 + 2.0 * s2**2)
     uncorr = 2.0 * (
@@ -260,25 +298,49 @@ def multiphoton_ratio_model(sinh2) -> np.ndarray:
     return s2 / (2.0 * (1.0 + s2))
 
 
+# n_modes -> (every output port pair i < j, the same pairs as a (K, 2) array)
+_PORT_PAIRS: dict[int, tuple[tuple, np.ndarray]] = {}
+
+
+def _port_pairs(n_modes: int) -> tuple[tuple, np.ndarray]:
+    cached = _PORT_PAIRS.get(n_modes)
+    if cached is None:
+        pairs = tuple((i, j) for i in range(1, n_modes + 1) for j in range(i + 1, n_modes + 1))
+        ports = np.array(pairs, dtype=np.intp).reshape(len(pairs), 2)
+        ports.flags.writeable = False
+        cached = _PORT_PAIRS[n_modes] = (pairs, ports)
+    return cached
+
+
+def _dual_coincidence(s, ports):
+    """Phase-averaged dual coherent intensities are independent, so the coincidence factorizes."""
+    i, j = _port_indices(ports)
+    return s[..., i] * s[..., j]
+
+
 def correlation_curve(state: InputState, phis, n_modes: int = 3) -> CorrelationResult:
     """Sweep singles and normalized coincidences over a nonlinear-phase grid.
 
     The grid is evaluated in blocks of at most ``BLOCK_ENTRIES`` transfer
-    matrix entries; each block is one ``ideal_transfer`` stack.
+    matrix entries; each block is one ``ideal_transfer`` stack and one
+    coincidence call for every port pair.  Each ``g2`` entry is a column of
+    one (len(phis), K) table.
     """
     phis = np.asarray(phis, dtype=float)
     sgl = np.empty((len(phis), n_modes))
-    pairs = [(i, j) for i in range(1, n_modes + 1) for j in range(i + 1, n_modes + 1)]
-    g2 = {pr: np.full(len(phis), np.nan) for pr in pairs}
-    # unnormalized coincidence from a transfer stack and its singles; the
-    # phase-averaged dual coherent intensities are independent, so it factorizes
+    pairs, ports = _port_pairs(n_modes)
+    # unnormalized coincidence from a transfer stack, its singles and ports
     coincidence = {
-        "dual_coherent": lambda u, s, pr: s[..., pr[0] - 1] * s[..., pr[1] - 1],
+        "dual_coherent": lambda u, s, pr: _dual_coincidence(s, pr),
         "photon_pair": lambda u, s, pr: pair_coincidence(u, state.modes, pr),
         "squeezed_vacuum": lambda u, s, pr: coincidence_squeezed(state, u, pr),
     }.get(state.kind)
     ref = 0.0
-    if coincidence is not None:
+    if coincidence is None:
+        g2 = {pr: np.full(len(phis), np.nan) for pr in pairs}
+    else:
+        table = np.full((len(phis), len(pairs)), np.nan)
+        g2 = {pr: table[:, k] for k, pr in enumerate(pairs)}
         # one common normalization: the zero-phase coincidence on the input
         # port pair.  Cross-port pairs start at exactly zero, so normalizing
         # each pair by its own zero-phase value would be 0/0 for them.
@@ -290,6 +352,5 @@ def correlation_curve(state: InputState, phis, n_modes: int = 3) -> CorrelationR
         u = ideal_transfer(n_modes, phis[rows])
         s = sgl[rows] = singles(state, u)
         if ref > 0.0:
-            for pr in pairs:
-                g2[pr][rows] = coincidence(u, s, pr) / ref
+            table[rows] = coincidence(u, s, ports) / ref
     return CorrelationResult(phi=phis, singles=sgl, g2=g2)

@@ -156,6 +156,7 @@ class TestTransferCommand:
                            "weak_freqs_rad_s": [W0 - 1e12, W0 - 2e12, W0 - 3e12]}),
         ("general", "n_modes", 5),
         ("lossy", "n_modes", 2),
+        *[(route, "seed", 5) for route in ("ideal", "general", "lossy")],
     ])
     def test_unused_key_is_exit_1(self, tmp_path, capsys, route, key, value):
         cfg = self.route_cfg(route, alpha=2e-5 if route == "lossy" else 0.0)
@@ -259,6 +260,33 @@ class TestSweepCommand:
         with pytest.raises(SystemExit):
             main(["sweep", "--config", write_config(tmp_path, BASE_CONFIG), "--threads", "2"])
 
+    @pytest.mark.parametrize("extra,flags,name", [
+        ({"phi_min": 0.1}, [], "'phi_min'"),
+        ({"phi_max": 2.0}, [], "'phi_max'"),
+        ({"steps": 50}, [], "'steps'"),
+        ({"phi_min": 1.0, "phi_max": 0.5}, [], "'phi_m"),
+        ({}, ["--phi-min", "0.1"], "--phi-min"),
+        ({}, ["--phi-max", "2.0"], "--phi-max"),
+        ({}, ["--steps", "50"], "--steps"),
+    ])
+    def test_phase_grid_settings_rejected_with_powers(self, tmp_path, capsys, extra, flags,
+                                                      name):
+        # sweep.powers_w gives the phase grid, so these would be ignored
+        sweep = dict({"powers_w": [0.2, 0.5], "phase_scale_rad_per_w": 1.5}, **extra)
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config", write_config(tmp_path, dict(BASE_CONFIG, sweep=sweep)),
+                     "--out", str(out), *flags]) == 1
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_phase_scale_without_powers_is_exit_1(self, tmp_path, capsys):
+        sweep = dict(BASE_CONFIG["sweep"], phase_scale_rad_per_w=1.5)
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config", write_config(tmp_path, dict(BASE_CONFIG, sweep=sweep)),
+                     "--out", str(out)]) == 1
+        assert "'phase_scale_rad_per_w'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 # keys that sweep and synth would ignore, since both run on the ideal transfer
 IGNORED_KEYS = [
@@ -283,6 +311,67 @@ def test_ignored_config_key_is_exit_1(tmp_path, capsys, command, key, value):
     assert not out.exists()
 
 
+LOSSES = [0.9, 1.0, 0.8]
+# (kind, a field that kind does not read, a value for it)
+UNREAD_INPUT_FIELDS = [
+    ("single_coherent", "zeta", 0.3), ("single_coherent", "phase_averaged", False),
+    ("single_coherent", "pre_loss", LOSSES), ("single_coherent", "post_loss", LOSSES),
+    ("dual_coherent", "zeta", 0.3), ("dual_coherent", "pre_loss", LOSSES),
+    ("dual_coherent", "post_loss", LOSSES),
+    ("photon_pair", "amplitude", 7.0), ("photon_pair", "zeta", 0.3),
+    ("photon_pair", "phase_averaged", True), ("photon_pair", "pre_loss", LOSSES),
+    ("photon_pair", "post_loss", LOSSES),
+    ("squeezed_vacuum", "amplitude", 7.0), ("squeezed_vacuum", "phase_averaged", False),
+]
+# every field each kind reads
+FULL_INPUTS = [
+    {"kind": "single_coherent", "modes": [2], "amplitude": 1.5},
+    {"kind": "dual_coherent", "modes": [1, 3], "amplitude": 1.5, "phase_averaged": False},
+    {"kind": "photon_pair", "modes": [1, 2]},
+    {"kind": "squeezed_vacuum", "modes": [1, 3], "zeta": [0.3, 0.1], "pre_loss": LOSSES,
+     "post_loss": LOSSES},
+]
+POWER_SWEEP = {"powers_w": [0.2, 0.5], "phase_scale_rad_per_w": 1.5}
+
+
+@pytest.mark.parametrize("command", ["sweep", "synth"])
+@pytest.mark.parametrize("kind,field,value", UNREAD_INPUT_FIELDS)
+def test_unread_input_field_is_exit_1(tmp_path, capsys, command, kind, field, value):
+    section = {"kind": kind, "modes": [1] if kind == "single_coherent" else [1, 3], field: value}
+    cfg = dict(BASE_CONFIG, input=section, sweep=POWER_SWEEP)
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert repr(field) in err and repr(kind) in err
+    assert not out.exists()
+
+
+def test_unread_input_fields_named_together(tmp_path, capsys):
+    cfg = dict(BASE_CONFIG, sweep=POWER_SWEEP,
+               input={"kind": "photon_pair", "modes": [1, 3], "amplitude": 7, "zeta": 0.3})
+    assert main(["synth", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o.csv")]) == 1
+    assert "['amplitude', 'zeta']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sweep", "synth"])
+@pytest.mark.parametrize("section", FULL_INPUTS, ids=lambda s: s["kind"])
+def test_every_read_input_field_accepted(tmp_path, command, section):
+    cfg = dict(BASE_CONFIG, input=section, sweep=POWER_SWEEP)
+    assert main([command, "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o.csv")]) == 0
+
+
+@pytest.mark.parametrize("key,value", [("bogus", 1), ("steps", 50), ("phi_min", 0.0),
+                                       ("phi_max", 1.0)])
+def test_synth_unread_sweep_key_is_exit_1(tmp_path, capsys, key, value):
+    cfg = dict(BASE_CONFIG, sweep=dict(POWER_SWEEP, **{key: value}))
+    out = tmp_path / "o.csv"
+    assert main(["synth", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+    assert repr(key) in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["sweep", "synth"])
 def test_ideal_transfer_key_accepted(tmp_path, command):
     cfg = dict(BASE_CONFIG, sweep={"powers_w": [0.2, 0.5], "phase_scale_rad_per_w": 1.5})
@@ -292,22 +381,49 @@ def test_ideal_transfer_key_accepted(tmp_path, command):
 
 
 class TestPhasematchCommand:
-    def test_symmetric_grid_all_negligible(self, tmp_path):
+    @staticmethod
+    def symmetric_cfg():
         zg = W0
         offs = [2 * math.pi * 0.5e12, 2 * math.pi * 1.0e12, 2 * math.pi * 1.7e12]
-        cfg = {
+        return {
             "profile": {"omega0_rad_s": W0, "beta_coeffs_si": [0.0, 0.0, 0.0, 1e-41],
                         "gamma_per_w_m": 2e-3, "length_m": 100.0},
             "grid": {"pump_freqs_rad_s": [zg + o for o in offs],
                      "weak_freqs_rad_s": [zg - o for o in offs]},
             "pumps": {"powers_w": [0.5, 0.5, 0.5]},
         }
+
+    def test_symmetric_grid_all_negligible(self, tmp_path):
+        cfg = self.symmetric_cfg()
         out = tmp_path / "p.csv"
         assert main(["phasematch", "--config", write_config(tmp_path, cfg),
                      "--out", str(out)]) == 0
         header, rows = read_rows(out)
         assert rows.shape[0] == 3
         assert all(rows[:, header.index("negligible")] == 1.0)
+
+    @pytest.mark.parametrize("key,value", [
+        ("input", BASE_CONFIG["input"]), ("sweep", BASE_CONFIG["sweep"]),
+        ("transfer", "lossy"), ("seed", 5), ("n_modes", 7),
+    ])
+    def test_unused_key_is_exit_1(self, tmp_path, capsys, key, value):
+        cfg = dict(self.symmetric_cfg(), **{key: value})
+        out = tmp_path / "p.csv"
+        assert main(["phasematch", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 1
+        assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_matching_n_modes_accepted(self, tmp_path):
+        rows = []
+        for name, extra in (("a", {}), ("b", {"n_modes": 3})):
+            out = tmp_path / f"{name}.csv"
+            cfg = dict(self.symmetric_cfg(), **extra)
+            assert main(["phasematch", "--config", write_config(tmp_path, cfg),
+                         "--out", str(out)]) == 0
+            rows.append(read_rows(out))
+        assert rows[0][0] == rows[1][0]
+        assert np.array_equal(rows[0][1], rows[1][1])
 
     def test_detuned_pump_flags_false(self, tmp_path):
         zg = W0

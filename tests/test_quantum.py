@@ -307,9 +307,8 @@ def _per_phase_reference(state, phi, n, pairs):
 
 
 @st.composite
-def sweep_cases(draw):
-    kind = draw(st.sampled_from(INPUT_KINDS))
-    n = draw(st.sampled_from([2, 3, 8, 16]))
+def input_states(draw, n, kinds=INPUT_KINDS):
+    kind = draw(st.sampled_from(kinds))
     count = 1 if kind == "single_coherent" else 2
     modes = tuple(draw(st.lists(st.integers(1, n), min_size=count, max_size=count,
                                 unique=True)))
@@ -321,12 +320,19 @@ def sweep_cases(draw):
         trans = st.lists(st.floats(0.3, 1.0), min_size=n, max_size=n)
         kwargs.update(zeta=complex(zeta), pre_loss=tuple(draw(trans)),
                       post_loss=tuple(draw(trans)))
+    return InputState(kind=kind, modes=modes, **kwargs)
+
+
+@st.composite
+def sweep_cases(draw):
+    n = draw(st.sampled_from([2, 3, 8, 16]))
+    state = draw(input_states(n))
     block = quantum.BLOCK_ENTRIES // n**2
     # long enough to cross at least one block boundary
     points = block + draw(st.integers(1, 2 * block))
     lo = draw(st.floats(-1.0, 1.0))
     phis = np.linspace(lo, lo + draw(st.floats(0.5, 8.0)), points)
-    return InputState(kind=kind, modes=modes, **kwargs), n, phis
+    return state, n, phis
 
 
 class TestCorrelationCurveStack:
@@ -367,3 +373,114 @@ class TestCorrelationCurveStack:
             assert isinstance(coincidence_squeezed(state, one, (1, 3)), float)
             assert pc[k] == pytest.approx(pair_coincidence(one, (2, 4), (1, 3)), abs=1e-15)
             assert cs[k] == pytest.approx(coincidence_squeezed(state, one, (1, 3)), abs=1e-15)
+
+
+# The per-pair loop that correlation_curve ran before it took every port pair
+# in one call, with that version's per-pair observables: the bit-for-bit
+# reference for the all-pairs path.  The grid is one unblocked stack, since
+# ideal_transfer gives the same entries per phase whatever the stack size.
+
+
+def _ref_entry(u, i, j):
+    return u[..., i, j][()]
+
+
+def _ref_pair_coincidence(u, in_modes, ports):
+    i, j = (p - 1 for p in ports)
+    m1, m2 = (m - 1 for m in in_modes)
+    return np.abs(_ref_entry(u, i, m1) * _ref_entry(u, j, m2)
+                  + _ref_entry(u, i, m2) * _ref_entry(u, j, m1)) ** 2
+
+
+def _ref_coincidence_squeezed(state, u, ports):
+    n = u.shape[-1]
+    i, j = (p - 1 for p in ports)
+    m1, m2 = (m - 1 for m in state.modes)
+    t_pre = state.transmissions("pre_loss", n)
+    t_post = state.transmissions("post_loss", n)
+    t1, t2 = t_pre[m1], t_pre[m2]
+    s2 = math.sinh(abs(state.zeta)) ** 2
+    prefac = t_post[i] ** 2 * t_post[j] ** 2 * t1**2 * t2**2
+    ui1, uj1, ui2, uj2 = (_ref_entry(u, *ix) for ix in ((i, m1), (j, m1), (i, m2), (j, m2)))
+    paired = np.abs(ui1 * uj2 + ui2 * uj1) ** 2 * (s2 + 2.0 * s2**2)
+    uncorr = 2.0 * (
+        np.abs(ui1) ** 2 * np.abs(uj1) ** 2 * (t1 / t2) ** 2
+        + np.abs(ui2) ** 2 * np.abs(uj2) ** 2 * (t2 / t1) ** 2
+    ) * s2**2
+    return prefac * (paired + uncorr)
+
+
+def reference_curve(state, phis, n_modes):
+    phis = np.asarray(phis, dtype=float)
+    pairs = [(i, j) for i in range(1, n_modes + 1) for j in range(i + 1, n_modes + 1)]
+    g2 = {pr: np.full(len(phis), np.nan) for pr in pairs}
+    coincidence = {
+        "dual_coherent": lambda u, s, pr: s[..., pr[0] - 1] * s[..., pr[1] - 1],
+        "photon_pair": lambda u, s, pr: _ref_pair_coincidence(u, state.modes, pr),
+        "squeezed_vacuum": lambda u, s, pr: _ref_coincidence_squeezed(state, u, pr),
+    }.get(state.kind)
+    ref = 0.0
+    if coincidence is not None:
+        ident = ideal_transfer(n_modes, 0.0)
+        ref = coincidence(ident.entries, singles(state, ident),
+                          (min(state.modes), max(state.modes)))
+    tm = ideal_transfer(n_modes, phis)
+    sgl = singles(state, tm)
+    if ref > 0.0:
+        for pr in pairs:
+            g2[pr][:] = coincidence(tm.entries, sgl, pr) / ref
+    return sgl, g2
+
+
+class TestAllPairs:
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_curve_matches_per_pair_loop(self, data):
+        n = data.draw(st.integers(2, 16))
+        state = data.draw(input_states(n))
+        points = data.draw(st.integers(1, 300))
+        lo = data.draw(st.floats(-1.0, 1.0))
+        phis = np.linspace(lo, lo + data.draw(st.floats(0.5, 8.0)), points)
+        # blocks of 1 to 9 phases, so most grids cross block boundaries
+        entries = n * n * data.draw(st.integers(1, 9)) + data.draw(st.integers(0, n * n - 1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quantum, "BLOCK_ENTRIES", entries)
+            curve = correlation_curve(state, phis, n_modes=n)
+        sgl, g2 = reference_curve(state, phis, n)
+        assert np.array_equal(curve.singles, sgl)
+        assert list(curve.g2) == list(g2)
+        for pr, col in g2.items():
+            assert np.array_equal(curve.g2[pr], col, equal_nan=True)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_port_array_matches_single_pairs(self, data):
+        n = data.draw(st.integers(2, 16))
+        state = data.draw(input_states(n, kinds=("squeezed_vacuum",)))
+        all_pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+        pairs = data.draw(st.lists(st.sampled_from(all_pairs), min_size=1, max_size=20))
+        ports = np.array(pairs)
+        phis = np.linspace(-1.0, 8.0, data.draw(st.integers(1, 40)))
+        for tm in (ideal_transfer(n, phis[0]), ideal_transfer(n, phis)):
+            got = (pair_coincidence(tm, state.modes, ports),
+                   coincidence_squeezed(state, tm, ports))
+            want = (np.stack([pair_coincidence(tm, state.modes, pr) for pr in pairs], -1),
+                    np.stack([coincidence_squeezed(state, tm, pr) for pr in pairs], -1))
+            for g, w in zip(got, want):
+                assert g.shape == tm.entries.shape[:-2] + (len(pairs),)
+                assert np.array_equal(g, w)
+
+    def test_one_matrix_one_pair_is_a_float(self):
+        state = InputState(kind="squeezed_vacuum", modes=(2, 4), zeta=0.6,
+                           post_loss=(0.7, 1.0, 0.6, 0.9))
+        one = ideal_transfer(4, 0.3)
+        for ports in ((1, 3), [1, 3], np.array([1, 3])):
+            assert type(pair_coincidence(one, (2, 4), ports)) is float
+            assert type(coincidence_squeezed(state, one, ports)) is float
+        assert pair_coincidence(one, (2, 4), np.array([[1, 3]])).shape == (1,)
+
+    @pytest.mark.parametrize("ports", [(1, 2, 3), [[1, 2, 3]], np.ones((2, 2, 2), int)])
+    def test_bad_port_shape_raises(self, ports):
+        stack = ideal_transfer(4, np.linspace(0.0, 1.0, 3))
+        with pytest.raises(ValueError):
+            pair_coincidence(stack, (1, 3), ports)
