@@ -9,7 +9,8 @@ Subcommands:
 * ``fit``        -- fit phase scale / channel scales / zeta from curve CSV
 * ``synth``      -- generate synthetic count records
 
-Configs are strict-keyed JSON; unknown keys are an error.  Output files are
+Configs are strict-keyed JSON: each subcommand rejects every top-level key
+it does not read (``CONFIG_KEYS``).  Output files are
 CSV with a comment header carrying the tool version, config hash, and seed,
 and 17-significant-digit scientific notation so doubles round-trip exactly.
 
@@ -36,7 +37,7 @@ from .dispersion import (
 from .fitting import fit_phase_scale, fit_zeta, generate_synthetic, normalize_coincidences
 from .propagation import IntegratorSettings, integrate_weak
 from .oracle import loss_chain, wick_moments
-from .quantum import INPUT_FIELDS, InputState, correlation_curve, g2_squeezed_full
+from .quantum import KINDS, InputState, correlation_curve, g2_squeezed_full
 from .transfer import (
     PumpConfig,
     general_transfer,
@@ -51,6 +52,15 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_FIT = 3
+
+# the top-level config keys each subcommand reads; load_config rejects every other key
+CONFIG_KEYS = {
+    "transfer": {"n_modes", "transfer", "profile", "pumps", "grid"},
+    "sweep": {"n_modes", "transfer", "input", "sweep", "seed"},
+    "phasematch": {"n_modes", "profile", "grid", "pumps"},
+    "oracle": {"n_modes", "input", "profile", "grid", "pumps"},
+    "synth": {"n_modes", "transfer", "input", "sweep", "seed"},
+}
 
 
 class ConfigError(ValueError):
@@ -68,9 +78,9 @@ def _fmt(x) -> str:
 
 
 def _require_keys(d: dict, allowed: set, context: str) -> None:
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {context}: {sorted(unknown)}")
+    unread = set(d) - allowed
+    if unread:
+        raise ConfigError(f"{context} does not read key(s) {sorted(unread)}; remove them")
 
 
 def lambda_nm_to_omega(lam_nm: float) -> float:
@@ -126,37 +136,22 @@ def parse_input(section: dict) -> InputState:
     kind = section.get("kind")
     if kind is None:
         raise ConfigError("input: missing kind")
-    if kind not in INPUT_FIELDS:
-        raise ConfigError(f"input: unknown kind {kind!r}; expected one of {list(INPUT_FIELDS)}")
-    unread = sorted(set(section) - {"kind", *INPUT_FIELDS[kind]})
+    if kind not in KINDS:
+        raise ConfigError(f"input: unknown kind {kind!r}; expected one of {list(KINDS)}")
+    unread = sorted(set(section) - {"kind", *KINDS[kind].fields})
     if unread:
         raise ConfigError(f"input kind {kind!r} does not read field(s) {unread}; remove them")
-    zeta = section.get("zeta", 0.0)
+    zeta = section.get("zeta")
     if isinstance(zeta, (list, tuple)):
-        zeta = complex(zeta[0], zeta[1])
-    return InputState(
-        kind=kind,
-        modes=tuple(section.get("modes", (1, 3) if kind != "single_coherent" else (1,))),
-        amplitude=float(section.get("amplitude", 1.0)),
-        zeta=zeta,
-        phase_averaged=bool(section.get("phase_averaged", True)),
-        pre_loss=tuple(section["pre_loss"]) if "pre_loss" in section else None,
-        post_loss=tuple(section["post_loss"]) if "post_loss" in section else None,
-    )
+        section = dict(section, zeta=complex(zeta[0], zeta[1]))
+    return InputState(**section)
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str, command: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
-    allowed = {"profile", "grid", "pumps", "input", "sweep", "seed", "n_modes", "transfer"}
-    _require_keys(cfg, allowed, "config")
+    _require_keys(cfg, CONFIG_KEYS[command], f"{command}'s config")
     return cfg
-
-
-def _reject_unused(cfg: dict, keys, command: str) -> None:
-    for key in keys:
-        if key in cfg:
-            raise ConfigError(f"{command} does not use config key {key!r}; remove it")
 
 
 def _require_pump_count(cfg: dict, pumps: PumpConfig, command: str) -> None:
@@ -166,8 +161,7 @@ def _require_pump_count(cfg: dict, pumps: PumpConfig, command: str) -> None:
 
 
 def _require_ideal_transfer(cfg: dict, command: str) -> None:
-    """Refuse the keys that sweep and synth, which run on the ideal transfer, would ignore."""
-    _reject_unused(cfg, ("profile", "pumps", "grid"), f"{command} (ideal transfer only)")
+    """Refuse a transfer route that sweep and synth, which run on the ideal transfer, would ignore."""
     kind = cfg.get("transfer", "ideal")
     if kind != "ideal":
         raise ConfigError(f"{command} uses the ideal transfer only; config key 'transfer' "
@@ -209,9 +203,8 @@ def cmd_transfer(args, cfg: dict) -> int:
     kind = cfg.get("transfer", "ideal")
     if kind not in ("ideal", "general", "lossy"):
         raise ConfigError(f"unknown transfer kind {kind!r}")
-    unused = ("input", "sweep", "seed") + (("profile", "pumps", "grid") if kind == "ideal" else ())
-    _reject_unused(cfg, unused, f"transfer ({kind} route)")
     if kind == "ideal":
+        _require_keys(cfg, {"n_modes", "transfer"}, "the ideal route of transfer")
         tm = ideal_transfer(int(cfg.get("n_modes", 3)), args.phi)
     else:
         profile = parse_profile(cfg["profile"])
@@ -276,20 +269,13 @@ def cmd_sweep(args, cfg: dict) -> int:
     columns = ["phi"] + [f"g1_{i}" for i in range(1, n_modes + 1)]
     pairs = sorted(curve.g2)
     columns += [f"g2_{i}{j}" for i, j in pairs]
-    rows = []
-    for k in range(len(phis)):
-        row = [phis[k]] + list(curve.singles[k])
-        for pr in pairs:
-            v = curve.g2[pr][k]
-            row.append(v if not np.isnan(v) else math.nan)
-        rows.append(row)
+    rows = np.column_stack([phis, curve.singles] + [curve.g2[pr] for pr in pairs])
     seed = cfg.get("seed") if args.seed is None else args.seed
     write_csv(args.out, _header_lines(cfg, seed), columns, rows)
     return EXIT_OK
 
 
 def cmd_phasematch(args, cfg: dict) -> int:
-    _reject_unused(cfg, ("input", "sweep", "transfer", "seed"), "phasematch")
     profile = parse_profile(cfg["profile"])
     grid = parse_grid(cfg["grid"])
     pumps = parse_pumps(cfg["pumps"])
@@ -339,8 +325,7 @@ def _oracle_classical_rows(cfg, tol):
 
 
 def _oracle_quantum_rows(cfg, tol):
-    state = parse_input(cfg["input"]) if "input" in cfg else InputState(
-        kind="squeezed_vacuum", modes=(1, 3), zeta=0.4)
+    state = parse_input(cfg.get("input", {"kind": "squeezed_vacuum", "zeta": 0.4}))
     if state.kind != "squeezed_vacuum":
         raise ConfigError("quantum oracle check requires a squeezed_vacuum input")
     n_modes = int(cfg.get("n_modes", 3))
@@ -494,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi-min", type=float, default=None)
     p.add_argument("--phi-max", type=float, default=None)
     p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--input", choices=["single", "dual", "pair", "squeezed"], default=None,
+    p.add_argument("--input", choices=_INPUT_KIND_ALIASES, default=None,
                    help="override config input kind")
 
     p = sub.add_parser("phasematch", help="per-channel mismatch table")
@@ -533,7 +518,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "fit":
             return cmd_fit(args)
-        cfg = load_config(args.config)
+        cfg = load_config(args.config, args.command)
         if getattr(args, "input", None):
             # CLI override for the config's input kind
             cfg.setdefault("input", {})["kind"] = _INPUT_KIND_ALIASES[args.input]

@@ -229,7 +229,7 @@ def generate_synthetic(
     """Synthetic CountRecords from the closed-form model at phi = kappa P.
 
     ``state`` is the full ``InputState`` (modes, amplitude, zeta, losses);
-    without it, ``input_kind`` selects that kind on modes (1, 3).  Applies
+    without it, ``input_kind`` selects that kind on its default modes.  Applies
     per-channel scale factors and multiplicative Gaussian noise of relative
     width ``noise``; deterministic for a fixed seed.  The returned list
     always starts with a zero-power record usable for normalization.
@@ -241,8 +241,7 @@ def generate_synthetic(
         powers = np.concatenate([[0.0], powers])
     scales = np.ones(n_modes) if channel_scales is None else np.asarray(channel_scales)
     rng = np.random.default_rng(seed)
-    if state is None:
-        state = InputState(kind=input_kind, modes=(1, 3))
+    state = state or InputState(kind=input_kind)
     curve = correlation_curve(state, phase_scale * powers, n_modes=n_modes)
     pairs = list(curve.g2)
     g2 = np.column_stack([curve.g2[pr] for pr in pairs])

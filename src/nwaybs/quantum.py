@@ -22,27 +22,19 @@ trailing axis K, one entry per pair.  ``correlation_curve`` evaluates a
 phase grid as stacks of bounded size, with every port pair of a stack in
 one call.
 
-``INPUT_FIELDS`` lists the ``InputState`` fields each input kind reads; the
-command line rejects any other field.
+``KINDS`` is the one table of input kinds: each kind's default modes, the
+``InputState`` fields it reads, its singles and its coincidence.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .transfer import TransferMatrix, ideal_transfer, p_coeff, q_coeff
-
-# the InputState fields each input kind reads
-INPUT_FIELDS = {
-    "single_coherent": ("modes", "amplitude"),
-    "dual_coherent": ("modes", "amplitude", "phase_averaged"),
-    "photon_pair": ("modes",),
-    "squeezed_vacuum": ("modes", "zeta", "pre_loss", "post_loss"),
-}
-INPUT_KINDS = tuple(INPUT_FIELDS)
 
 # Matrix entries per transfer stack in correlation_curve (2**16 complex128 =
 # 1 MiB): bounds the memory of a sweep at any grid size.
@@ -53,14 +45,14 @@ BLOCK_ENTRIES = 1 << 16
 class InputState:
     """Weak-field input description.
 
-    ``modes`` are 1-based channel indices: one for single_coherent, two for
-    the dual-channel kinds.  ``pre_loss``/``post_loss`` are per-channel
-    amplitude transmissions in (0, 1], applied before and after the
-    interaction.
+    ``modes`` are 1-based channel indices, as many as the kind's default
+    modes in ``KINDS`` (which ``None`` selects).  ``pre_loss``/``post_loss``
+    are per-channel amplitude transmissions in (0, 1], applied before and
+    after the interaction.
     """
 
     kind: str
-    modes: tuple[int, ...] = (1, 3)
+    modes: tuple[int, ...] | None = None
     amplitude: float = 1.0
     zeta: complex = 0.0
     phase_averaged: bool = True
@@ -70,15 +62,16 @@ class InputState:
     def __post_init__(self):
         if self.kind not in INPUT_KINDS:
             raise ValueError(f"unknown input kind {self.kind!r}")
-        modes = tuple(int(m) for m in self.modes)
-        expected = 1 if self.kind == "single_coherent" else 2
-        if len(modes) != expected:
-            raise ValueError(f"{self.kind} takes {expected} mode index(es)")
+        defaults = KINDS[self.kind].modes
+        modes = tuple(int(m) for m in (defaults if self.modes is None else self.modes))
+        if len(modes) != len(defaults):
+            raise ValueError(f"{self.kind} takes {len(defaults)} mode index(es)")
         if len(set(modes)) != len(modes):
             raise ValueError("mode indices must be distinct")
         if any(m < 1 for m in modes):
             raise ValueError("mode indices are 1-based")
         object.__setattr__(self, "modes", modes)
+        object.__setattr__(self, "amplitude", float(self.amplitude))
         for name in ("pre_loss", "post_loss"):
             t = getattr(self, name)
             if t is not None:
@@ -107,26 +100,9 @@ class CorrelationResult:
 
 def singles(state: InputState, transfer: TransferMatrix) -> np.ndarray:
     """Expected singles counts per channel, shape (..., N), for a matrix or stack."""
-    u = transfer.entries
-    n = transfer.n_modes
-    if any(m > n for m in state.modes):
+    if any(m > transfer.n_modes for m in state.modes):
         raise ValueError("input mode index exceeds the number of channels")
-    cols = [m - 1 for m in state.modes]
-    if state.kind == "single_coherent":
-        return state.amplitude**2 * np.abs(u[..., cols[0]]) ** 2
-    if state.kind == "dual_coherent":
-        if not state.phase_averaged:
-            amp = u[..., cols[0]] + u[..., cols[1]]
-            return state.amplitude**2 * np.abs(amp) ** 2
-        return state.amplitude**2 * (np.abs(u[..., cols]) ** 2).sum(axis=-1)
-    if state.kind == "photon_pair":
-        return (np.abs(u[..., cols]) ** 2).sum(axis=-1)
-    # squeezed vacuum with losses
-    t_pre = state.transmissions("pre_loss", n)
-    t_post = state.transmissions("post_loss", n)
-    s2 = math.sinh(abs(state.zeta)) ** 2
-    body = (np.abs(u[..., cols] * t_pre[cols]) ** 2).sum(axis=-1)
-    return t_post**2 * s2 * body
+    return KINDS[state.kind].singles(state, transfer.entries, [m - 1 for m in state.modes])
 
 
 def g2_dual_coherent(phi, n_modes: int = 3):
@@ -312,10 +288,50 @@ def _port_pairs(n_modes: int) -> tuple[tuple, np.ndarray]:
     return cached
 
 
-def _dual_coincidence(s, ports):
+def _dual_singles(state, u, cols):
+    if not state.phase_averaged:
+        amp = u[..., cols[0]] + u[..., cols[1]]
+        return state.amplitude**2 * np.abs(amp) ** 2
+    return state.amplitude**2 * (np.abs(u[..., cols]) ** 2).sum(axis=-1)
+
+
+def _dual_coincidence(state, transfer, s, ports):
     """Phase-averaged dual coherent intensities are independent, so the coincidence factorizes."""
     i, j = _port_indices(ports)
     return s[..., i] * s[..., j]
+
+
+def _squeezed_singles(state, u, cols):
+    t_pre = state.transmissions("pre_loss", u.shape[-1])
+    t_post = state.transmissions("post_loss", u.shape[-1])
+    s2 = math.sinh(abs(state.zeta)) ** 2
+    body = (np.abs(u[..., cols] * t_pre[cols]) ** 2).sum(axis=-1)
+    return t_post**2 * s2 * body
+
+
+class InputKind(NamedTuple):
+    modes: tuple[int, ...]       # default input modes; their count is the count the kind takes
+    fields: tuple[str, ...]      # the InputState fields the kind reads
+    singles: Callable            # (state, entries, 0-based input columns) -> (..., N)
+    coincidence: Callable | None  # (state, transfer, singles, ports) -> unnormalized
+
+
+# Each kind keeps its own arithmetic: one weighted formula for every kind
+# would cost about twice the time per sweep block.
+KINDS = {
+    "single_coherent": InputKind(
+        (1,), ("modes", "amplitude"),
+        lambda state, u, cols: state.amplitude**2 * np.abs(u[..., cols[0]]) ** 2, None),
+    "dual_coherent": InputKind(
+        (1, 3), ("modes", "amplitude", "phase_averaged"), _dual_singles, _dual_coincidence),
+    "photon_pair": InputKind(
+        (1, 3), ("modes",), lambda state, u, cols: (np.abs(u[..., cols]) ** 2).sum(axis=-1),
+        lambda state, u, s, ports: pair_coincidence(u, state.modes, ports)),
+    "squeezed_vacuum": InputKind(
+        (1, 3), ("modes", "zeta", "pre_loss", "post_loss"), _squeezed_singles,
+        lambda state, u, s, ports: coincidence_squeezed(state, u, ports)),
+}
+INPUT_KINDS = tuple(KINDS)
 
 
 def correlation_curve(state: InputState, phis, n_modes: int = 3) -> CorrelationResult:
@@ -329,28 +345,26 @@ def correlation_curve(state: InputState, phis, n_modes: int = 3) -> CorrelationR
     phis = np.asarray(phis, dtype=float)
     sgl = np.empty((len(phis), n_modes))
     pairs, ports = _port_pairs(n_modes)
-    # unnormalized coincidence from a transfer stack, its singles and ports
-    coincidence = {
-        "dual_coherent": lambda u, s, pr: _dual_coincidence(s, pr),
-        "photon_pair": lambda u, s, pr: pair_coincidence(u, state.modes, pr),
-        "squeezed_vacuum": lambda u, s, pr: coincidence_squeezed(state, u, pr),
-    }.get(state.kind)
-    ref = 0.0
+    coincidence = KINDS[state.kind].coincidence
     if coincidence is None:
         g2 = {pr: np.full(len(phis), np.nan) for pr in pairs}
     else:
-        table = np.full((len(phis), len(pairs)), np.nan)
+        table = np.empty((len(phis), len(pairs)))
         g2 = {pr: table[:, k] for k, pr in enumerate(pairs)}
         # one common normalization: the zero-phase coincidence on the input
         # port pair.  Cross-port pairs start at exactly zero, so normalizing
         # each pair by its own zero-phase value would be 0/0 for them.
         ident = ideal_transfer(n_modes, 0.0)
-        ref = coincidence(ident, singles(state, ident), (min(state.modes), max(state.modes)))
+        ref = coincidence(state, ident, singles(state, ident),
+                          (min(state.modes), max(state.modes)))
+        if ref == 0.0:
+            raise ValueError(f"{state.kind} input carries no light: its zero-phase "
+                             "coincidence vanishes; cannot normalize")
     block = max(1, BLOCK_ENTRIES // n_modes**2)
     for start in range(0, len(phis), block):
         rows = slice(start, start + block)
         u = ideal_transfer(n_modes, phis[rows])
         s = sgl[rows] = singles(state, u)
-        if ref > 0.0:
-            table[rows] = coincidence(u, s, ports) / ref
+        if coincidence is not None:
+            table[rows] = coincidence(state, u, s, ports) / ref
     return CorrelationResult(phi=phis, singles=sgl, g2=g2)

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import nwaybs
-from nwaybs.cli import lambda_nm_to_omega, main
-from nwaybs.quantum import InputState, correlation_curve
+from nwaybs.cli import _INPUT_KIND_ALIASES, lambda_nm_to_omega, main, parse_input
+from nwaybs.quantum import INPUT_KINDS, InputState, correlation_curve
 from nwaybs.transfer import p_coeff, q_coeff
 
 W0 = 2 * math.pi * 233e12
@@ -362,6 +362,36 @@ def test_every_read_input_field_accepted(tmp_path, command, section):
                  "--out", str(tmp_path / "o.csv")]) == 0
 
 
+@pytest.mark.parametrize("kind", INPUT_KINDS)
+def test_input_kind_default_modes(kind):
+    state = parse_input({"kind": kind})
+    assert state == InputState(kind=kind)
+    assert state.modes == ((1,) if kind == "single_coherent" else (1, 3))
+
+
+def test_input_aliases_cover_every_kind():
+    assert sorted(_INPUT_KIND_ALIASES.values()) == sorted(INPUT_KINDS)
+
+
+# inputs that carry no light: the zero-phase coincidence that normalizes g2 is 0
+NO_LIGHT_INPUTS = [
+    {"kind": "dual_coherent", "modes": [1, 3], "amplitude": 0},
+    {"kind": "squeezed_vacuum", "modes": [1, 3], "zeta": 0},
+]
+
+
+@pytest.mark.parametrize("command", ["sweep", "synth"])
+@pytest.mark.parametrize("section", NO_LIGHT_INPUTS, ids=lambda s: s["kind"])
+def test_input_without_light_is_exit_1(tmp_path, capsys, command, section):
+    cfg = dict(BASE_CONFIG, input=section)
+    if command == "synth":
+        cfg["sweep"] = POWER_SWEEP
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+    assert "vanishes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key,value", [("bogus", 1), ("steps", 50), ("phi_min", 0.0),
                                        ("phi_max", 1.0)])
 def test_synth_unread_sweep_key_is_exit_1(tmp_path, capsys, key, value):
@@ -474,6 +504,18 @@ class TestOracleCommand:
         rc = main(["oracle", "--config", oracle_cfg, "--check", "quantum",
                    "--tol", "1e-18", "--out", str(tmp_path / "o.csv")])
         assert rc == 2
+
+    @pytest.mark.parametrize("check", ["quantum", "classical", "all"])
+    def test_unread_keys_are_exit_1(self, tmp_path, capsys, check):
+        # oracle reads neither seed nor sweep, and takes its transfer route from
+        # the profile, not from the transfer key
+        cfg = {"n_modes": 3, "seed": 5, "sweep": {"steps": 7}, "transfer": "lossy",
+               "input": {"kind": "squeezed_vacuum", "modes": [1, 3], "zeta": 0.4}}
+        out = tmp_path / "o.csv"
+        assert main(["oracle", "--config", write_config(tmp_path, cfg), "--check", check,
+                     "--out", str(out)]) == 1
+        assert "['seed', 'sweep', 'transfer']" in capsys.readouterr().err
+        assert not out.exists()
 
     @staticmethod
     def classical_cfg(tmp_path, powers, alpha=0.0):
@@ -704,6 +746,7 @@ with tempfile.TemporaryDirectory() as tmp:
             fh.write(text)
         return p
     base_cfg = path("base.json", json.dumps(base))
+    oracle_cfg = path("oracle.json", json.dumps({"n_modes": 3, "input": base["input"]}))
     transfer_cfg = path("transfer.json", json.dumps({"n_modes": 3}))
     physics_cfg = path("physics.json", json.dumps(physics))
     out = os.path.join(tmp, "out")
@@ -711,7 +754,7 @@ with tempfile.TemporaryDirectory() as tmp:
         ["transfer", "--config", transfer_cfg, "--phi", "0.3"],
         ["sweep", "--config", base_cfg],
         ["phasematch", "--config", physics_cfg],
-        ["oracle", "--config", base_cfg, "--check", "quantum"],
+        ["oracle", "--config", oracle_cfg, "--check", "quantum"],
         ["synth", "--config", base_cfg],
         ["fit", "--model", "pair", "--data", path("curve.csv", "power_w,value\n" + "".join(
             f"{p},{math.cos(p) ** 2}\n" for p in (0.1 * k for k in range(12))))],

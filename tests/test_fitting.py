@@ -339,6 +339,13 @@ class TestGenerateSynthetic:
         std = np.std(devs)
         assert 0.008 < std < 0.012
 
+    def test_single_coherent_gives_singles_only(self):
+        recs = generate_synthetic(1.2, [0.2, 0.5], n_modes=4, input_kind="single_coherent")
+        state = InputState(kind="single_coherent", modes=(1,))
+        curve = correlation_curve(state, 1.2 * np.array([0.0, 0.2, 0.5]), n_modes=4)
+        assert np.array_equal([rec.singles for rec in recs], curve.singles)
+        assert all(rec.coincidences == {} for rec in recs)
+
     def test_prepends_zero_power_record(self):
         recs = generate_synthetic(1.0, [0.3, 0.6], noise=0.0, seed=0)
         assert recs[0].pump_peak_power == 0.0

@@ -32,6 +32,10 @@ class TestInputState:
         with pytest.raises(ValueError):
             InputState(kind="laser", modes=(1,))
 
+    @pytest.mark.parametrize("kind", INPUT_KINDS)
+    def test_default_modes(self, kind):
+        assert InputState(kind=kind).modes == ((1,) if kind == "single_coherent" else (1, 3))
+
     def test_mode_count_enforced(self):
         with pytest.raises(ValueError):
             InputState(kind="photon_pair", modes=(1,))
@@ -279,6 +283,14 @@ class TestCorrelationCurve:
         assert np.allclose(curve.g2[(1, 3)], g13, atol=1e-12)
         assert np.allclose(curve.g2[(1, 2)], g12, atol=1e-12)
 
+    @pytest.mark.parametrize("state", [InputState(kind="dual_coherent", amplitude=0.0),
+                                       InputState(kind="squeezed_vacuum", zeta=0.0)],
+                             ids=["dual_coherent", "squeezed_vacuum"])
+    def test_input_without_light_raises(self, state):
+        # the zero-phase coincidence that normalizes every g2 column is 0
+        with pytest.raises(ValueError, match="vanishes"):
+            correlation_curve(state, PHI_GRID)
+
     def test_single_coherent_has_no_g2(self):
         state = InputState(kind="single_coherent", modes=(1,))
         curve = correlation_curve(state, PHI_GRID)
@@ -291,10 +303,31 @@ class TestCorrelationCurve:
         assert np.allclose(curve.g2[(1, 3)], g2_dual_coherent(PHI_GRID), atol=1e-12)
 
 
+def _ref_singles(state, transfer):
+    """``singles`` as one if-chain over the input kinds: the reference for the kind table."""
+    u = transfer.entries
+    n = transfer.n_modes
+    cols = [m - 1 for m in state.modes]
+    if state.kind == "single_coherent":
+        return state.amplitude**2 * np.abs(u[..., cols[0]]) ** 2
+    if state.kind == "dual_coherent":
+        if not state.phase_averaged:
+            amp = u[..., cols[0]] + u[..., cols[1]]
+            return state.amplitude**2 * np.abs(amp) ** 2
+        return state.amplitude**2 * (np.abs(u[..., cols]) ** 2).sum(axis=-1)
+    if state.kind == "photon_pair":
+        return (np.abs(u[..., cols]) ** 2).sum(axis=-1)
+    t_pre = state.transmissions("pre_loss", n)
+    t_post = state.transmissions("post_loss", n)
+    s2 = math.sinh(abs(state.zeta)) ** 2
+    body = (np.abs(u[..., cols] * t_pre[cols]) ** 2).sum(axis=-1)
+    return t_post**2 * s2 * body
+
+
 def _per_phase_reference(state, phi, n, pairs):
     """Singles and unnormalized coincidences at one phase from the scalar observables."""
     tm = ideal_transfer(n, phi)
-    sgl = singles(state, tm)
+    sgl = _ref_singles(state, tm)
     if state.kind == "single_coherent":
         coinc = {}
     elif state.kind == "dual_coherent":
@@ -315,6 +348,8 @@ def input_states(draw, n, kinds=INPUT_KINDS):
     kwargs = {}
     if kind in ("single_coherent", "dual_coherent"):
         kwargs["amplitude"] = draw(st.floats(0.1, 2.0))
+    if kind == "dual_coherent":
+        kwargs["phase_averaged"] = draw(st.booleans())
     if kind == "squeezed_vacuum":
         zeta = draw(st.floats(0.05, 1.0)) * np.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
         trans = st.lists(st.floats(0.3, 1.0), min_size=n, max_size=n)
@@ -422,10 +457,10 @@ def reference_curve(state, phis, n_modes):
     ref = 0.0
     if coincidence is not None:
         ident = ideal_transfer(n_modes, 0.0)
-        ref = coincidence(ident.entries, singles(state, ident),
+        ref = coincidence(ident.entries, _ref_singles(state, ident),
                           (min(state.modes), max(state.modes)))
     tm = ideal_transfer(n_modes, phis)
-    sgl = singles(state, tm)
+    sgl = _ref_singles(state, tm)
     if ref > 0.0:
         for pr in pairs:
             g2[pr][:] = coincidence(tm.entries, sgl, pr) / ref
@@ -451,6 +486,15 @@ class TestAllPairs:
         assert list(curve.g2) == list(g2)
         for pr, col in g2.items():
             assert np.array_equal(curve.g2[pr], col, equal_nan=True)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_singles_match_kind_chain(self, data):
+        n = data.draw(st.integers(2, 16))
+        state = data.draw(input_states(n))
+        phis = np.linspace(-1.0, 8.0, data.draw(st.integers(1, 40)))
+        for tm in (ideal_transfer(n, phis[0]), ideal_transfer(n, phis)):
+            assert np.array_equal(singles(state, tm), _ref_singles(state, tm))
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
