@@ -9,13 +9,16 @@ Subcommands:
 * ``fit``        -- fit phase scale / channel scales / zeta from curve CSV
 * ``synth``      -- generate synthetic count records
 
-Configs are strict-keyed JSON: each subcommand rejects every top-level key
-it does not read (``CONFIG_KEYS``).  Output files are
-CSV with a comment header carrying the tool version, config hash, and seed,
-and 17-significant-digit scientific notation so doubles round-trip exactly.
+Configs are JSON checked against one schema, ``CONFIGS``: a table per
+(subcommand, variant) of the keys it reads, each with the field it fills and
+its JSON type.  ``check_section`` rejects unread keys, wrong types, non-finite
+numbers and missing keys, and builds the dataclasses the subcommands read.
+Output files are CSV with a comment header carrying the tool version, the hash
+of the raw config, and the seed, and 17-significant-digit scientific notation
+so doubles round-trip exactly.
 
-Exit codes: 0 ok, 1 config/input error, 2 numerical failure,
-3 fit non-convergence.
+Exit codes: 0 ok, 1 config, input or usage error (bad flags included),
+2 numerical failure, 3 fit non-convergence.
 """
 
 from __future__ import annotations
@@ -25,26 +28,17 @@ import hashlib
 import json
 import math
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .dispersion import (
-    DispersionProfile,
-    FrequencyGrid,
-    nonlinear_mismatch,
-)
-from .fitting import fit_phase_scale, fit_zeta, generate_synthetic, normalize_coincidences
+from .dispersion import DispersionProfile, FrequencyGrid, nonlinear_mismatch
+from .fitting import fit_phase_scale, fit_zeta, generate_synthetic
 from .propagation import IntegratorSettings, integrate_weak
 from .oracle import loss_chain, wick_moments
 from .quantum import KINDS, InputState, correlation_curve, g2_squeezed_full
-from .transfer import (
-    PumpConfig,
-    general_transfer,
-    ideal_transfer,
-    lossy_transfer,
-    to_lab_frame,
-)
+from .transfer import PumpConfig, general_transfer, ideal_transfer, lossy_transfer, to_lab_frame
 
 SPEED_OF_LIGHT = 299792458.0  # m/s, exact
 
@@ -52,16 +46,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_FIT = 3
-
-# the top-level config keys each subcommand reads; load_config rejects every other key
-CONFIG_KEYS = {
-    "transfer": {"n_modes", "transfer", "profile", "pumps", "grid"},
-    "sweep": {"n_modes", "transfer", "input", "sweep", "seed"},
-    "phasematch": {"n_modes", "profile", "grid", "pumps"},
-    "oracle": {"n_modes", "input", "profile", "grid", "pumps"},
-    "synth": {"n_modes", "transfer", "input", "sweep", "seed"},
-}
-
 
 class ConfigError(ValueError):
     pass
@@ -77,95 +61,171 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _require_keys(d: dict, allowed: set, context: str) -> None:
-    unread = set(d) - allowed
-    if unread:
-        raise ConfigError(f"{context} does not read key(s) {sorted(unread)}; remove them")
-
-
 def lambda_nm_to_omega(lam_nm: float) -> float:
     return 2.0 * math.pi * SPEED_OF_LIGHT / (lam_nm * 1e-9)
 
 
-def _parse_freq_list(section: dict, base: str, context: str):
-    key_rad = f"{base}_rad_s"
-    key_nm = f"{base}_lambda_nm"
-    if key_rad in section and key_nm in section:
-        raise ConfigError(f"{context}: give {key_rad} or {key_nm}, not both")
-    if key_rad in section:
-        return [float(f) for f in section[key_rad]]
-    if key_nm in section:
-        return [lambda_nm_to_omega(float(l)) for l in section[key_nm]]
-    raise ConfigError(f"{context}: missing {key_rad} or {key_nm}")
+# ---------------------------------------------------------------------------
+# config schema: one table per (subcommand, variant) of the keys it reads,
+# each with the field it fills and its JSON type; check_section walks them
 
 
-def parse_profile(section: dict) -> DispersionProfile:
-    allowed = {"omega0_rad_s", "beta_coeffs_si", "gamma_per_w_m", "length_m", "alpha_per_m"}
-    _require_keys(section, allowed, "profile")
-    try:
-        return DispersionProfile(
-            omega0=float(section["omega0_rad_s"]),
-            beta_coeffs=tuple(section["beta_coeffs_si"]),
-            gamma=float(section["gamma_per_w_m"]),
-            length=float(section["length_m"]),
-            alpha=float(section.get("alpha_per_m", 0.0)),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"profile: missing key {exc}") from exc
+class JsonType(NamedTuple):
+    """A JSON value type: its name in messages, a test and a conversion."""
+
+    name: str
+    test: Callable
+    convert: Callable = lambda value: value
 
 
-def parse_grid(section: dict) -> FrequencyGrid:
-    allowed = {"pump_freqs_rad_s", "pump_freqs_lambda_nm",
-               "weak_freqs_rad_s", "weak_freqs_lambda_nm"}
-    _require_keys(section, allowed, "grid")
-    return FrequencyGrid(
-        pump_freqs=tuple(_parse_freq_list(section, "pump_freqs", "grid")),
-        weak_freqs=tuple(_parse_freq_list(section, "weak_freqs", "grid")),
-    )
+class Section(NamedTuple):
+    """A JSON object: key -> (field, JsonType or Section), required fields, builder."""
+
+    keys: dict
+    required: tuple = ()
+    build: Callable = dict
 
 
-def parse_pumps(section: dict) -> PumpConfig:
-    _require_keys(section, {"powers_w", "phases_rad"}, "pumps")
-    return PumpConfig(
-        powers=tuple(section["powers_w"]),
-        phases=tuple(section["phases_rad"]) if "phases_rad" in section else None,
-    )
+def _finite(v) -> bool:
+    # exact for any int, so one too large for a float is rejected, not overflowed
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
 
 
-def parse_input(section: dict) -> InputState:
-    kind = section.get("kind")
-    if kind is None:
-        raise ConfigError("input: missing kind")
-    if kind not in KINDS:
-        raise ConfigError(f"input: unknown kind {kind!r}; expected one of {list(KINDS)}")
-    unread = sorted(set(section) - {"kind", *KINDS[kind].fields})
+def _listof(test):
+    return lambda v: isinstance(v, list) and all(map(test, v))
+
+
+def one_of(*values) -> JsonType:
+    return JsonType(f"one of {list(values)}", lambda v: isinstance(v, str) and v in values)
+
+
+INTEGER = JsonType("an integer", lambda v: type(v) is int)
+MODE_COUNT = JsonType("an integer >= 2", lambda v: INTEGER.test(v) and v >= 2)
+NUMBER = JsonType("a finite number", _finite, float)
+BOOL = JsonType("true or false", lambda v: isinstance(v, bool))
+INTEGERS = JsonType("a list of integers", _listof(INTEGER.test), tuple)
+NUMBERS = JsonType("a list of finite numbers", _listof(_finite),
+                   lambda v: tuple(float(x) for x in v))
+WAVELENGTHS_NM = NUMBERS._replace(convert=lambda v: tuple(lambda_nm_to_omega(float(x))
+                                                          for x in v))
+COMPLEX = JsonType("a finite number or a [re, im] pair",
+                   lambda v: _finite(v) or _listof(_finite)(v) and len(v) == 2,
+                   lambda v: complex(*v) if isinstance(v, list) else float(v))
+
+
+def _same(**types) -> dict:
+    """Keys that fill the field of their own name."""
+    return {key: (key, spec) for key, spec in types.items()}
+
+
+def _input_state(kind, **fields) -> InputState:
+    unread = sorted(set(fields) - set(KINDS[kind].fields))
     if unread:
         raise ConfigError(f"input kind {kind!r} does not read field(s) {unread}; remove them")
-    zeta = section.get("zeta")
-    if isinstance(zeta, (list, tuple)):
-        section = dict(section, zeta=complex(zeta[0], zeta[1]))
-    return InputState(**section)
+    return InputState(kind=kind, **fields)
 
 
-def load_config(path: str, command: str) -> dict:
+def input_section(*kinds) -> Section:
+    return Section(_same(kind=one_of(*kinds), modes=INTEGERS, amplitude=NUMBER, zeta=COMPLEX,
+                         phase_averaged=BOOL, pre_loss=NUMBERS, post_loss=NUMBERS),
+                   ("kind",), _input_state)
+
+
+PROFILE = Section({"omega0_rad_s": ("omega0", NUMBER), "beta_coeffs_si": ("beta_coeffs", NUMBERS),
+                   "gamma_per_w_m": ("gamma", NUMBER), "length_m": ("length", NUMBER),
+                   "alpha_per_m": ("alpha", NUMBER)},
+                  ("omega0", "beta_coeffs", "gamma", "length"), DispersionProfile)
+# the _rad_s and _lambda_nm keys fill the same field, so they exclude each other
+GRID = Section({"pump_freqs_rad_s": ("pump_freqs", NUMBERS),
+                "pump_freqs_lambda_nm": ("pump_freqs", WAVELENGTHS_NM),
+                "weak_freqs_rad_s": ("weak_freqs", NUMBERS),
+                "weak_freqs_lambda_nm": ("weak_freqs", WAVELENGTHS_NM)},
+               ("pump_freqs", "weak_freqs"), FrequencyGrid)
+PUMPS = Section({"powers_w": ("powers", NUMBERS), "phases_rad": ("phases", NUMBERS)},
+                ("powers",), PumpConfig)
+PHI_SWEEP = Section(_same(phi_min=NUMBER, phi_max=NUMBER, steps=INTEGER))
+POWER_SWEEP = Section(_same(powers_w=NUMBERS, phase_scale_rad_per_w=NUMBER),
+                      ("powers_w", "phase_scale_rad_per_w"))
+
+N_MODES = _same(n_modes=MODE_COUNT)
+PHYSICS = _same(profile=PROFILE, grid=GRID, pumps=PUMPS)
+ROUTE = _same(transfer=one_of("ideal", "general", "lossy"))
+# sweep and synth run on the ideal transfer only
+CURVE = {**N_MODES, **_same(transfer=one_of("ideal"), input=input_section(*KINDS), seed=INTEGER)}
+QUANTUM = {**N_MODES, **_same(input=input_section("squeezed_vacuum"))}
+ROUTED = Section({**N_MODES, **ROUTE, **PHYSICS}, ("profile", "pumps"))
+POWERS = Section({**CURVE, **_same(sweep=POWER_SWEEP)}, ("input", "sweep"))
+CONFIGS = {
+    ("transfer", "on the ideal route"): Section({**N_MODES, **ROUTE}),
+    ("transfer", "on the general route"): ROUTED,
+    ("transfer", "on the lossy route"): ROUTED,
+    ("sweep", "over a phase grid"): Section({**CURVE, **_same(sweep=PHI_SWEEP)}, ("input",)),
+    ("sweep", "over sweep.powers_w"): POWERS,
+    ("synth", ""): POWERS,
+    ("phasematch", ""): Section({**N_MODES, **PHYSICS}, ("profile", "grid", "pumps")),
+    ("oracle", "--check classical"): Section(PHYSICS, ("profile", "grid", "pumps")),
+    ("oracle", "--check quantum"): Section(QUANTUM),
+    ("oracle", "--check all"): Section({**PHYSICS, **QUANTUM}, ("profile", "grid", "pumps")),
+}
+
+
+def config_variant(command: str, cfg: dict, args) -> str:
+    """Which of the command's tables applies: the route, the phase axis or the check."""
+    if command == "transfer":
+        route = cfg.get("transfer")
+        return f"on the {route if route in ('general', 'lossy') else 'ideal'} route"
+    if command == "sweep":
+        sweep = cfg.get("sweep")
+        powers = isinstance(sweep, dict) and "powers_w" in sweep
+        return "over sweep.powers_w" if powers else "over a phase grid"
+    return f"--check {args.check}" if command == "oracle" else ""
+
+
+def check_section(value, section: Section, where: str):
+    """Check a JSON object against its section and build what it fills.
+
+    Names every unread key, the first key of a wrong type or a non-finite
+    number, and a missing required key; returns ``section.build(**fields)``.
+    """
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, not {json.dumps(value)}")
+    unread = sorted(set(value) - set(section.keys))
+    if unread:
+        raise ConfigError(f"{where} does not read key(s) {unread}; remove them")
+
+    def keys_of(field):
+        return " or ".join(repr(k) for k, (f, _) in section.keys.items() if f == field)
+
+    fields = {}
+    for key, item in value.items():
+        field, spec = section.keys[key]
+        if field in fields:
+            raise ConfigError(f"{where}: give key {keys_of(field)}, not both")
+        if isinstance(spec, Section):
+            fields[field] = check_section(item, spec, f"section {key!r} of {where}")
+        elif spec.test(item):
+            fields[field] = spec.convert(item)
+        else:
+            raise ConfigError(f"{where}: key {key!r} must be {spec.name}, "
+                              f"not {json.dumps(item)}")
+    for field in section.required:
+        if field not in fields:
+            raise ConfigError(f"{where} needs key {keys_of(field)}")
+    return section.build(**fields)
+
+
+def load_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
-    _require_keys(cfg, CONFIG_KEYS[command], f"{command}'s config")
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"a config must be a JSON object, not {json.dumps(cfg)}")
     return cfg
 
 
 def _require_pump_count(cfg: dict, pumps: PumpConfig, command: str) -> None:
-    if "n_modes" in cfg and int(cfg["n_modes"]) != pumps.n_modes:
+    if cfg.get("n_modes", pumps.n_modes) != pumps.n_modes:
         raise ConfigError(f"config key 'n_modes' is {cfg['n_modes']}, but {command} takes "
                           f"one mode per pump ({pumps.n_modes})")
-
-
-def _require_ideal_transfer(cfg: dict, command: str) -> None:
-    """Refuse a transfer route that sweep and synth, which run on the ideal transfer, would ignore."""
-    kind = cfg.get("transfer", "ideal")
-    if kind != "ideal":
-        raise ConfigError(f"{command} uses the ideal transfer only; config key 'transfer' "
-                          f"must be 'ideal', not {kind!r}")
 
 
 def config_hash(cfg: dict) -> str:
@@ -173,132 +233,99 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _header_lines(cfg: dict | None, seed) -> list[str]:
+def _header_lines(digest: str | None, seed) -> list[str]:
     lines = [f"# nwaybs {__version__}"]
-    if cfg is not None:
-        lines.append(f"# config_hash={config_hash(cfg)}")
+    if digest is not None:
+        lines.append(f"# config_hash={digest}")
     if seed is not None:
         lines.append(f"# seed={seed}")
     return lines
 
 
-def write_csv(path, header_lines, columns, rows) -> None:
+def write_lines(path, lines) -> None:
     out = sys.stdout if path in (None, "-") else open(path, "w", encoding="utf-8")
     try:
-        for line in header_lines:
+        for line in lines:
             print(line, file=out)
-        print(",".join(columns), file=out)
-        for row in rows:
-            print(",".join(_fmt(v) for v in row), file=out)
     finally:
         if out is not sys.stdout:
             out.close()
+
+
+def write_csv(path, header_lines, columns, rows) -> None:
+    write_lines(path, [*header_lines, ",".join(columns),
+                       *(",".join(_fmt(v) for v in row) for row in rows)])
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_transfer(args, cfg: dict) -> int:
+def cmd_transfer(args, cfg: dict, digest: str) -> int:
     kind = cfg.get("transfer", "ideal")
-    if kind not in ("ideal", "general", "lossy"):
-        raise ConfigError(f"unknown transfer kind {kind!r}")
     if kind == "ideal":
-        _require_keys(cfg, {"n_modes", "transfer"}, "the ideal route of transfer")
-        tm = ideal_transfer(int(cfg.get("n_modes", 3)), args.phi)
+        tm = ideal_transfer(cfg.get("n_modes", 3), args.phi)
     else:
-        profile = parse_profile(cfg["profile"])
-        pumps = parse_pumps(cfg["pumps"])
+        profile, pumps = cfg["profile"], cfg["pumps"]
         _require_pump_count(cfg, pumps, f"the {kind} route")
-        mismatch = None
-        if "grid" in cfg:
-            grid = parse_grid(cfg["grid"])
-            mismatch = nonlinear_mismatch(profile, grid, pumps.powers)
-        if kind == "general":
-            tm = general_transfer(profile, pumps, mismatch)
-        else:
-            # zero mismatch only: any other raises ValueError, so exit 1
-            tm = lossy_transfer(profile, pumps, mismatch=mismatch)
+        mismatch = nonlinear_mismatch(profile, cfg["grid"], pumps.powers) if "grid" in cfg else None
+        # the lossy route takes zero mismatch only: any other raises ValueError, so exit 1
+        build = general_transfer if kind == "general" else lossy_transfer
+        tm = build(profile, pumps, mismatch=mismatch)
     n = tm.n_modes
-    columns = []
-    for i in range(n):
-        for j in range(n):
-            columns += [f"re_{i + 1}{j + 1}", f"im_{i + 1}{j + 1}"]
-    row = []
-    for i in range(n):
-        for j in range(n):
-            row += [tm.entries[i, j].real, tm.entries[i, j].imag]
-    write_csv(args.out, _header_lines(cfg, None), columns, [row])
+    columns = [f"{part}_{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1)
+               for part in ("re", "im")]
+    row = np.column_stack([tm.entries.real.ravel(), tm.entries.imag.ravel()]).ravel()
+    write_csv(args.out, _header_lines(digest, None), columns, [row])
     print(f"unitarity_residual={tm.unitarity_residual():.3e}")
     return EXIT_OK
 
 
-def cmd_sweep(args, cfg: dict) -> int:
-    _require_ideal_transfer(cfg, "sweep")
-    n_modes = int(cfg.get("n_modes", 3))
-    state = parse_input(cfg["input"])
-    sweep = dict(cfg.get("sweep", {}))
-    _require_keys(sweep, {"phi_min", "phi_max", "steps", "powers_w", "phase_scale_rad_per_w"},
-                  "sweep")
+def cmd_sweep(args, cfg: dict, digest: str) -> int:
+    n_modes = cfg.get("n_modes", 3)
+    sweep = cfg.get("sweep", {})
     flags = {"phi_min": args.phi_min, "phi_max": args.phi_max, "steps": args.steps}
     if "powers_w" in sweep:
-        # the powers give the phase grid, so the linear-grid settings would be ignored
+        # the powers give the phase grid, so the linear-grid flags would be ignored
         for key, flag in flags.items():
-            if key in sweep:
-                raise ConfigError(f"sweep: key {key!r} is ignored when powers_w is set; "
-                                  "remove it")
             if flag is not None:
                 raise ConfigError(f"--{key.replace('_', '-')} is ignored when sweep.powers_w "
                                   "is set")
-        kappa = float(sweep["phase_scale_rad_per_w"])
-        phis = kappa * np.asarray(sweep["powers_w"], dtype=float)
+        phis = sweep["phase_scale_rad_per_w"] * np.asarray(sweep["powers_w"])
     else:
-        if "phase_scale_rad_per_w" in sweep:
-            raise ConfigError("sweep: key 'phase_scale_rad_per_w' is used only with "
-                              "powers_w; remove it")
-        sweep.update({key: flag for key, flag in flags.items() if flag is not None})
-        steps = int(sweep.get("steps", 101))
+        sweep = dict(sweep, **{key: flag for key, flag in flags.items() if flag is not None})
+        steps = sweep.get("steps", 101)
         if steps < 2:
             raise ConfigError("sweep: steps must be >= 2")
-        phi_min = float(sweep.get("phi_min", 0.0))
-        phi_max = float(sweep.get("phi_max", 2.0 * math.pi / n_modes))
+        phi_min = sweep.get("phi_min", 0.0)
+        phi_max = sweep.get("phi_max", 2.0 * math.pi / n_modes)
         if not phi_min < phi_max:
             raise ConfigError("sweep: need phi_min < phi_max")
         phis = np.linspace(phi_min, phi_max, steps)
-    curve = correlation_curve(state, phis, n_modes=n_modes)
+    curve = correlation_curve(cfg["input"], phis, n_modes=n_modes)
     columns = ["phi"] + [f"g1_{i}" for i in range(1, n_modes + 1)]
     pairs = sorted(curve.g2)
     columns += [f"g2_{i}{j}" for i, j in pairs]
     rows = np.column_stack([phis, curve.singles] + [curve.g2[pr] for pr in pairs])
     seed = cfg.get("seed") if args.seed is None else args.seed
-    write_csv(args.out, _header_lines(cfg, seed), columns, rows)
+    write_csv(args.out, _header_lines(digest, seed), columns, rows)
     return EXIT_OK
 
 
-def cmd_phasematch(args, cfg: dict) -> int:
-    profile = parse_profile(cfg["profile"])
-    grid = parse_grid(cfg["grid"])
-    pumps = parse_pumps(cfg["pumps"])
+def cmd_phasematch(args, cfg: dict, digest: str) -> int:
+    profile, pumps = cfg["profile"], cfg["pumps"]
     _require_pump_count(cfg, pumps, "phasematch")
-    report = nonlinear_mismatch(profile, grid, pumps.powers)
+    report = nonlinear_mismatch(profile, cfg["grid"], pumps.powers)
     columns = ["channel", "delta_beta_per_m", "delta_k_per_m", "dk_L_over_pi", "negligible"]
-    rows = []
-    for n in range(report.n_modes):
-        rows.append([
-            n + 1,
-            report.delta_beta[n],
-            report.delta_k[n],
-            report.delta_k[n] * profile.length / math.pi,
-            bool(report.negligible[n]),
-        ])
-    write_csv(args.out, _header_lines(cfg, None), columns, rows)
+    rows = [[n + 1, report.delta_beta[n], report.delta_k[n],
+             report.delta_k[n] * profile.length / math.pi, bool(report.negligible[n])]
+            for n in range(report.n_modes)]
+    write_csv(args.out, _header_lines(digest, None), columns, rows)
     return EXIT_OK
 
 
 def _oracle_classical_rows(cfg, tol):
-    profile = parse_profile(cfg["profile"])
-    grid = parse_grid(cfg["grid"])
-    pumps = parse_pumps(cfg["pumps"])
+    profile, grid, pumps = cfg["profile"], cfg["grid"], cfg["pumps"]
     mismatch = nonlinear_mismatch(profile, grid, pumps.powers)
     if profile.alpha > 0.0:
         # entries already in the integrator's lab frame; outside the closed form's
@@ -317,18 +344,13 @@ def _oracle_classical_rows(cfg, tol):
     seeds = seed_amp * np.eye(n, dtype=complex)
     numeric = integrate_weak(profile, grid, pumps, seeds, settings)
     analytic = lab @ seeds
-    rows = []
-    for k in range(n):
-        err = float(np.max(np.abs(numeric[:, k] - analytic[:, k])) / seed_amp)
-        rows.append([f"classical_seed_{k + 1}", err, err < tol])
-    return rows
+    errs = [float(np.max(np.abs(numeric[:, k] - analytic[:, k])) / seed_amp) for k in range(n)]
+    return [[f"classical_seed_{k + 1}", err, err < tol] for k, err in enumerate(errs)]
 
 
 def _oracle_quantum_rows(cfg, tol):
-    state = parse_input(cfg.get("input", {"kind": "squeezed_vacuum", "zeta": 0.4}))
-    if state.kind != "squeezed_vacuum":
-        raise ConfigError("quantum oracle check requires a squeezed_vacuum input")
-    n_modes = int(cfg.get("n_modes", 3))
+    state = cfg.get("input", InputState(kind="squeezed_vacuum", zeta=0.4))
+    n_modes = cfg.get("n_modes", 3)
     t_pre = state.transmissions("pre_loss", n_modes)
     t_post = state.transmissions("post_loss", n_modes)
     rows = []
@@ -347,13 +369,13 @@ def _oracle_quantum_rows(cfg, tol):
     return rows
 
 
-def cmd_oracle(args, cfg: dict) -> int:
+def cmd_oracle(args, cfg: dict, digest: str) -> int:
     rows = []
     if args.check in ("classical", "all"):
         rows += _oracle_classical_rows(cfg, args.tol)
     if args.check in ("quantum", "all"):
         rows += _oracle_quantum_rows(cfg, args.tol)
-    write_csv(args.out, _header_lines(cfg, None), ["case", "max_error", "pass"], rows)
+    write_csv(args.out, _header_lines(digest, None), ["case", "max_error", "pass"], rows)
     # np.max propagates NaN, so a non-finite error cannot report as a pass
     worst = float(np.max([row[1] for row in rows]))
     print(f"max_error={worst:.3e} tol={args.tol:g}")
@@ -361,21 +383,12 @@ def cmd_oracle(args, cfg: dict) -> int:
 
 
 def _read_curve_csv(path):
-    rows = []
-    header = None
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = [c.strip() for c in line.split(",")]
-                continue
-            rows.append([float(v) for v in line.split(",")])
-    if header is None or not rows:
+        lines = [line for line in map(str.strip, fh) if line and not line.startswith("#")]
+    if len(lines) < 2:
         raise ConfigError("empty or malformed curve CSV")
-    data = np.asarray(rows)
-    return header, data
+    header = [c.strip() for c in lines[0].split(",")]
+    return header, np.asarray([[float(v) for v in line.split(",")] for line in lines[1:]])
 
 
 def cmd_fit(args) -> int:
@@ -386,12 +399,10 @@ def cmd_fit(args) -> int:
             if "power_w" not in cols or "value" not in cols:
                 raise ConfigError("fit CSV needs power_w and value columns")
             result = fit_phase_scale(cols["power_w"], cols["value"])
-        elif args.model == "multiphoton":
+        else:
             if "singles_rate" not in cols or "ratio" not in cols:
                 raise ConfigError("fit CSV needs singles_rate and ratio columns")
             result = fit_zeta(cols["singles_rate"], cols["ratio"])
-        else:
-            raise ConfigError(f"unknown fit model {args.model!r}")
     except ValueError as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -400,7 +411,6 @@ def cmd_fit(args) -> int:
     if not result.converged:
         print("fit did not converge", file=sys.stderr)
         return EXIT_FIT
-    lines = _header_lines(None, args.seed)
     kv = {
         "phase_scale_rad_per_w": result.phase_scale,
         "zeta": result.zeta,
@@ -411,57 +421,52 @@ def cmd_fit(args) -> int:
     }
     for i, s in enumerate(result.channel_scales):
         kv[f"channel_scale_{i + 1}"] = s
-    out = sys.stdout if args.out in (None, "-") else open(args.out, "w", encoding="utf-8")
-    try:
-        for line in lines:
-            print(line, file=out)
-        for key, val in kv.items():
-            if isinstance(val, float):
-                print(f"{key}={_fmt(val)}", file=out)
-            else:
-                print(f"{key}={val}", file=out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    write_lines(args.out, _header_lines(None, args.seed) + [
+        f"{key}={_fmt(val) if isinstance(val, float) else val}" for key, val in kv.items()])
     print(f"model={args.model} converged={result.converged}")
     return EXIT_OK
 
 
-def cmd_synth(args, cfg: dict) -> int:
-    _require_ideal_transfer(cfg, "synth")
-    sweep = cfg.get("sweep", {})
-    _require_keys(sweep, {"powers_w", "phase_scale_rad_per_w"}, "synth's sweep section")
-    if "powers_w" not in sweep or "phase_scale_rad_per_w" not in sweep:
-        raise ConfigError("synth needs sweep.powers_w and sweep.phase_scale_rad_per_w")
-    state = parse_input(cfg["input"])
-    seed = int(cfg.get("seed", 0)) if args.seed is None else args.seed
-    n_modes = int(cfg.get("n_modes", 3))
-    records = generate_synthetic(
-        phase_scale=float(sweep["phase_scale_rad_per_w"]),
-        powers=sweep["powers_w"],
-        n_modes=n_modes,
-        state=state,
-        noise=args.noise,
-        seed=seed,
-    )
+def cmd_synth(args, cfg: dict, digest: str) -> int:
+    sweep = cfg["sweep"]
+    seed = cfg.get("seed", 0) if args.seed is None else args.seed
+    n_modes = cfg.get("n_modes", 3)
+    records = generate_synthetic(sweep["phase_scale_rad_per_w"], sweep["powers_w"], n_modes=n_modes,
+                                 state=cfg["input"], noise=args.noise, seed=seed)
     columns = ["power_w"] + [f"singles_{i}" for i in range(1, n_modes + 1)]
     pairs = sorted(records[-1].coincidences)
     columns += [f"coinc_{i}{j}" for i, j in pairs] + [f"acc_{i}" for i in range(1, n_modes + 1)]
-    rows = []
-    for rec in records:
-        row = [rec.pump_peak_power] + list(rec.singles)
-        row += [rec.coincidences.get(pr, 0.0) for pr in pairs]
-        row += list(rec.accidental_singles)
-        rows.append(row)
-    write_csv(args.out, _header_lines(cfg, seed), columns, rows)
+    rows = [[rec.pump_peak_power, *rec.singles, *(rec.coincidences.get(pr, 0.0) for pr in pairs),
+             *rec.accidental_singles] for rec in records]
+    write_csv(args.out, _header_lines(digest, seed), columns, rows)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error exits with EXIT_CONFIG, not argparse's 2."""
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
+def finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def positive(text: str) -> float:
+    if not finite(text) > 0:
+        raise ValueError(text)
+    return float(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="nwaybs", description=__doc__.split("\n")[0])
+    parser = _Parser(prog="nwaybs", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     # --seed only where it reaches the output: sweep, fit and synth
@@ -471,13 +476,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transfer", help="emit a transfer matrix as CSV")
     add_common(p)
-    p.add_argument("--phi", type=float, default=0.0)
+    p.add_argument("--phi", type=finite, default=0.0)
 
     p = sub.add_parser("sweep", help="correlation curve versus nonlinear phase")
     add_common(p)
     p.add_argument("--seed", type=int, default=None, help="overrides the config seed")
-    p.add_argument("--phi-min", type=float, default=None)
-    p.add_argument("--phi-max", type=float, default=None)
+    p.add_argument("--phi-min", type=finite, default=None)
+    p.add_argument("--phi-max", type=finite, default=None)
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--input", choices=_INPUT_KIND_ALIASES, default=None,
                    help="override config input kind")
@@ -488,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="closed-form vs numerical oracle comparison")
     add_common(p)
     p.add_argument("--check", choices=["classical", "quantum", "all"], default="all")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=positive, default=1e-6)
 
     p = sub.add_parser("fit", help="fit model parameters from a curve CSV")
     p.add_argument("--data", required=True, help="input curve CSV")
@@ -499,38 +504,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate synthetic count records")
     add_common(p)
     p.add_argument("--seed", type=int, default=None, help="overrides the config seed")
-    p.add_argument("--noise", type=float, default=0.0)
+    p.add_argument("--noise", type=finite, default=0.0)
 
     return parser
 
 
-_INPUT_KIND_ALIASES = {
-    "single": "single_coherent",
-    "dual": "dual_coherent",
-    "pair": "photon_pair",
-    "squeezed": "squeezed_vacuum",
-}
+_INPUT_KIND_ALIASES = {"single": "single_coherent", "dual": "dual_coherent",
+                       "pair": "photon_pair", "squeezed": "squeezed_vacuum"}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "fit":
             return cmd_fit(args)
-        cfg = load_config(args.config, args.command)
-        if getattr(args, "input", None):
+        raw = load_config(args.config)
+        if getattr(args, "input", None) and isinstance(raw.setdefault("input", {}), dict):
             # CLI override for the config's input kind
-            cfg.setdefault("input", {})["kind"] = _INPUT_KIND_ALIASES[args.input]
-        handler = {
-            "transfer": cmd_transfer,
-            "sweep": cmd_sweep,
-            "phasematch": cmd_phasematch,
-            "oracle": cmd_oracle,
-            "synth": cmd_synth,
-        }[args.command]
-        return handler(args, cfg)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+            raw["input"]["kind"] = _INPUT_KIND_ALIASES[args.input]
+        variant = config_variant(args.command, raw, args)
+        cfg = check_section(raw, CONFIGS[args.command, variant],
+                            f"the config of {args.command} {variant}".rstrip())
+        handler = {"transfer": cmd_transfer, "sweep": cmd_sweep, "phasematch": cmd_phasematch,
+                   "oracle": cmd_oracle, "synth": cmd_synth}[args.command]
+        return handler(args, cfg, config_hash(raw))
+    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ValueError as exc:

@@ -234,7 +234,7 @@ def generate_synthetic(
     width ``noise``; deterministic for a fixed seed.  The returned list
     always starts with a zero-power record usable for normalization.
     """
-    if noise < 0:
+    if not noise >= 0:
         raise ValueError("noise must be >= 0")
     powers = np.asarray(powers, dtype=float)
     if powers[0] != 0.0:

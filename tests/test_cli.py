@@ -1,5 +1,6 @@
 """Command-line interface tests: config parsing, outputs, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 
 import nwaybs
-from nwaybs.cli import _INPUT_KIND_ALIASES, lambda_nm_to_omega, main, parse_input
+from nwaybs.cli import (_INPUT_KIND_ALIASES, check_section, input_section, lambda_nm_to_omega,
+                        main)
 from nwaybs.quantum import INPUT_KINDS, InputState, correlation_curve
 from nwaybs.transfer import p_coeff, q_coeff
 
@@ -364,7 +366,7 @@ def test_every_read_input_field_accepted(tmp_path, command, section):
 
 @pytest.mark.parametrize("kind", INPUT_KINDS)
 def test_input_kind_default_modes(kind):
-    state = parse_input({"kind": kind})
+    state = check_section({"kind": kind}, input_section(*INPUT_KINDS), "input")
     assert state == InputState(kind=kind)
     assert state.modes == ((1,) if kind == "single_coherent" else (1, 3))
 
@@ -476,8 +478,9 @@ class TestPhasematchCommand:
 
 
 class TestOracleCommand:
+    # each check reads its own keys: classical the physics, quantum the input
     @pytest.fixture()
-    def oracle_cfg(self, tmp_path):
+    def physics_cfg(self, tmp_path):
         zg = W0
         offs = [2 * math.pi * 0.5e12, 2 * math.pi * 1.0e12, 2 * math.pi * 1.7e12]
         cfg = {
@@ -486,36 +489,67 @@ class TestOracleCommand:
             "grid": {"pump_freqs_rad_s": [zg + o for o in offs],
                      "weak_freqs_rad_s": [zg - o for o in offs]},
             "pumps": {"powers_w": [0.5, 0.5, 0.5]},
-            "input": {"kind": "squeezed_vacuum", "modes": [1, 3], "zeta": 0.4},
         }
-        return write_config(tmp_path, cfg)
+        return write_config(tmp_path, cfg, "physics.json")
 
-    def test_classical_passes_at_1e6(self, tmp_path, oracle_cfg):
-        rc = main(["oracle", "--config", oracle_cfg, "--check", "classical",
+    @pytest.fixture()
+    def input_cfg(self, tmp_path):
+        cfg = {"input": {"kind": "squeezed_vacuum", "modes": [1, 3], "zeta": 0.4}}
+        return write_config(tmp_path, cfg, "input.json")
+
+    def test_classical_passes_at_1e6(self, tmp_path, physics_cfg):
+        rc = main(["oracle", "--config", physics_cfg, "--check", "classical",
                    "--tol", "1e-6", "--out", str(tmp_path / "o.csv")])
         assert rc == 0
 
-    def test_quantum_passes_at_1e10(self, tmp_path, oracle_cfg):
-        rc = main(["oracle", "--config", oracle_cfg, "--check", "quantum",
+    def test_quantum_passes_at_1e10(self, tmp_path, input_cfg):
+        rc = main(["oracle", "--config", input_cfg, "--check", "quantum",
                    "--tol", "1e-10", "--out", str(tmp_path / "o.csv")])
         assert rc == 0
 
-    def test_impossible_tolerance_fails(self, tmp_path, oracle_cfg):
-        rc = main(["oracle", "--config", oracle_cfg, "--check", "quantum",
+    def test_impossible_tolerance_fails(self, tmp_path, input_cfg):
+        rc = main(["oracle", "--config", input_cfg, "--check", "quantum",
                    "--tol", "1e-18", "--out", str(tmp_path / "o.csv")])
         assert rc == 2
 
-    @pytest.mark.parametrize("check", ["quantum", "classical", "all"])
-    def test_unread_keys_are_exit_1(self, tmp_path, capsys, check):
+    @pytest.mark.parametrize("check,unread", [
+        ("quantum", "['seed', 'sweep', 'transfer']"),
+        ("classical", "['input', 'n_modes', 'seed', 'sweep', 'transfer']"),
+        ("all", "['seed', 'sweep', 'transfer']"),
+    ], ids=["quantum", "classical", "all"])
+    def test_unread_keys_are_exit_1(self, tmp_path, capsys, check, unread):
         # oracle reads neither seed nor sweep, and takes its transfer route from
-        # the profile, not from the transfer key
+        # the profile, not from the transfer key; the classical check reads
+        # neither n_modes nor input
         cfg = {"n_modes": 3, "seed": 5, "sweep": {"steps": 7}, "transfer": "lossy",
                "input": {"kind": "squeezed_vacuum", "modes": [1, 3], "zeta": 0.4}}
         out = tmp_path / "o.csv"
         assert main(["oracle", "--config", write_config(tmp_path, cfg), "--check", check,
                      "--out", str(out)]) == 1
-        assert "['seed', 'sweep', 'transfer']" in capsys.readouterr().err
+        assert unread in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("profile", {"omega0_rad_s": W0, "beta_coeffs_si": [0.0], "gamma_per_w_m": 2e-3,
+                     "length_m": 100.0}),
+        ("pumps", {"powers_w": [0.5, 0.5, 0.5]}),
+        ("grid", {"pump_freqs_rad_s": [W0 + 1e12, W0 + 2e12],
+                  "weak_freqs_rad_s": [W0 - 1e12, W0 - 2e12]}),
+    ])
+    def test_quantum_rejects_physics_keys(self, tmp_path, capsys, key, value):
+        cfg = {"input": {"kind": "squeezed_vacuum", "zeta": 0.4}, key: value}
+        out = tmp_path / "o.csv"
+        assert main(["oracle", "--config", write_config(tmp_path, cfg), "--check", "quantum",
+                     "--out", str(out)]) == 1
+        assert f"[{key!r}]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_quantum_needs_squeezed_vacuum(self, tmp_path, capsys):
+        cfg = {"input": {"kind": "photon_pair", "modes": [1, 3]}}
+        assert main(["oracle", "--config", write_config(tmp_path, cfg), "--check", "quantum",
+                     "--out", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "'kind'" in err and "['squeezed_vacuum']" in err
 
     @staticmethod
     def classical_cfg(tmp_path, powers, alpha=0.0):
@@ -590,6 +624,89 @@ class TestOracleCommand:
                    "--out", str(tmp_path / "o.csv")])
         assert rc == 1
         assert "equal pump powers" in capsys.readouterr().err
+
+
+MALFORMED_BASES = {
+    "pair": BASE_CONFIG,
+    "dual": dict(BASE_CONFIG, input={"kind": "dual_coherent", "modes": [1, 3]}),
+    "squeezed": dict(BASE_CONFIG, input={"kind": "squeezed_vacuum", "modes": [1, 3],
+                                         "zeta": 0.4}),
+    "powers": dict(BASE_CONFIG, sweep=POWER_SWEEP),
+    "physics": TestPhasematchCommand.symmetric_cfg(),
+}
+# (subcommand, base config, path of the mistyped key, its value)
+MALFORMED = [
+    ("sweep", "squeezed", ("input", "zeta"), [0.3, 0.1, 9.0]),
+    ("sweep", "squeezed", ("input", "zeta"), [0.3]),
+    ("sweep", "dual", ("input", "phase_averaged"), "false"),
+    ("sweep", "pair", ("input", "modes"), "13"),
+    ("sweep", "pair", ("input", "modes"), [1.9, 3]),
+    ("sweep", "squeezed", ("input", "pre_loss"), "111"),
+    ("sweep", "dual", ("input", "amplitude"), math.nan),
+    ("sweep", "pair", ("input",), [1]),
+    ("sweep", "pair", ("n_modes",), 3.7),
+    ("sweep", "pair", ("seed",), "abc"),
+    ("sweep", "pair", ("sweep",), None),
+    ("sweep", "pair", ("sweep", "steps"), 11.9),
+    ("sweep", "pair", ("sweep", "phi_max"), math.inf),
+    ("sweep", "powers", ("sweep", "powers_w"), "555"),
+    ("sweep", "powers", ("sweep", "powers_w"), [0.2, math.nan]),
+    ("synth", "powers", ("sweep", "powers_w"), [0.2, math.nan]),
+    ("phasematch", "physics", ("pumps", "powers_w"), "555"),
+    ("phasematch", "physics", ("profile", "beta_coeffs_si"), "0"),
+    ("phasematch", "physics", ("profile", "length_m"), 10**400),
+    ("phasematch", "physics", ("n_modes",), True),
+]
+
+
+@pytest.mark.parametrize("command,base,path,value", MALFORMED,
+                         ids=[f"{c}-{'.'.join(p)}={json.dumps(v)[:16]}" for c, _, p, v in MALFORMED])
+def test_mistyped_config_value_is_exit_1(tmp_path, capsys, command, base, path, value):
+    cfg = json.loads(json.dumps(MALFORMED_BASES[base]))
+    *parents, key = path
+    section = cfg
+    for name in parents:
+        section = section[name]
+    section[key] = value
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+    assert repr(key) in capsys.readouterr().err
+    assert not out.exists()
+
+
+# flag values that would run and write NaN, or report a numerical failure
+BAD_FLAG_VALUES = [
+    ["transfer", "--phi", "nan"], ["sweep", "--phi-min", "nan"], ["sweep", "--phi-max", "inf"],
+    ["synth", "--noise", "nan"], ["oracle", "--tol", "nan"], ["oracle", "--tol", "-1"],
+    ["oracle", "--tol", "0"], ["oracle", "--tol", "abc"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_FLAG_VALUES, ids=" ".join)
+def test_bad_flag_value_is_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "o.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--config", write_config(tmp_path, BASE_CONFIG), "--out", str(out),
+              *argv[1:]])
+    assert exc.value.code == 1
+    assert f"argument {argv[1]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_usage_error_exit_codes(tmp_path):
+    """An unknown flag is a usage error (exit 1); --help exits 0."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nwaybs.__file__)))
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    cfgp = write_config(tmp_path, BASE_CONFIG)
+    runs = {argv[-1]: subprocess.run([sys.executable, "-m", "nwaybs.cli", *argv], cwd=tmp_path,
+                                     env=env, capture_output=True, text=True)
+            for argv in (["sweep", "--config", cfgp, "--threads"], ["sweep", "--help"])}
+    assert runs["--threads"].returncode == 1
+    assert "unrecognized arguments: --threads" in runs["--threads"].stderr
+    assert runs["--help"].returncode == 0
+    assert runs["--help"].stdout.startswith("usage: nwaybs sweep")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 class TestFitCommand:
@@ -720,6 +837,67 @@ class TestSynthCommand:
         curve = correlation_curve(InputState(kind="photon_pair", modes=(1, 2)), phis)
         for i, j in [(1, 2), (1, 3), (2, 3)]:
             assert np.array_equal(col[f"coinc_{i}{j}"], curve.g2[(i, j)])
+
+
+PIN_PROFILE = {"omega0_rad_s": W0, "beta_coeffs_si": [0.0, 0.0, 2e-26, 1e-41],
+               "gamma_per_w_m": 2e-3, "length_m": 100}
+PIN_GRID = {"pump_freqs_rad_s": [W0 + 1e12, W0 + 2e12, W0 + 3e12],
+            "weak_freqs_rad_s": [W0 - 1e12, W0 - 2e12, W0 - 3e12]}
+PIN_SQUEEZED = {"kind": "squeezed_vacuum", "modes": [1, 3], "zeta": [0.3, 0.1],
+                "pre_loss": [0.9, 1, 0.8], "post_loss": [0.7, 0.95, 1.0]}
+# (subcommand and flags, config, sha256 prefix of the output file): valid
+# configs whose output is pinned byte for byte, header included.  The digests
+# pin one numpy build; another build may round the last digit differently.
+PINNED_OUTPUTS = [
+    pytest.param(["transfer", "--phi", "0.37"], {"n_modes": 4, "transfer": "ideal"},
+                 "c60e10761ea734a3", id="transfer-ideal"),
+    pytest.param(["transfer"], {"transfer": "general", "n_modes": 3, "profile": PIN_PROFILE,
+                                "pumps": {"powers_w": [0.5, 0.7, 0.4],
+                                          "phases_rad": [0, 1.1, 2.5]},
+                                "grid": {"pump_freqs_lambda_nm": [1280.0, 1275.5, 1271],
+                                         "weak_freqs_lambda_nm": [1293.0, 1297.5, 1302]}},
+                 "a1b170e2bea7ce36", id="transfer-general-lambda-nm"),
+    pytest.param(["transfer"], {"transfer": "lossy",
+                                "profile": {"omega0_rad_s": W0, "beta_coeffs_si": [0.0],
+                                            "gamma_per_w_m": 2e-3, "length_m": 100.0,
+                                            "alpha_per_m": 2e-5},
+                                "pumps": {"powers_w": [0.6, 0.6, 0.6]}, "grid": PIN_GRID},
+                 "8a1a3277a590a445", id="transfer-lossy"),
+    pytest.param(["sweep"], {"n_modes": 3, "input": {"kind": "single_coherent", "modes": [2],
+                                                     "amplitude": 1.5},
+                             "sweep": {"phi_min": 0.1, "phi_max": 2, "steps": 7}, "seed": 4},
+                 "b52cab30c0fbdd1a", id="sweep-single-linear"),
+    pytest.param(["sweep"], {"input": {"kind": "dual_coherent", "modes": [1, 3],
+                                       "amplitude": 2, "phase_averaged": False},
+                             "sweep": {"powers_w": [0, 0.3, 0.6, 1], "phase_scale_rad_per_w": 1.5}},
+                 "7abf62eafb893a53", id="sweep-dual-powers"),
+    pytest.param(["sweep", "--steps", "9", "--phi-max", "1.2"],
+                 {"n_modes": 4, "transfer": "ideal", "input": {"kind": "photon_pair",
+                                                               "modes": [1, 2]}},
+                 "e40f6e696aecbc8c", id="sweep-pair-flags"),
+    pytest.param(["sweep"], {"n_modes": 3, "input": PIN_SQUEEZED,
+                             "sweep": {"powers_w": [0.2, 0.5, 0.8], "phase_scale_rad_per_w": 2}},
+                 "482d6d48467afc87", id="sweep-squeezed-powers"),
+    pytest.param(["sweep", "--input", "dual", "--seed", "9"], BASE_CONFIG,
+                 "7ff817abe9dba31c", id="sweep-input-override"),
+    pytest.param(["phasematch"], {"profile": PIN_PROFILE, "grid": PIN_GRID, "n_modes": 3,
+                                  "pumps": {"powers_w": [0.5, 0.6, 0.7]}},
+                 "646384a4688f17f9", id="phasematch"),
+    pytest.param(["oracle", "--check", "quantum"], {"n_modes": 3, "input": PIN_SQUEEZED},
+                 "725a477973b62bc2", id="oracle-quantum"),
+    pytest.param(["synth", "--noise", "0.01"], {"n_modes": 3, "input": PIN_SQUEEZED, "seed": 6,
+                                                "sweep": {"powers_w": [0.1, 0.4, 0.7],
+                                                          "phase_scale_rad_per_w": 1.3}},
+                 "08af8238d086fbbe", id="synth-noise"),
+]
+
+
+@pytest.mark.parametrize("argv,cfg,digest", PINNED_OUTPUTS)
+def test_valid_config_output_is_pinned(tmp_path, argv, cfg, digest):
+    out = tmp_path / "o.csv"
+    assert main([argv[0], "--config", write_config(tmp_path, cfg), "--out", str(out),
+                 *argv[1:]]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
 
 
 IMPORT_PATH_SCRIPT = r"""

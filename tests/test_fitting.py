@@ -364,6 +364,11 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError, match=r"noise 0\.5 .* pump power [0-9.]+ W"):
             generate_synthetic(1.3, np.linspace(0.1, 1.0, 10), noise=0.5, seed=0)
 
+    @pytest.mark.parametrize("noise", [-0.1, math.nan])
+    def test_noise_must_be_a_non_negative_number(self, noise):
+        with pytest.raises(ValueError, match="noise must be >= 0"):
+            generate_synthetic(1.0, [0.5], noise=noise)
+
     @given(
         st.sampled_from(["single_coherent", "dual_coherent", "photon_pair", "squeezed_vacuum"]),
         st.integers(2, 8),
