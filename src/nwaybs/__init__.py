@@ -17,6 +17,7 @@ from .dispersion import (
     beta_eval,
     beta2_eval,
     delta_beta_pair,
+    delta_beta_table,
     find_zgvd,
     nonlinear_mismatch,
     symmetric_grid,

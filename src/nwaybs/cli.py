@@ -106,6 +106,8 @@ BOOL = JsonType("true or false", lambda v: isinstance(v, bool))
 INTEGERS = JsonType("a list of integers", _listof(INTEGER.test), tuple)
 NUMBERS = JsonType("a list of finite numbers", _listof(_finite),
                    lambda v: tuple(float(x) for x in v))
+PUMP_POWERS = NUMBERS._replace(name="a list of at least 2 finite numbers",
+                               test=lambda v: NUMBERS.test(v) and len(v) >= 2)
 WAVELENGTHS_NM = NUMBERS._replace(convert=lambda v: tuple(lambda_nm_to_omega(float(x))
                                                           for x in v))
 COMPLEX = JsonType("a finite number or a [re, im] pair",
@@ -141,7 +143,7 @@ GRID = Section({"pump_freqs_rad_s": ("pump_freqs", NUMBERS),
                 "weak_freqs_rad_s": ("weak_freqs", NUMBERS),
                 "weak_freqs_lambda_nm": ("weak_freqs", WAVELENGTHS_NM)},
                ("pump_freqs", "weak_freqs"), FrequencyGrid)
-PUMPS = Section({"powers_w": ("powers", NUMBERS), "phases_rad": ("phases", NUMBERS)},
+PUMPS = Section({"powers_w": ("powers", PUMP_POWERS), "phases_rad": ("phases", NUMBERS)},
                 ("powers",), PumpConfig)
 PHI_SWEEP = Section(_same(phi_min=NUMBER, phi_max=NUMBER, steps=INTEGER))
 POWER_SWEEP = Section(_same(powers_w=NUMBERS, phase_scale_rad_per_w=NUMBER),
@@ -185,7 +187,8 @@ def check_section(value, section: Section, where: str):
     """Check a JSON object against its section and build what it fills.
 
     Names every unread key, the first key of a wrong type or a non-finite
-    number, and a missing required key; returns ``section.build(**fields)``.
+    number, and a missing required key; returns ``section.build(**fields)``,
+    whose range errors are re-raised prefixed with ``where``.
     """
     if not isinstance(value, dict):
         raise ConfigError(f"{where} must be a JSON object, not {json.dumps(value)}")
@@ -211,7 +214,12 @@ def check_section(value, section: Section, where: str):
     for field in section.required:
         if field not in fields:
             raise ConfigError(f"{where} needs key {keys_of(field)}")
-    return section.build(**fields)
+    try:
+        return section.build(**fields)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def load_config(path: str) -> dict:
@@ -417,11 +425,10 @@ def cmd_fit(args) -> int:
         "residual_norm": result.residual_norm,
         "converged": int(result.converged),
         "iterations": result.iterations,
-        "seed": args.seed if args.seed is not None else "",
     }
     for i, s in enumerate(result.channel_scales):
         kv[f"channel_scale_{i + 1}"] = s
-    write_lines(args.out, _header_lines(None, args.seed) + [
+    write_lines(args.out, _header_lines(None, None) + [
         f"{key}={_fmt(val) if isinstance(val, float) else val}" for key, val in kv.items()])
     print(f"model={args.model} converged={result.converged}")
     return EXIT_OK
@@ -469,7 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="nwaybs", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # --seed only where it reaches the output: sweep, fit and synth
+    # --seed only on sweep and synth: synth draws its noise from it, sweep records it
+    # in its header; a fit is deterministic and takes none
     def add_common(p):
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -499,7 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="input curve CSV")
     p.add_argument("--model", choices=["pair", "coherent", "multiphoton"], required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("synth", help="generate synthetic count records")
     add_common(p)

@@ -13,16 +13,18 @@ channel n is always measured relative to channel 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy  # scipy.optimize loads on first attribute access
 
 # Taylor orders above beta_6 add nothing physical here and condition badly.
 MAX_BETA_ORDER = 6
 
 # |dk| * L below this fraction of pi counts as negligible mismatch.
 DEFAULT_NEGLIGIBILITY = 0.01 * math.pi
+
+# find_zgvd looks for the zero-GVD point this far either side of the carrier.
+ZGVD_SEARCH_HALFWIDTH = 2 * math.pi * 50e12
 
 
 @dataclass(frozen=True)
@@ -107,44 +109,48 @@ class MismatchReport:
         return len(self.delta_k)
 
 
-def beta_eval(profile: DispersionProfile, omega) -> float | np.ndarray:
-    """Evaluate the Taylor propagation constant beta(omega) (1/m)."""
+def taylor_coeffs(profile: DispersionProfile, derivative: int = 0) -> list[float]:
+    """Coefficients c_k of (omega - omega0)**k in beta (0) or in its second derivative (2)."""
+    b = profile.beta_coeffs
+    return [b[m] / math.factorial(m - derivative) for m in range(derivative, len(b))]
+
+
+def _horner(profile: DispersionProfile, derivative: int, omega) -> float | np.ndarray:
     d = np.asarray(omega, dtype=float) - profile.omega0
     out = np.zeros_like(d)
-    for m in range(profile.order, -1, -1):
-        out = out * d + profile.beta_coeffs[m] / math.factorial(m)
-    if np.ndim(omega) == 0:
-        return float(out)
-    return out
+    for c in reversed(taylor_coeffs(profile, derivative)):
+        out = out * d + c
+    return float(out) if np.ndim(omega) == 0 else out
+
+
+def beta_eval(profile: DispersionProfile, omega) -> float | np.ndarray:
+    """Evaluate the Taylor propagation constant beta(omega) (1/m)."""
+    return _horner(profile, 0, omega)
 
 
 def beta2_eval(profile: DispersionProfile, omega) -> float | np.ndarray:
     """Second derivative of beta (group-velocity dispersion) at omega."""
-    d = np.asarray(omega, dtype=float) - profile.omega0
-    out = np.zeros_like(d)
-    for m in range(profile.order, 1, -1):
-        out = out * d + profile.beta_coeffs[m] / math.factorial(m - 2)
-    if np.ndim(omega) == 0:
-        return float(out)
-    return out
+    return _horner(profile, 2, omega)
+
+
+def delta_beta_table(profile: DispersionProfile, grid: FrequencyGrid) -> np.ndarray:
+    """(N, N) linear mismatch between all channels, zero on the diagonal.
+
+    Entry [n-1, m-1] is beta(pump_n) + beta(weak_n) - beta(pump_m) - beta(weak_m).
+    """
+    b_p = beta_eval(profile, grid.pump_freqs)
+    b_w = beta_eval(profile, grid.weak_freqs)
+    table = (b_p + b_w)[:, np.newaxis] - b_p - b_w
+    np.fill_diagonal(table, 0.0)
+    return table
 
 
 def delta_beta_pair(profile: DispersionProfile, grid: FrequencyGrid, n: int, m: int) -> float:
-    """Linear wavevector mismatch between channels n and m (1-based).
-
-    beta(pump_n) + beta(weak_n) - beta(pump_m) - beta(weak_m)
-    """
+    """Linear mismatch between channels n and m (1-based): one entry of ``delta_beta_table``."""
     nch = grid.n_modes
     if not (1 <= n <= nch and 1 <= m <= nch):
         raise IndexError(f"channel index out of range 1..{nch}")
-    if n == m:
-        return 0.0
-    return (
-        beta_eval(profile, grid.pump_freqs[n - 1])
-        + beta_eval(profile, grid.weak_freqs[n - 1])
-        - beta_eval(profile, grid.pump_freqs[m - 1])
-        - beta_eval(profile, grid.weak_freqs[m - 1])
-    )
+    return float(delta_beta_table(profile, grid)[n - 1, m - 1])
 
 
 def nonlinear_mismatch(
@@ -159,42 +165,32 @@ def nonlinear_mismatch(
         raise ValueError("pump_powers length must match grid")
     if np.any(powers < 0):
         raise ValueError("pump powers must be >= 0")
-    n = grid.n_modes
-    dbeta = np.array([delta_beta_pair(profile, grid, i, 1) for i in range(1, n + 1)])
+    # channel 1 is exactly 0 in both: the table's diagonal and P_1 - P_1
+    dbeta = delta_beta_table(profile, grid)[:, 0]
     dk = dbeta + profile.gamma * (powers[0] - powers)
-    # Channel 1 vanishes identically by definition; pin it against rounding.
-    dbeta[0] = 0.0
-    dk[0] = 0.0
     negligible = np.abs(dk) * profile.length < threshold
     return MismatchReport(delta_beta=dbeta, delta_k=dk, negligible=negligible, threshold=threshold)
 
 
-def find_zgvd(
-    profile: DispersionProfile,
-    search_halfwidth: float = 2 * math.pi * 50e12,
-    tol: float = 2 * math.pi * 1e3,
-) -> float:
+def find_zgvd(profile: DispersionProfile) -> float:
     """Locate the zero-GVD frequency, where beta2(omega) = 0.
 
-    Searches +-search_halfwidth around the carrier by dense sign-change
-    scanning followed by bracketed root refinement.
+    beta2 is a polynomial of degree <= 4 in omega - omega0.  Its roots come
+    from ``np.roots`` in units of ``ZGVD_SEARCH_HALFWIDTH``, and the lowest
+    real root within that half-width of the carrier is returned.  If beta2
+    vanishes identically, every frequency qualifies and the carrier is
+    returned; with no real root in the window, raises ``ValueError``.
     """
-    if all(b == 0.0 for b in profile.beta_coeffs[2:]):
-        # beta2 identically zero: every frequency qualifies, use the carrier.
+    coeffs = taylor_coeffs(profile, 2)
+    if not any(coeffs):
         return profile.omega0
-    lo = profile.omega0 - search_halfwidth
-    hi = profile.omega0 + search_halfwidth
-    grid = np.linspace(lo, hi, 4097)
-    vals = beta2_eval(profile, grid)
-    sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) <= 0)[0]
-    exact = np.nonzero(vals == 0.0)[0]
-    if len(exact):
-        return float(grid[exact[0]])
-    if len(sign_change) == 0:
+    h = ZGVD_SEARCH_HALFWIDTH
+    # np.roots takes the highest power first; a real root has imaginary part exactly 0
+    roots = np.roots([c * h**k for k, c in enumerate(coeffs)][::-1])
+    inside = roots.real[(roots.imag == 0) & (np.abs(roots.real) <= 1.0)]
+    if len(inside) == 0:
         raise ValueError("beta2 has constant sign over the search interval; no zero-GVD point")
-    i = sign_change[0]
-    root = scipy.optimize.brentq(lambda w: beta2_eval(profile, w), grid[i], grid[i + 1], xtol=tol)
-    return float(root)
+    return profile.omega0 + h * float(np.min(inside))
 
 
 def symmetric_grid(zgvd: float, pump_offsets) -> FrequencyGrid:

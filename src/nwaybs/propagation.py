@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import DispersionProfile, FrequencyGrid, beta_eval, delta_beta_pair
+from .dispersion import DispersionProfile, FrequencyGrid, beta_eval, delta_beta_table
 from .transfer import PumpConfig
 
 # Weak seeds may carry at most this fraction of the smallest pump power.
@@ -227,11 +227,7 @@ def integrate_weak(
 
     gamma, alpha = profile.gamma, profile.alpha
     # dbeta[l, n] multiplies the phasor coupling channel l into channel n
-    dbeta = np.zeros((n, n))
-    for l in range(1, n + 1):
-        for k in range(1, n + 1):
-            if l != k:
-                dbeta[l - 1, k - 1] = delta_beta_pair(profile, grid, l, k)
+    dbeta = delta_beta_table(profile, grid)
 
     steps_per_block = max(1, MAP_BLOCK_ENTRIES // (4 * n * n))
 
@@ -271,7 +267,7 @@ def full_fwm_reference(
     if nf > 8:
         raise ValueError("full FWM reference limited to 8 fields")
 
-    beta = np.array([beta_eval(profile, wi) for wi in w])
+    beta = beta_eval(profile, w)
     scale = np.max(np.abs(w))
     # all closures as index arrays over [n, k, l, m], in lexicographic order
     wn, wk, wl, wm = np.ix_(w, w, w, w)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import DispersionProfile, FrequencyGrid, MismatchReport, delta_beta_pair
+from .dispersion import DispersionProfile, FrequencyGrid, MismatchReport, delta_beta_table
 
 
 @dataclass(frozen=True)
@@ -194,8 +194,8 @@ def lossy_transfer(
 
     A ``mismatch`` report is accepted only if every ``delta_k`` is exactly 0.
 
-    entries = e^{-alpha z} e^{i phi_alpha (N-1)} * [p/q structure at
-    phi_alpha(z)] with pump-phase factors e^{i(theta_l - theta_n)} on the
+    entries = e^{-alpha z} e^{i phi_alpha (N-1)} * ideal_transfer(N,
+    phi_alpha(z)) with pump-phase factors e^{i(theta_l - theta_n)} on the
     off-diagonal.  The e^{i phi_alpha (N-1)} prefactor is the integrated
     pump cross-phase; it is a global phase (invisible to any observable)
     but keeping it makes the entries agree directly with lab-frame ODE
@@ -214,12 +214,9 @@ def lossy_transfer(
         raise ValueError("z must lie in [0, L]")
     n = pumps.n_modes
     nlp = loss_reduced_phase(profile.gamma, pumps.powers[0], profile.alpha, z)
-    q = q_coeff(n, nlp.phi_alpha)
     theta = np.asarray(pumps.phases)
     phase = np.exp(1j * (theta[np.newaxis, :] - theta[:, np.newaxis]))
-    u = np.full((n, n), q, dtype=complex) * phase
-    np.fill_diagonal(u, q + 1.0)
-    u = u * np.exp(1j * nlp.phi_alpha * (n - 1))
+    u = ideal_transfer(n, nlp.phi_alpha).entries * phase * np.exp(1j * nlp.phi_alpha * (n - 1))
     scale = math.exp(-profile.alpha * z)
     return TransferMatrix(entries=scale * u, phi=nlp.phi_alpha, lossy_scale=scale)
 
@@ -253,8 +250,7 @@ def rotating_frame_phases(
     varphi_n = dbeta_n1 + gamma (P_1 - P_n - 2 sum_p P_p).
     """
     powers = np.asarray(pumps.powers)
-    n = grid.n_modes
-    dbeta = np.array([delta_beta_pair(profile, grid, i, 1) for i in range(1, n + 1)])
+    dbeta = delta_beta_table(profile, grid)[:, 0]
     return dbeta + profile.gamma * (powers[0] - powers - 2.0 * powers.sum())
 
 

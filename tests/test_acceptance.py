@@ -300,10 +300,8 @@ def test_criterion_10_determinism(tmp_path):
     data.write_text("power_w,value\n" + "\n".join(
         f"{p:.17g},{v:.17g}" for p, v in zip(powers, vals)) + "\n")
     f1, f2 = tmp_path / "f1.txt", tmp_path / "f2.txt"
-    assert main(["fit", "--data", str(data), "--model", "pair", "--out", str(f1),
-                 "--seed", "42"]) == 0
-    assert main(["fit", "--data", str(data), "--model", "pair", "--out", str(f2),
-                 "--seed", "42"]) == 0
+    assert main(["fit", "--data", str(data), "--model", "pair", "--out", str(f1)]) == 0
+    assert main(["fit", "--data", str(data), "--model", "pair", "--out", str(f2)]) == 0
     fit_ok = f1.read_bytes() == f2.read_bytes()
     report(10, sweep_ok and fit_ok,
            f"sweep byte-identical: {sweep_ok}; fit byte-identical: {fit_ok}")

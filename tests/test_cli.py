@@ -179,6 +179,17 @@ class TestTransferCommand:
         assert read_rows(outs[0])[1].shape == (1, 32)
         assert np.array_equal(read_rows(outs[0])[1], read_rows(outs[1])[1])
 
+    @pytest.mark.parametrize("route", ["general", "lossy"])
+    def test_one_pump_is_exit_1(self, tmp_path, capsys, route):
+        # one pump couples nothing: like n_modes 1 on the ideal route, it is refused
+        cfg = self.route_cfg(route, alpha=2e-5 if route == "lossy" else 0.0)
+        cfg["pumps"] = {"powers_w": [0.5]}
+        del cfg["grid"]
+        out = tmp_path / "t.csv"
+        assert main(["transfer", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+        assert "key 'powers_w' must be a list of at least 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_lossy_uses_grid_mismatch(self, tmp_path, capsys):
         # the lossy closed form models zero mismatch only, so a grid that
         # gives a non-zero mismatch is refused rather than ignored
@@ -674,6 +685,29 @@ def test_mistyped_config_value_is_exit_1(tmp_path, capsys, command, base, path, 
     assert not out.exists()
 
 
+# values of the right type that a dataclass rejects: (subcommand, base, path, value)
+OUT_OF_RANGE = [
+    ("phasematch", "physics", ("profile", "length_m"), -1),
+    ("phasematch", "physics", ("profile", "gamma_per_w_m"), -1),
+    ("phasematch", "physics", ("pumps", "powers_w"), [0.5, -0.5, 0.5]),
+    ("phasematch", "physics", ("grid", "pump_freqs_rad_s"), [W0 + 1e12, W0 + 1e12, W0 + 3e12]),
+    ("sweep", "squeezed", ("input", "pre_loss"), [1.5, 1, 1]),
+    ("sweep", "pair", ("input", "modes"), [0, 1]),
+]
+
+
+@pytest.mark.parametrize("command,base,path,value", OUT_OF_RANGE,
+                         ids=[".".join(p) for _, _, p, _ in OUT_OF_RANGE])
+def test_out_of_range_value_names_its_section(tmp_path, capsys, command, base, path, value):
+    cfg = json.loads(json.dumps(MALFORMED_BASES[base]))
+    cfg[path[0]][path[1]] = value
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+    assert f"config error: section {path[0]!r} of the config of {command}" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 # flag values that would run and write NaN, or report a numerical failure
 BAD_FLAG_VALUES = [
     ["transfer", "--phi", "nan"], ["sweep", "--phi-min", "nan"], ["sweep", "--phi-max", "inf"],
@@ -744,11 +778,19 @@ class TestFitCommand:
     def test_fit_determinism(self, tmp_path):
         data, _ = self.write_depletion_csv(tmp_path, noise=0.01, seed=5)
         out1, out2 = tmp_path / "f1.txt", tmp_path / "f2.txt"
-        assert main(["fit", "--data", data, "--model", "pair", "--out", str(out1),
-                     "--seed", "5"]) == 0
-        assert main(["fit", "--data", data, "--model", "pair", "--out", str(out2),
-                     "--seed", "5"]) == 0
+        assert main(["fit", "--data", data, "--model", "pair", "--out", str(out1)]) == 0
+        assert main(["fit", "--data", data, "--model", "pair", "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_seed_flag_rejected(self, tmp_path, capsys):
+        # a fit is deterministic, so a seed would change nothing
+        data, _ = self.write_depletion_csv(tmp_path)
+        out = tmp_path / "fit.txt"
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--data", data, "--model", "pair", "--out", str(out), "--seed", "5"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fit_multiphoton_model(self, tmp_path):
         zg = np.linspace(0.05, 0.4, 12)

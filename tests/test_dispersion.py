@@ -5,17 +5,23 @@ independent brute-force evaluation of the Taylor polynomial.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import nwaybs
 from nwaybs.dispersion import (
+    ZGVD_SEARCH_HALFWIDTH,
     DispersionProfile,
     FrequencyGrid,
     beta_eval,
     beta2_eval,
     delta_beta_pair,
+    delta_beta_table,
     find_zgvd,
     nonlinear_mismatch,
     symmetric_grid,
@@ -133,14 +139,14 @@ class TestDeltaBeta:
 
 
 @st.composite
-def profiles_and_grids(draw):
-    order = draw(st.integers(min_value=2, max_value=6))
+def profiles_and_grids(draw, min_order=2, max_modes=5):
+    order = draw(st.integers(min_value=min_order, max_value=6))
     scales = [1e6, 1e-9, 1e-26, 1e-40, 1e-54, 1e-68, 1e-82]
     coeffs = tuple(
         draw(st.floats(-1.0, 1.0, allow_nan=False)) * scales[m] for m in range(order + 1)
     )
     prof = make_profile(coeffs)
-    n = draw(st.integers(min_value=2, max_value=5))
+    n = draw(st.integers(min_value=2, max_value=max_modes))
     offsets = draw(
         st.lists(
             st.floats(0.05, 5.0, allow_nan=False).map(lambda x: x * 1e12),
@@ -185,6 +191,19 @@ class TestDeltaBetaProperties:
         rhs = delta_beta_pair(prof, grid, n, k) + delta_beta_pair(prof, grid, k, m)
         tol = 64 * np.finfo(float).eps * _beta_scale(prof, grid) + 1e-18
         assert abs(lhs - rhs) <= tol
+
+
+class TestDeltaBetaTable:
+    @given(profiles_and_grids(min_order=0, max_modes=16))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_four_beta_evals(self, pg):
+        prof, grid = pg
+        p = [beta_eval(prof, f) for f in grid.pump_freqs]
+        w = [beta_eval(prof, f) for f in grid.weak_freqs]
+        n = grid.n_modes
+        expected = [[0.0 if i == j else p[i] + w[i] - p[j] - w[j] for j in range(n)]
+                    for i in range(n)]
+        assert delta_beta_table(prof, grid).tolist() == expected
 
 
 class TestNonlinearMismatch:
@@ -258,6 +277,54 @@ class TestFindZgvd:
         nearest = min(abs(root - ws[i]) for i in idx)
         assert nearest < 2 * (ws[1] - ws[0])
         assert abs(beta2_eval(prof, root)) < 1e-6 * abs(beta2_eval(prof, W0))
+
+
+    @staticmethod
+    def cubic_beta2(roots, scale=1e-26):
+        # beta2(w) = k (d - r1)(d - r2)(d - r3) in d = w - w0, with |beta2(w0)| = scale
+        r1, r2, r3 = roots
+        k = scale / abs(r1 * r2 * r3)
+        s1, s2, s3 = r1 + r2 + r3, r1 * r2 + r1 * r3 + r2 * r3, r1 * r2 * r3
+        return make_profile((0.0, 0.0, -k * s3, k * s2, -2 * k * s1, 6 * k))
+
+    def test_cubic_beta2_lowest_of_three_roots(self):
+        roots = [2 * math.pi * f for f in (-20e12, 5e12, 30e12)]
+        assert find_zgvd(self.cubic_beta2(roots)) == pytest.approx(W0 + roots[0], abs=1.0)
+
+    def test_root_outside_window_is_skipped(self):
+        # the lowest root lies beyond the search half-width: the next one is taken
+        roots = [2 * math.pi * f for f in (-70e12, 5e12, 30e12)]
+        assert abs(roots[0]) > ZGVD_SEARCH_HALFWIDTH
+        assert find_zgvd(self.cubic_beta2(roots)) == pytest.approx(W0 + roots[1], abs=1.0)
+
+    def test_only_root_outside_window_raises(self):
+        # beta2 = b2 + b3 (w - w0) crosses zero 60 THz above the carrier
+        b3 = 1.5e-40
+        prof = make_profile((0.0, 0.0, -b3 * 2 * math.pi * 60e12, b3))
+        with pytest.raises(ValueError, match="constant sign"):
+            find_zgvd(prof)
+
+
+FRESH_INTERPRETER_SCRIPT = r"""
+import math, sys
+from nwaybs import (DispersionProfile, IntegratorSettings, PumpConfig, find_zgvd,
+                    integrate_weak, symmetric_grid)
+prof = DispersionProfile(omega0=2 * math.pi * 233e12, beta_coeffs=(0.0, 0.0, 2e-26, 1e-40),
+                         gamma=2e-3, length=100.0)
+grid = symmetric_grid(find_zgvd(prof), [1e12, 2e12, 3e12])
+integrate_weak(prof, grid, PumpConfig((0.5, 0.5, 0.5)), [1e-4, 0.0, 0.0],
+               IntegratorSettings(step=0.5))
+print("scipy.optimize" in sys.modules)
+"""
+
+
+def test_zgvd_and_rk4_run_without_scipy_optimize(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nwaybs.__file__)))
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", FRESH_INTERPRETER_SCRIPT], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["False"]
 
 
 class TestSymmetricGrid:

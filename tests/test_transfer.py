@@ -263,6 +263,10 @@ class TestLossyTransfer:
         assert np.array_equal(lossy_transfer(prof, pumps, mismatch=rep).entries,
                               lossy_transfer(prof, pumps).entries)
 
+    def test_one_pump_rejected(self):
+        with pytest.raises(ValueError, match="at least 2 modes"):
+            lossy_transfer(flat_profile(alpha=1e-4), PumpConfig(powers=(0.5,)))
+
     def test_z_out_of_range(self):
         prof = flat_profile(alpha=1e-4)
         with pytest.raises(ValueError):
