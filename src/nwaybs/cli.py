@@ -100,7 +100,7 @@ def one_of(*values) -> JsonType:
 
 
 INTEGER = JsonType("an integer", lambda v: type(v) is int)
-MODE_COUNT = JsonType("an integer >= 2", lambda v: INTEGER.test(v) and v >= 2)
+AT_LEAST_TWO = JsonType("an integer >= 2", lambda v: INTEGER.test(v) and v >= 2)
 NUMBER = JsonType("a finite number", _finite, float)
 BOOL = JsonType("true or false", lambda v: isinstance(v, bool))
 INTEGERS = JsonType("a list of integers", _listof(INTEGER.test), tuple)
@@ -108,6 +108,8 @@ NUMBERS = JsonType("a list of finite numbers", _listof(_finite),
                    lambda v: tuple(float(x) for x in v))
 PUMP_POWERS = NUMBERS._replace(name="a list of at least 2 finite numbers",
                                test=lambda v: NUMBERS.test(v) and len(v) >= 2)
+SWEEP_POWERS = NUMBERS._replace(name="a non-empty list of finite numbers >= 0",
+                                test=lambda v: NUMBERS.test(v) and len(v) > 0 and min(v) >= 0)
 WAVELENGTHS_NM = NUMBERS._replace(convert=lambda v: tuple(lambda_nm_to_omega(float(x))
                                                           for x in v))
 COMPLEX = JsonType("a finite number or a [re, im] pair",
@@ -145,11 +147,11 @@ GRID = Section({"pump_freqs_rad_s": ("pump_freqs", NUMBERS),
                ("pump_freqs", "weak_freqs"), FrequencyGrid)
 PUMPS = Section({"powers_w": ("powers", PUMP_POWERS), "phases_rad": ("phases", NUMBERS)},
                 ("powers",), PumpConfig)
-PHI_SWEEP = Section(_same(phi_min=NUMBER, phi_max=NUMBER, steps=INTEGER))
-POWER_SWEEP = Section(_same(powers_w=NUMBERS, phase_scale_rad_per_w=NUMBER),
+PHI_SWEEP = Section(_same(phi_min=NUMBER, phi_max=NUMBER, steps=AT_LEAST_TWO))
+POWER_SWEEP = Section(_same(powers_w=SWEEP_POWERS, phase_scale_rad_per_w=NUMBER),
                       ("powers_w", "phase_scale_rad_per_w"))
 
-N_MODES = _same(n_modes=MODE_COUNT)
+N_MODES = _same(n_modes=AT_LEAST_TWO)
 PHYSICS = _same(profile=PROFILE, grid=GRID, pumps=PUMPS)
 ROUTE = _same(transfer=one_of("ideal", "general", "lossy"))
 # sweep and synth run on the ideal transfer only
@@ -292,31 +294,21 @@ def cmd_transfer(args, cfg: dict, digest: str) -> int:
 def cmd_sweep(args, cfg: dict, digest: str) -> int:
     n_modes = cfg.get("n_modes", 3)
     sweep = cfg.get("sweep", {})
-    flags = {"phi_min": args.phi_min, "phi_max": args.phi_max, "steps": args.steps}
     if "powers_w" in sweep:
-        # the powers give the phase grid, so the linear-grid flags would be ignored
-        for key, flag in flags.items():
-            if flag is not None:
-                raise ConfigError(f"--{key.replace('_', '-')} is ignored when sweep.powers_w "
-                                  "is set")
         phis = sweep["phase_scale_rad_per_w"] * np.asarray(sweep["powers_w"])
     else:
-        sweep = dict(sweep, **{key: flag for key, flag in flags.items() if flag is not None})
-        steps = sweep.get("steps", 101)
-        if steps < 2:
-            raise ConfigError("sweep: steps must be >= 2")
+        # the default phi_max depends on n_modes, so this rule is not in the schema
         phi_min = sweep.get("phi_min", 0.0)
         phi_max = sweep.get("phi_max", 2.0 * math.pi / n_modes)
         if not phi_min < phi_max:
             raise ConfigError("sweep: need phi_min < phi_max")
-        phis = np.linspace(phi_min, phi_max, steps)
+        phis = np.linspace(phi_min, phi_max, sweep.get("steps", 101))
     curve = correlation_curve(cfg["input"], phis, n_modes=n_modes)
     columns = ["phi"] + [f"g1_{i}" for i in range(1, n_modes + 1)]
     pairs = sorted(curve.g2)
     columns += [f"g2_{i}{j}" for i, j in pairs]
     rows = np.column_stack([phis, curve.singles] + [curve.g2[pr] for pr in pairs])
-    seed = cfg.get("seed") if args.seed is None else args.seed
-    write_csv(args.out, _header_lines(digest, seed), columns, rows)
+    write_csv(args.out, _header_lines(digest, cfg.get("seed")), columns, rows)
     return EXIT_OK
 
 
@@ -391,12 +383,24 @@ def cmd_oracle(args, cfg: dict, digest: str) -> int:
 
 
 def _read_curve_csv(path):
+    """The column names and the rows of a curve CSV: one finite number per name in each row."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line for line in map(str.strip, fh) if line and not line.startswith("#")]
+        lines = [(number, line) for number, line in enumerate(map(str.strip, fh), 1)
+                 if line and not line.startswith("#")]
     if len(lines) < 2:
         raise ConfigError("empty or malformed curve CSV")
-    header = [c.strip() for c in lines[0].split(",")]
-    return header, np.asarray([[float(v) for v in line.split(",")] for line in lines[1:]])
+    header = [c.strip() for c in lines[0][1].split(",")]
+    rows = []
+    for number, line in lines[1:]:
+        try:
+            row = [finite(v) for v in line.split(",")]
+        except ValueError:
+            row = None
+        if row is None or len(row) != len(header):
+            raise ConfigError(f"line {number} of {path}: need {len(header)} finite numbers "
+                              f"({','.join(header)}), not {line!r}")
+        rows.append(row)
+    return header, np.asarray(rows)
 
 
 def cmd_fit(args) -> int:
@@ -436,7 +440,7 @@ def cmd_fit(args) -> int:
 
 def cmd_synth(args, cfg: dict, digest: str) -> int:
     sweep = cfg["sweep"]
-    seed = cfg.get("seed", 0) if args.seed is None else args.seed
+    seed = cfg.get("seed", 0)
     n_modes = cfg.get("n_modes", 3)
     records = generate_synthetic(sweep["phase_scale_rad_per_w"], sweep["powers_w"], n_modes=n_modes,
                                  state=cfg["input"], noise=args.noise, seed=seed)
@@ -476,8 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="nwaybs", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # --seed only on sweep and synth: synth draws its noise from it, sweep records it
-    # in its header; a fit is deterministic and takes none
+    # a setting that is a config key has no flag, so each setting has one source
     def add_common(p):
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -488,10 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="correlation curve versus nonlinear phase")
     add_common(p)
-    p.add_argument("--seed", type=int, default=None, help="overrides the config seed")
-    p.add_argument("--phi-min", type=finite, default=None)
-    p.add_argument("--phi-max", type=finite, default=None)
-    p.add_argument("--steps", type=int, default=None)
     p.add_argument("--input", choices=_INPUT_KIND_ALIASES, default=None,
                    help="override config input kind")
 
@@ -510,7 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate synthetic count records")
     add_common(p)
-    p.add_argument("--seed", type=int, default=None, help="overrides the config seed")
     p.add_argument("--noise", type=finite, default=0.0)
 
     return parser

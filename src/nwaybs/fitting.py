@@ -111,10 +111,11 @@ def _scan_objective(grid: np.ndarray, powers: np.ndarray, values: np.ndarray,
     return obj
 
 
-def fit_phase_scale(powers, values, n_modes: int = 3, kappa_max: float | None = None) -> FitResult:
+def fit_phase_scale(powers, values, n_modes: int = 3) -> FitResult:
     """Fit the power-to-phase conversion kappa against |p(kappa P)|^2.
 
-    Coarse scan over [0, kappa_max] followed by bounded golden-section /
+    Coarse scan over [0, kappa_max], with kappa_max set to allow up to two
+    full oscillations of |p|^2 over the data, followed by bounded golden-section /
     parabolic refinement of the squared-residual objective.  The 513-point
     scan is evaluated as one array, in blocks of at most ``BLOCK_ENTRIES``
     (kappa, power) entries, and gives the same floats as the scalar
@@ -129,9 +130,7 @@ def fit_phase_scale(powers, values, n_modes: int = 3, kappa_max: float | None = 
     pmax = powers.max()
     if pmax <= 0:
         raise ValueError("need nonzero pump powers")
-    if kappa_max is None:
-        # generous default: up to two full oscillations of |p|^2 over the data
-        kappa_max = 2.0 * (2.0 * math.pi / n_modes) / pmax * 2.0
+    kappa_max = 2.0 * (2.0 * math.pi / n_modes) / pmax * 2.0
 
     def objective(kappa):
         r = values - _depletion_model(kappa, powers, n_modes)

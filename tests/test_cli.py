@@ -1,9 +1,11 @@
 """Command-line interface tests: config parsing, outputs, exit codes."""
 
+import argparse
 import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -12,8 +14,8 @@ import numpy as np
 import pytest
 
 import nwaybs
-from nwaybs.cli import (_INPUT_KIND_ALIASES, check_section, input_section, lambda_nm_to_omega,
-                        main)
+from nwaybs.cli import (_INPUT_KIND_ALIASES, build_parser, check_section, input_section,
+                        lambda_nm_to_omega, main)
 from nwaybs.quantum import INPUT_KINDS, InputState, correlation_curve
 from nwaybs.transfer import p_coeff, q_coeff
 
@@ -260,15 +262,6 @@ class TestSweepCommand:
         assert list(scratch.iterdir()) == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "s.csv", "tmp"]
 
-    def test_seed_flag_beats_config_seed(self, tmp_path):
-        cfgp = write_config(tmp_path, BASE_CONFIG)
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(["sweep", "--config", cfgp, "--out", str(out1)]) == 0
-        assert main(["sweep", "--config", cfgp, "--out", str(out2), "--seed", "11"]) == 0
-        seeds = [[line for line in out.read_text().splitlines() if line.startswith("# seed=")]
-                 for out in (out1, out2)]
-        assert seeds == [["# seed=3"], ["# seed=11"]]
-
     def test_threads_flag_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["sweep", "--config", write_config(tmp_path, BASE_CONFIG), "--threads", "2"])
@@ -278,9 +271,6 @@ class TestSweepCommand:
         ({"phi_max": 2.0}, [], "'phi_max'"),
         ({"steps": 50}, [], "'steps'"),
         ({"phi_min": 1.0, "phi_max": 0.5}, [], "'phi_m"),
-        ({}, ["--phi-min", "0.1"], "--phi-min"),
-        ({}, ["--phi-max", "2.0"], "--phi-max"),
-        ({}, ["--steps", "50"], "--steps"),
     ])
     def test_phase_grid_settings_rejected_with_powers(self, tmp_path, capsys, extra, flags,
                                                       name):
@@ -659,10 +649,13 @@ MALFORMED = [
     ("sweep", "pair", ("seed",), "abc"),
     ("sweep", "pair", ("sweep",), None),
     ("sweep", "pair", ("sweep", "steps"), 11.9),
+    ("sweep", "pair", ("sweep", "steps"), 1),
     ("sweep", "pair", ("sweep", "phi_max"), math.inf),
     ("sweep", "powers", ("sweep", "powers_w"), "555"),
     ("sweep", "powers", ("sweep", "powers_w"), [0.2, math.nan]),
     ("synth", "powers", ("sweep", "powers_w"), [0.2, math.nan]),
+    *[(command, "powers", ("sweep", "powers_w"), powers)
+      for command in ("sweep", "synth") for powers in ([], [-0.5, 0.2])],
     ("phasematch", "physics", ("pumps", "powers_w"), "555"),
     ("phasematch", "physics", ("profile", "beta_coeffs_si"), "0"),
     ("phasematch", "physics", ("profile", "length_m"), 10**400),
@@ -710,9 +703,8 @@ def test_out_of_range_value_names_its_section(tmp_path, capsys, command, base, p
 
 # flag values that would run and write NaN, or report a numerical failure
 BAD_FLAG_VALUES = [
-    ["transfer", "--phi", "nan"], ["sweep", "--phi-min", "nan"], ["sweep", "--phi-max", "inf"],
-    ["synth", "--noise", "nan"], ["oracle", "--tol", "nan"], ["oracle", "--tol", "-1"],
-    ["oracle", "--tol", "0"], ["oracle", "--tol", "abc"],
+    ["transfer", "--phi", "nan"], ["synth", "--noise", "nan"], ["oracle", "--tol", "nan"],
+    ["oracle", "--tol", "-1"], ["oracle", "--tol", "0"], ["oracle", "--tol", "abc"],
 ]
 
 
@@ -724,6 +716,22 @@ def test_bad_flag_value_is_usage_error(tmp_path, capsys, argv):
               *argv[1:]])
     assert exc.value.code == 1
     assert f"argument {argv[1]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# flags whose settings are the config keys sweep.phi_min, sweep.phi_max, sweep.steps and seed
+CONFIG_KEY_FLAGS = [["sweep", "--phi-min", "0.1"], ["sweep", "--phi-max", "1.2"],
+                    ["sweep", "--steps", "9"], ["sweep", "--seed", "9"], ["synth", "--seed", "9"]]
+
+
+@pytest.mark.parametrize("argv", CONFIG_KEY_FLAGS, ids=" ".join)
+def test_config_key_flag_is_unrecognized(tmp_path, capsys, argv):
+    cfg = BASE_CONFIG if argv[0] == "sweep" else dict(BASE_CONFIG, sweep=POWER_SWEEP)
+    out = tmp_path / "o.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--config", write_config(tmp_path, cfg), "--out", str(out), *argv[1:]])
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -741,6 +749,21 @@ def test_usage_error_exit_codes(tmp_path):
     assert runs["--help"].returncode == 0
     assert runs["--help"].stdout.startswith("usage: nwaybs sweep")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def test_readme_cli_section_names_exactly_the_parser_options():
+    """Each long option of a subcommand is named in README's CLI section, and no other is."""
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    defined = {option for parser in subparsers.choices.values() for action in parser._actions
+               for option in action.option_strings if option.startswith("--")}
+    named = set(re.findall(r"--[a-z][a-z-]*", section))
+    assert named - {"--help"} == defined - {"--help"}
 
 
 class TestFitCommand:
@@ -769,6 +792,26 @@ class TestFitCommand:
         p = tmp_path / "empty.csv"
         p.write_text("")
         assert main(["fit", "--data", str(p), "--model", "pair"]) == 1
+
+    # (model, curve CSV text, the line its message names); seven good rows precede a bad one
+    GOOD_ROWS = "".join(f"{0.1 * k:g},{1 - 0.1 * k:g}\n" for k in range(7))
+    MALFORMED_CURVES = [
+        pytest.param("pair", "power_w,value\n" + "".join(f"{0.1 * k:g}\n" for k in range(7)),
+                     2, id="row-shorter-than-header"),
+        pytest.param("pair", "power_w,value\n" + GOOD_ROWS + "0.7,inf\n", 9, id="inf"),
+        pytest.param("pair", "power_w,value\n" + GOOD_ROWS + "0.7,nan\n", 9, id="nan-pair"),
+        pytest.param("multiphoton", "singles_rate,ratio\n# a comment\n" + GOOD_ROWS + "nan,0.2\n",
+                     10, id="nan-multiphoton"),
+    ]
+
+    @pytest.mark.parametrize("model,text,line", MALFORMED_CURVES)
+    def test_malformed_row_is_exit_1(self, tmp_path, capsys, model, text, line):
+        p = tmp_path / "curve.csv"
+        p.write_text(text)
+        out = tmp_path / "fit.txt"
+        assert main(["fit", "--data", str(p), "--model", model, "--out", str(out)]) == 1
+        assert f"config error: line {line} of {p}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_constant_curve_exit_3(self, tmp_path):
         p = tmp_path / "flat.csv"
@@ -913,15 +956,15 @@ PINNED_OUTPUTS = [
                                        "amplitude": 2, "phase_averaged": False},
                              "sweep": {"powers_w": [0, 0.3, 0.6, 1], "phase_scale_rad_per_w": 1.5}},
                  "7abf62eafb893a53", id="sweep-dual-powers"),
-    pytest.param(["sweep", "--steps", "9", "--phi-max", "1.2"],
-                 {"n_modes": 4, "transfer": "ideal", "input": {"kind": "photon_pair",
-                                                               "modes": [1, 2]}},
-                 "e40f6e696aecbc8c", id="sweep-pair-flags"),
+    pytest.param(["sweep"], {"n_modes": 4, "transfer": "ideal",
+                             "input": {"kind": "photon_pair", "modes": [1, 2]},
+                             "sweep": {"steps": 9, "phi_max": 1.2}},
+                 "f9ca1ee25a300420", id="sweep-pair-flags"),
     pytest.param(["sweep"], {"n_modes": 3, "input": PIN_SQUEEZED,
                              "sweep": {"powers_w": [0.2, 0.5, 0.8], "phase_scale_rad_per_w": 2}},
                  "482d6d48467afc87", id="sweep-squeezed-powers"),
-    pytest.param(["sweep", "--input", "dual", "--seed", "9"], BASE_CONFIG,
-                 "7ff817abe9dba31c", id="sweep-input-override"),
+    pytest.param(["sweep", "--input", "dual"], BASE_CONFIG,
+                 "8c1cb8e8e96315ca", id="sweep-input-override"),
     pytest.param(["phasematch"], {"profile": PIN_PROFILE, "grid": PIN_GRID, "n_modes": 3,
                                   "pumps": {"powers_w": [0.5, 0.6, 0.7]}},
                  "646384a4688f17f9", id="phasematch"),
