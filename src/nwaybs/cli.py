@@ -13,9 +13,10 @@ Configs are JSON checked against one schema, ``CONFIGS``: a table per
 (subcommand, variant) of the keys it reads, each with the field it fills and
 its JSON type.  ``check_section`` rejects unread keys, wrong types, non-finite
 numbers and missing keys, and builds the dataclasses the subcommands read.
-Output files are CSV with a comment header carrying the tool version, the hash
-of the raw config, and the seed, and 17-significant-digit scientific notation
-so doubles round-trip exactly.
+Each config-driven subcommand returns a ``Table``, and ``main`` writes it: CSV
+under a comment header carrying the tool version, the hash of the raw config,
+and the config's ``seed`` when it has one, in 17-significant-digit scientific
+notation so doubles round-trip exactly.
 
 Exit codes: 0 ok, 1 config, input or usage error (bad flags included),
 2 numerical failure, 3 fit non-convergence.
@@ -139,14 +140,20 @@ PROFILE = Section({"omega0_rad_s": ("omega0", NUMBER), "beta_coeffs_si": ("beta_
                    "gamma_per_w_m": ("gamma", NUMBER), "length_m": ("length", NUMBER),
                    "alpha_per_m": ("alpha", NUMBER)},
                   ("omega0", "beta_coeffs", "gamma", "length"), DispersionProfile)
+
+# an output with no loss term takes alpha_per_m only as 0, so no loss is ignored in silence
+LOSSLESS = PROFILE._replace(keys={**PROFILE.keys, "alpha_per_m": ("alpha", JsonType(
+    "0, as this output has no loss term (the lossy route of transfer models loss)",
+    lambda v: _finite(v) and v == 0, float))})
+
 # the _rad_s and _lambda_nm keys fill the same field, so they exclude each other
 GRID = Section({"pump_freqs_rad_s": ("pump_freqs", NUMBERS),
                 "pump_freqs_lambda_nm": ("pump_freqs", WAVELENGTHS_NM),
                 "weak_freqs_rad_s": ("weak_freqs", NUMBERS),
                 "weak_freqs_lambda_nm": ("weak_freqs", WAVELENGTHS_NM)},
                ("pump_freqs", "weak_freqs"), FrequencyGrid)
-PUMPS = Section({"powers_w": ("powers", PUMP_POWERS), "phases_rad": ("phases", NUMBERS)},
-                ("powers",), PumpConfig)
+PUMP_POWERS_KEY = {"powers_w": ("powers", PUMP_POWERS)}
+PUMPS = Section({**PUMP_POWERS_KEY, "phases_rad": ("phases", NUMBERS)}, ("powers",), PumpConfig)
 PHI_SWEEP = Section(_same(phi_min=NUMBER, phi_max=NUMBER, steps=AT_LEAST_TWO))
 POWER_SWEEP = Section(_same(powers_w=SWEEP_POWERS, phase_scale_rad_per_w=NUMBER),
                       ("powers_w", "phase_scale_rad_per_w"))
@@ -158,15 +165,20 @@ ROUTE = _same(transfer=one_of("ideal", "general", "lossy"))
 CURVE = {**N_MODES, **_same(transfer=one_of("ideal"), input=input_section(*KINDS), seed=INTEGER)}
 QUANTUM = {**N_MODES, **_same(input=input_section("squeezed_vacuum"))}
 ROUTED = Section({**N_MODES, **ROUTE, **PHYSICS}, ("profile", "pumps"))
+# general_transfer has no loss term; the mismatch reads neither loss nor pump phases
+GENERAL = ROUTED._replace(keys={**ROUTED.keys, **_same(profile=LOSSLESS)})
+MISMATCH = Section({**N_MODES, **_same(profile=LOSSLESS, grid=GRID,
+                                       pumps=Section(PUMP_POWERS_KEY, ("powers",), PumpConfig))},
+                   ("profile", "grid", "pumps"))
 POWERS = Section({**CURVE, **_same(sweep=POWER_SWEEP)}, ("input", "sweep"))
 CONFIGS = {
     ("transfer", "on the ideal route"): Section({**N_MODES, **ROUTE}),
-    ("transfer", "on the general route"): ROUTED,
+    ("transfer", "on the general route"): GENERAL,
     ("transfer", "on the lossy route"): ROUTED,
     ("sweep", "over a phase grid"): Section({**CURVE, **_same(sweep=PHI_SWEEP)}, ("input",)),
     ("sweep", "over sweep.powers_w"): POWERS,
     ("synth", ""): POWERS,
-    ("phasematch", ""): Section({**N_MODES, **PHYSICS}, ("profile", "grid", "pumps")),
+    ("phasematch", ""): MISMATCH,
     ("oracle", "--check classical"): Section(PHYSICS, ("profile", "grid", "pumps")),
     ("oracle", "--check quantum"): Section(QUANTUM),
     ("oracle", "--check all"): Section({**PHYSICS, **QUANTUM}, ("profile", "grid", "pumps")),
@@ -243,15 +255,6 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _header_lines(digest: str | None, seed) -> list[str]:
-    lines = [f"# nwaybs {__version__}"]
-    if digest is not None:
-        lines.append(f"# config_hash={digest}")
-    if seed is not None:
-        lines.append(f"# seed={seed}")
-    return lines
-
-
 def write_lines(path, lines) -> None:
     out = sys.stdout if path in (None, "-") else open(path, "w", encoding="utf-8")
     try:
@@ -262,16 +265,20 @@ def write_lines(path, lines) -> None:
             out.close()
 
 
-def write_csv(path, header_lines, columns, rows) -> None:
-    write_lines(path, [*header_lines, ",".join(columns),
-                       *(",".join(_fmt(v) for v in row) for row in rows)])
+class Table(NamedTuple):
+    """A config-driven subcommand's output: CSV columns, rows, exit status, stdout line."""
+
+    columns: list
+    rows: list | np.ndarray
+    status: int = EXIT_OK
+    summary: str | None = None
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_transfer(args, cfg: dict, digest: str) -> int:
+def cmd_transfer(args, cfg: dict) -> Table:
     kind = cfg.get("transfer", "ideal")
     if kind == "ideal":
         tm = ideal_transfer(cfg.get("n_modes", 3), args.phi)
@@ -286,12 +293,10 @@ def cmd_transfer(args, cfg: dict, digest: str) -> int:
     columns = [f"{part}_{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1)
                for part in ("re", "im")]
     row = np.column_stack([tm.entries.real.ravel(), tm.entries.imag.ravel()]).ravel()
-    write_csv(args.out, _header_lines(digest, None), columns, [row])
-    print(f"unitarity_residual={tm.unitarity_residual():.3e}")
-    return EXIT_OK
+    return Table(columns, [row], summary=f"unitarity_residual={tm.unitarity_residual():.3e}")
 
 
-def cmd_sweep(args, cfg: dict, digest: str) -> int:
+def cmd_sweep(args, cfg: dict) -> Table:
     n_modes = cfg.get("n_modes", 3)
     sweep = cfg.get("sweep", {})
     if "powers_w" in sweep:
@@ -307,12 +312,10 @@ def cmd_sweep(args, cfg: dict, digest: str) -> int:
     columns = ["phi"] + [f"g1_{i}" for i in range(1, n_modes + 1)]
     pairs = sorted(curve.g2)
     columns += [f"g2_{i}{j}" for i, j in pairs]
-    rows = np.column_stack([phis, curve.singles] + [curve.g2[pr] for pr in pairs])
-    write_csv(args.out, _header_lines(digest, cfg.get("seed")), columns, rows)
-    return EXIT_OK
+    return Table(columns, np.column_stack([phis, curve.singles] + [curve.g2[pr] for pr in pairs]))
 
 
-def cmd_phasematch(args, cfg: dict, digest: str) -> int:
+def cmd_phasematch(args, cfg: dict) -> Table:
     profile, pumps = cfg["profile"], cfg["pumps"]
     _require_pump_count(cfg, pumps, "phasematch")
     report = nonlinear_mismatch(profile, cfg["grid"], pumps.powers)
@@ -320,8 +323,7 @@ def cmd_phasematch(args, cfg: dict, digest: str) -> int:
     rows = [[n + 1, report.delta_beta[n], report.delta_k[n],
              report.delta_k[n] * profile.length / math.pi, bool(report.negligible[n])]
             for n in range(report.n_modes)]
-    write_csv(args.out, _header_lines(digest, None), columns, rows)
-    return EXIT_OK
+    return Table(columns, rows)
 
 
 def _oracle_classical_rows(cfg, tol):
@@ -369,17 +371,17 @@ def _oracle_quantum_rows(cfg, tol):
     return rows
 
 
-def cmd_oracle(args, cfg: dict, digest: str) -> int:
+def cmd_oracle(args, cfg: dict) -> Table:
     rows = []
     if args.check in ("classical", "all"):
         rows += _oracle_classical_rows(cfg, args.tol)
     if args.check in ("quantum", "all"):
         rows += _oracle_quantum_rows(cfg, args.tol)
-    write_csv(args.out, _header_lines(digest, None), ["case", "max_error", "pass"], rows)
     # np.max propagates NaN, so a non-finite error cannot report as a pass
     worst = float(np.max([row[1] for row in rows]))
-    print(f"max_error={worst:.3e} tol={args.tol:g}")
-    return EXIT_OK if worst < args.tol else EXIT_NUMERICAL
+    return Table(["case", "max_error", "pass"], rows,
+                 EXIT_OK if worst < args.tol else EXIT_NUMERICAL,
+                 f"max_error={worst:.3e} tol={args.tol:g}")
 
 
 def _read_curve_csv(path):
@@ -406,51 +408,39 @@ def _read_curve_csv(path):
 def cmd_fit(args) -> int:
     header, data = _read_curve_csv(args.data)
     cols = {name: data[:, i] for i, name in enumerate(header)}
+    depletion = args.model in ("pair", "coherent")
+    x, y = ("power_w", "value") if depletion else ("singles_rate", "ratio")
+    if x not in cols or y not in cols:
+        raise ConfigError(f"fit CSV needs {x} and {y} columns")
     try:
-        if args.model in ("pair", "coherent"):
-            if "power_w" not in cols or "value" not in cols:
-                raise ConfigError("fit CSV needs power_w and value columns")
-            result = fit_phase_scale(cols["power_w"], cols["value"])
-        else:
-            if "singles_rate" not in cols or "ratio" not in cols:
-                raise ConfigError("fit CSV needs singles_rate and ratio columns")
-            result = fit_zeta(cols["singles_rate"], cols["ratio"])
+        result = (fit_phase_scale if depletion else fit_zeta)(cols[x], cols[y])
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         print(f"fit failed: {exc}", file=sys.stderr)
         return EXIT_FIT
     if not result.converged:
         print("fit did not converge", file=sys.stderr)
         return EXIT_FIT
-    kv = {
-        "phase_scale_rad_per_w": result.phase_scale,
-        "zeta": result.zeta,
-        "residual_norm": result.residual_norm,
-        "converged": int(result.converged),
-        "iterations": result.iterations,
-    }
-    for i, s in enumerate(result.channel_scales):
-        kv[f"channel_scale_{i + 1}"] = s
-    write_lines(args.out, _header_lines(None, None) + [
+    kv = {"phase_scale_rad_per_w": result.phase_scale, "zeta": result.zeta,
+          "residual_norm": result.residual_norm, "converged": int(result.converged),
+          "iterations": result.iterations,
+          **{f"channel_scale_{i + 1}": s for i, s in enumerate(result.channel_scales)}}
+    write_lines(args.out, [f"# nwaybs {__version__}"] + [
         f"{key}={_fmt(val) if isinstance(val, float) else val}" for key, val in kv.items()])
     print(f"model={args.model} converged={result.converged}")
     return EXIT_OK
 
 
-def cmd_synth(args, cfg: dict, digest: str) -> int:
+def cmd_synth(args, cfg: dict) -> Table:
     sweep = cfg["sweep"]
-    seed = cfg.get("seed", 0)
     n_modes = cfg.get("n_modes", 3)
     records = generate_synthetic(sweep["phase_scale_rad_per_w"], sweep["powers_w"], n_modes=n_modes,
-                                 state=cfg["input"], noise=args.noise, seed=seed)
+                                 state=cfg["input"], noise=args.noise, seed=cfg.get("seed", 0))
     columns = ["power_w"] + [f"singles_{i}" for i in range(1, n_modes + 1)]
     pairs = sorted(records[-1].coincidences)
     columns += [f"coinc_{i}{j}" for i, j in pairs] + [f"acc_{i}" for i in range(1, n_modes + 1)]
     rows = [[rec.pump_peak_power, *rec.singles, *(rec.coincidences.get(pr, 0.0) for pr in pairs),
              *rec.accidental_singles] for rec in records]
-    write_csv(args.out, _header_lines(digest, seed), columns, rows)
-    return EXIT_OK
+    return Table(columns, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +522,15 @@ def main(argv=None) -> int:
                             f"the config of {args.command} {variant}".rstrip())
         handler = {"transfer": cmd_transfer, "sweep": cmd_sweep, "phasematch": cmd_phasematch,
                    "oracle": cmd_oracle, "synth": cmd_synth}[args.command]
-        return handler(args, cfg, config_hash(raw))
+        table = handler(args, cfg)
+        # the one provenance header: a seed line only for a seed the hashed config holds
+        header = [f"# nwaybs {__version__}", f"# config_hash={config_hash(raw)}",
+                  *([f"# seed={raw['seed']}"] if "seed" in raw else [])]
+        write_lines(args.out, [*header, ",".join(table.columns),
+                               *(",".join(map(_fmt, row)) for row in table.rows)])
+        if table.summary is not None:
+            print(table.summary)
+        return table.status
     except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -60,10 +60,6 @@ class DispersionProfile:
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
 
-    @property
-    def order(self) -> int:
-        return len(self.beta_coeffs) - 1
-
 
 @dataclass(frozen=True)
 class FrequencyGrid:
@@ -96,13 +92,12 @@ class MismatchReport:
 
     delta_beta[n-1] is the linear mismatch of channel n relative to channel 1,
     delta_k[n-1] adds the pump-power cross-phase correction, and negligible
-    flags |delta_k| * L < threshold.
+    flags |delta_k| * L < DEFAULT_NEGLIGIBILITY.
     """
 
     delta_beta: np.ndarray
     delta_k: np.ndarray
     negligible: np.ndarray
-    threshold: float = DEFAULT_NEGLIGIBILITY
 
     @property
     def n_modes(self) -> int:
@@ -153,12 +148,8 @@ def delta_beta_pair(profile: DispersionProfile, grid: FrequencyGrid, n: int, m: 
     return float(delta_beta_table(profile, grid)[n - 1, m - 1])
 
 
-def nonlinear_mismatch(
-    profile: DispersionProfile,
-    grid: FrequencyGrid,
-    pump_powers,
-    threshold: float = DEFAULT_NEGLIGIBILITY,
-) -> MismatchReport:
+def nonlinear_mismatch(profile: DispersionProfile, grid: FrequencyGrid,
+                       pump_powers) -> MismatchReport:
     """Nonlinear phase mismatch dk_n = dbeta_n1 + gamma * (P_1 - P_n) per channel."""
     powers = np.asarray(pump_powers, dtype=float)
     if len(powers) != grid.n_modes:
@@ -168,8 +159,8 @@ def nonlinear_mismatch(
     # channel 1 is exactly 0 in both: the table's diagonal and P_1 - P_1
     dbeta = delta_beta_table(profile, grid)[:, 0]
     dk = dbeta + profile.gamma * (powers[0] - powers)
-    negligible = np.abs(dk) * profile.length < threshold
-    return MismatchReport(delta_beta=dbeta, delta_k=dk, negligible=negligible, threshold=threshold)
+    negligible = np.abs(dk) * profile.length < DEFAULT_NEGLIGIBILITY
+    return MismatchReport(delta_beta=dbeta, delta_k=dk, negligible=negligible)
 
 
 def find_zgvd(profile: DispersionProfile) -> float:

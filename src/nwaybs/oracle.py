@@ -96,14 +96,11 @@ def loss_map(n_modes: int, mode: int, transmission: float, ancilla: int) -> Bogo
     return _assemble(e, np.zeros((n_modes, n_modes), dtype=complex))
 
 
-def passive_map(n_modes: int, unitary: np.ndarray, modes=None) -> BogoliubovMap:
+def passive_map(n_modes: int, unitary: np.ndarray, modes) -> BogoliubovMap:
     """Embed a passive (photon-number-conserving) unitary on a mode subset."""
-    u = np.asarray(unitary, dtype=complex)
-    if modes is None:
-        modes = tuple(range(1, u.shape[0] + 1))
     idx = np.asarray([m - 1 for m in modes])
     e = np.eye(n_modes, dtype=complex)
-    e[np.ix_(idx, idx)] = u
+    e[np.ix_(idx, idx)] = np.asarray(unitary, dtype=complex)
     return _assemble(e, np.zeros((n_modes, n_modes), dtype=complex))
 
 

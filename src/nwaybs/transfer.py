@@ -57,9 +57,9 @@ class PumpConfig:
         """Initial complex amplitudes A_n(0) = sqrt(P_n) e^{i theta_n} (W^1/2)."""
         return np.sqrt(np.asarray(self.powers)) * np.exp(1j * np.asarray(self.phases))
 
-    def equal_powers(self, rtol: float = 1e-12) -> bool:
+    def equal_powers(self) -> bool:
         p = np.asarray(self.powers)
-        return bool(np.allclose(p, p[0], rtol=rtol, atol=0.0))
+        return bool(np.allclose(p, p[0], rtol=1e-12, atol=0.0))
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import nwaybs
-from nwaybs.cli import (_INPUT_KIND_ALIASES, build_parser, check_section, input_section,
-                        lambda_nm_to_omega, main)
+from nwaybs.cli import (_INPUT_KIND_ALIASES, build_parser, check_section, config_hash,
+                        input_section, lambda_nm_to_omega, main)
 from nwaybs.quantum import INPUT_KINDS, InputState, correlation_curve
 from nwaybs.transfer import p_coeff, q_coeff
 
@@ -634,6 +634,7 @@ MALFORMED_BASES = {
                                          "zeta": 0.4}),
     "powers": dict(BASE_CONFIG, sweep=POWER_SWEEP),
     "physics": TestPhasematchCommand.symmetric_cfg(),
+    "general": TestTransferCommand.route_cfg("general"),
 }
 # (subcommand, base config, path of the mistyped key, its value)
 MALFORMED = [
@@ -660,6 +661,8 @@ MALFORMED = [
     ("phasematch", "physics", ("profile", "beta_coeffs_si"), "0"),
     ("phasematch", "physics", ("profile", "length_m"), 10**400),
     ("phasematch", "physics", ("n_modes",), True),
+    # the _rad_s and _lambda_nm forms of one list fill the same field
+    ("phasematch", "physics", ("grid", "pump_freqs_lambda_nm"), [1280.0, 1275.5, 1271.0]),
 ]
 
 
@@ -698,6 +701,71 @@ def test_out_of_range_value_names_its_section(tmp_path, capsys, command, base, p
     assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
     assert f"config error: section {path[0]!r} of the config of {command}" in \
         capsys.readouterr().err
+    assert not out.exists()
+
+
+# physics keys an output would ignore: (subcommand, base, path, value, hint in the message);
+# general_transfer has no loss term, and nonlinear_mismatch reads neither loss nor pump phases
+UNREAD_PHYSICS = [
+    ("transfer", "general", ("profile", "alpha_per_m"), 2e-5, "lossy route"),
+    ("phasematch", "physics", ("profile", "alpha_per_m"), 3e-4, ""),
+    ("phasematch", "physics", ("pumps", "phases_rad"), [0.0, 1.1, 2.5], ""),
+]
+
+
+@pytest.mark.parametrize("command,base,path,value,hint", UNREAD_PHYSICS,
+                         ids=[f"{c}-{'.'.join(p)}" for c, _, p, _, _ in UNREAD_PHYSICS])
+def test_physics_key_the_output_ignores_is_exit_1(tmp_path, capsys, command, base, path, value,
+                                                  hint):
+    cfg = json.loads(json.dumps(MALFORMED_BASES[base]))
+    cfg[path[0]][path[1]] = value
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert repr(path[1]) in err and hint in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,base", [("transfer", "general"), ("phasematch", "physics")])
+@pytest.mark.parametrize("alpha", [0, 0.0])
+def test_zero_loss_accepted_where_loss_is_not_read(tmp_path, command, base, alpha):
+    cfg = json.loads(json.dumps(MALFORMED_BASES[base]))
+    cfg["profile"]["alpha_per_m"] = alpha
+    assert main([command, "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o.csv")]) == 0
+
+
+# inputs that reach an error path of main: (subcommand, flags, the file its first
+# flag names, exit code, a part of the message); none writes an output file
+ERROR_PATHS = [
+    pytest.param("transfer", ["--config"], json.dumps({"transfer": "general",
+                                                       "pumps": {"powers_w": [0.5, 0.5]}}),
+                 1, "needs key 'profile'", id="general-route-without-profile"),
+    pytest.param("sweep", ["--config"], "[1, 2]", 1, "must be a JSON object",
+                 id="config-not-an-object"),
+    pytest.param("fit", ["--data", "--model", "pair"], "singles_rate,ratio\n0.1,0.2\n0.2,0.3\n",
+                 1, "needs power_w and value columns", id="fit-pair-without-its-columns"),
+    pytest.param("fit", ["--data", "--model", "multiphoton"], "power_w,value\n0.1,0.2\n0.2,0.3\n",
+                 1, "needs singles_rate and ratio columns",
+                 id="fit-multiphoton-without-its-columns"),
+    # a nonlinear phase of 100 rad: RK4 at L/2000 fails its step-halving check
+    pytest.param("oracle", ["--config", "--check", "classical"],
+                 json.dumps({"profile": {"omega0_rad_s": W0, "beta_coeffs_si": [0.0],
+                                         "gamma_per_w_m": 1.0, "length_m": 100.0},
+                             "grid": {"pump_freqs_rad_s": [W0 + 1e12, W0 + 2e12, W0 + 3e12],
+                                      "weak_freqs_rad_s": [W0 - 1e12, W0 - 2e12, W0 - 3e12]},
+                             "pumps": {"powers_w": [1.0, 1.0, 1.0]}}),
+                 2, "numerical failure", id="oracle-richardson-fails"),
+]
+
+
+@pytest.mark.parametrize("command,flags,text,code,message", ERROR_PATHS)
+def test_error_path_writes_nothing(tmp_path, capsys, command, flags, text, code, message):
+    path = tmp_path / "input"
+    path.write_text(text)
+    out = tmp_path / "o.csv"
+    assert main([command, flags[0], str(path), *flags[1:], "--out", str(out)]) == code
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -974,6 +1042,12 @@ PINNED_OUTPUTS = [
                                                 "sweep": {"powers_w": [0.1, 0.4, 0.7],
                                                           "phase_scale_rad_per_w": 1.3}},
                  "08af8238d086fbbe", id="synth-noise"),
+    # no seed: the noise is drawn from seed 0, and the header has no seed line
+    pytest.param(["synth", "--noise", "0.02"], {"n_modes": 3,
+                                                "input": {"kind": "photon_pair", "modes": [1, 3]},
+                                                "sweep": {"powers_w": [0, 0.5, 1.2],
+                                                          "phase_scale_rad_per_w": 1.5}},
+                 "0b0ec473d1751412", id="synth-seedless"),
 ]
 
 
@@ -983,6 +1057,31 @@ def test_valid_config_output_is_pinned(tmp_path, argv, cfg, digest):
     assert main([argv[0], "--config", write_config(tmp_path, cfg), "--out", str(out),
                  *argv[1:]]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
+
+
+SEEDLESS = {key: value for key, value in BASE_CONFIG.items() if key != "seed"}
+# (subcommand and flags, a config without seed, the seed added to it or None);
+# only sweep and synth read seed, the others reject it
+HEADER_CASES = [
+    (["transfer"], TRANSFER_CONFIG, None),
+    (["phasematch"], TestPhasematchCommand.symmetric_cfg(), None),
+    (["oracle", "--check", "quantum"], {"input": {"kind": "squeezed_vacuum", "zeta": 0.4}}, None),
+    *[(argv, cfg, seed) for argv, cfg in ((["sweep"], SEEDLESS),
+                                          (["synth"], dict(SEEDLESS, sweep=POWER_SWEEP)))
+      for seed in (None, 0, 11)],
+]
+
+
+@pytest.mark.parametrize("argv,cfg,seed", HEADER_CASES,
+                         ids=[f"{a[0]}-seed={s}" for a, _, s in HEADER_CASES])
+def test_header_has_a_seed_line_only_when_the_config_has_seed(tmp_path, argv, cfg, seed):
+    cfg = dict(cfg) if seed is None else dict(cfg, seed=seed)
+    out = tmp_path / "o.csv"
+    assert main([argv[0], "--config", write_config(tmp_path, cfg), "--out", str(out),
+                 *argv[1:]]) == 0
+    header = [line for line in out.read_text().splitlines() if line.startswith("#")]
+    assert header == [f"# nwaybs {nwaybs.__version__}", f"# config_hash={config_hash(cfg)}",
+                      *([] if seed is None else [f"# seed={seed}"])]
 
 
 IMPORT_PATH_SCRIPT = r"""
