@@ -27,6 +27,7 @@ from .transfer import (
     PumpConfig,
     TransferMatrix,
     general_transfer,
+    ideal_columns,
     ideal_transfer,
     loss_reduced_phase,
     lossy_transfer,

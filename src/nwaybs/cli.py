@@ -420,8 +420,9 @@ def cmd_fit(args) -> int:
     if not result.converged:
         print("fit did not converge", file=sys.stderr)
         return EXIT_FIT
-    kv = {"phase_scale_rad_per_w": result.phase_scale, "zeta": result.zeta,
-          "residual_norm": result.residual_norm, "converged": int(result.converged),
+    # only the parameter the model fits: the other one is NaN in the result
+    fitted = {"phase_scale_rad_per_w": result.phase_scale} if depletion else {"zeta": result.zeta}
+    kv = {**fitted, "residual_norm": result.residual_norm, "converged": int(result.converged),
           "iterations": result.iterations,
           **{f"channel_scale_{i + 1}": s for i, s in enumerate(result.channel_scales)}}
     write_lines(args.out, [f"# nwaybs {__version__}"] + [

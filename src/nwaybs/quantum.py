@@ -9,21 +9,26 @@ for the supported input classes:
 * two-mode squeezed vacuum with pre/post-interaction losses (multiphoton)
 
 All formulas are written through the diagonal/off-diagonal coefficients
-p_N, q_N (or a full transfer matrix), so they hold for any N; the familiar
-three-channel expressions are the N = 3 specialization.  Coincidences are
-normalized to their value at zero nonlinear phase.
+p_N, q_N (or the input columns of a transfer matrix), so they hold for any
+N; the familiar three-channel expressions are the N = 3 specialization.
+Coincidences are normalized to their value at zero nonlinear phase.
 
-The observables (``singles``, ``pair_coincidence``, ``coincidence_squeezed``)
-accept a single N x N transfer matrix or a (..., N, N) stack of them; a
-stack gives arrays over its leading axes, one matrix gives the same value
-as before (a ``float`` for the coincidences).  The coincidences take
+Every observable of a k-mode input reads only the k input columns of U,
+so each formula is written once, as a kernel on the input-column slab
+``c`` of shape (..., N, k): ``c[..., :, r]`` is column ``modes[r] - 1`` of
+U.  ``KINDS`` is the one table of input kinds: each kind's default modes,
+the ``InputState`` fields it reads, and its singles and coincidence
+kernels.
+
+The public observables (``singles``, ``pair_coincidence``,
+``coincidence_squeezed``) take a single N x N transfer matrix or a
+(..., N, N) stack of them, slice its input columns and call the kernels; a
+stack gives arrays over its leading axes, one matrix gives numpy scalar
+arithmetic (a ``float`` for the coincidences).  The coincidences take
 ``ports`` as one output pair or as a (K, 2) array of pairs; an array adds a
-trailing axis K, one entry per pair.  ``correlation_curve`` evaluates a
-phase grid as stacks of bounded size, with every port pair of a stack in
-one call.
-
-``KINDS`` is the one table of input kinds: each kind's default modes, the
-``InputState`` fields it reads, its singles and its coincidence.
+trailing axis K, one entry per pair.  ``correlation_curve`` never builds a
+full stack: it evaluates a phase grid as ``ideal_columns`` slabs of bounded
+size, with every port pair of a slab in one call.
 """
 
 from __future__ import annotations
@@ -34,10 +39,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .transfer import TransferMatrix, ideal_transfer, p_coeff, q_coeff
+from .transfer import TransferMatrix, ideal_columns, ideal_transfer, p_coeff, q_coeff
 
-# Matrix entries per transfer stack in correlation_curve (2**16 complex128 =
-# 1 MiB): bounds the memory of a sweep at any grid size.
+# Input-column slab entries per block in correlation_curve (2**16
+# complex128 = 1 MiB): bounds the memory of a sweep at any grid size.
 BLOCK_ENTRIES = 1 << 16
 
 
@@ -98,11 +103,17 @@ class CorrelationResult:
     g2: dict = field(default_factory=dict)  # (i, j) -> array over phi
 
 
+def _input_columns(modes, n_modes: int) -> list[int]:
+    """0-based columns of U that the 1-based input modes feed, in mode order."""
+    if not all(1 <= m <= n_modes for m in modes):
+        raise ValueError(f"input modes {tuple(modes)} must lie in 1..{n_modes}, the channels")
+    return [m - 1 for m in modes]
+
+
 def singles(state: InputState, transfer: TransferMatrix) -> np.ndarray:
     """Expected singles counts per channel, shape (..., N), for a matrix or stack."""
-    if any(m > transfer.n_modes for m in state.modes):
-        raise ValueError("input mode index exceeds the number of channels")
-    return KINDS[state.kind].singles(state, transfer.entries, [m - 1 for m in state.modes])
+    cols = _input_columns(state.modes, transfer.n_modes)
+    return KINDS[state.kind].singles(state, transfer.entries[..., :, cols])
 
 
 def g2_dual_coherent(phi, n_modes: int = 3):
@@ -115,15 +126,16 @@ def g2_dual_coherent(phi, n_modes: int = 3):
     return (1.0 - q2) ** 2
 
 
-def _entry(u: np.ndarray, i, j):
-    """U_ij: a numpy scalar for one matrix, an array over a stack.
+def _entry(c: np.ndarray, i, r):
+    """c[i, r], U's entry in row i of input column r: a numpy scalar for one
+    slab, an array over a stack.
 
     An index array ``i`` adds its axis after the stack axes.
 
-    ``[()]`` turns the 0-d result of indexing one matrix into a scalar, so a
+    ``[()]`` turns the 0-d result of indexing one slab into a scalar, so a
     single matrix keeps numpy's scalar arithmetic and its exact values.
     """
-    return u[..., i, j][()]
+    return c[..., i, r][()]
 
 
 def _float_or_array(x):
@@ -143,6 +155,16 @@ def _port_indices(ports):
     raise ValueError(f"ports must be one pair or a (K, 2) array of pairs, not shape {shape}")
 
 
+def _pair_coincidence(c, ports):
+    """|c_i0 c_j1 + c_i1 c_j0|^2 on a two-column slab (see ``pair_coincidence``)."""
+    if c.ndim == 2 and np.ndim(ports) == 2:
+        # one matrix keeps numpy's scalar arithmetic, pair by pair
+        return np.array([_pair_coincidence(c, pr) for pr in ports])
+    i, j = _port_indices(ports)
+    return _float_or_array(np.abs(_entry(c, i, 0) * _entry(c, j, 1)
+                                  + _entry(c, i, 1) * _entry(c, j, 0)) ** 2)
+
+
 def pair_coincidence(transfer: TransferMatrix, in_modes=(1, 3), ports=(1, 3)):
     """Unnormalized two-photon coincidence |U_i,m1 U_j,m2 + U_i,m2 U_j,m1|^2.
 
@@ -151,14 +173,8 @@ def pair_coincidence(transfer: TransferMatrix, in_modes=(1, 3), ports=(1, 3)):
     Hong-Ou-Mandel null).  A float for one matrix and one pair, an array
     for a stack; a (K, 2) array of ``ports`` adds a trailing axis K.
     """
-    u = transfer.entries
-    if u.ndim == 2 and np.ndim(ports) == 2:
-        # one matrix keeps numpy's scalar arithmetic, pair by pair
-        return np.array([pair_coincidence(transfer, in_modes, pr) for pr in ports])
-    i, j = _port_indices(ports)
-    m1, m2 = (m - 1 for m in in_modes)
-    return _float_or_array(np.abs(_entry(u, i, m1) * _entry(u, j, m2)
-                                  + _entry(u, i, m2) * _entry(u, j, m1)) ** 2)
+    cols = _input_columns(in_modes, transfer.n_modes)
+    return _pair_coincidence(transfer.entries[..., :, cols], ports)
 
 
 def g2_photon_pair(phi, n_modes: int = 3):
@@ -194,19 +210,12 @@ def g2_multiphoton(phi, zeta: complex, t1_alpha: float = 1.0, t3_alpha: float = 
     return pair + mult
 
 
-def coincidence_squeezed(state: InputState, transfer: TransferMatrix, ports=(1, 3)):
-    """Unnormalized squeezed-vacuum coincidence G2_ij with both loss stages.
-
-    A float for one matrix and one pair, an array for a stack; a (K, 2)
-    array of ``ports`` adds a trailing axis K.
-    """
-    if state.kind != "squeezed_vacuum":
-        raise ValueError("requires a squeezed_vacuum input state")
-    u = transfer.entries
-    if u.ndim == 2 and np.ndim(ports) == 2:
+def _squeezed_coincidence(state, c, ports):
+    """G2_ij on the two input columns of a squeezed-vacuum state (see ``coincidence_squeezed``)."""
+    if c.ndim == 2 and np.ndim(ports) == 2:
         # one matrix keeps numpy's scalar arithmetic, pair by pair
-        return np.array([coincidence_squeezed(state, transfer, pr) for pr in ports])
-    n = transfer.n_modes
+        return np.array([_squeezed_coincidence(state, c, pr) for pr in ports])
+    n = c.shape[-2]
     i, j = _port_indices(ports)
     m1, m2 = (m - 1 for m in state.modes)
     t_pre = state.transmissions("pre_loss", n)
@@ -217,13 +226,25 @@ def coincidence_squeezed(state: InputState, transfer: TransferMatrix, ports=(1, 
     # an array square rounds differently in rare cases
     t_post2 = np.array([t**2 for t in t_post])
     prefac = t_post2[i] * t_post2[j] * t1**2 * t2**2
-    ui1, uj1, ui2, uj2 = (_entry(u, *ix) for ix in ((i, m1), (j, m1), (i, m2), (j, m2)))
+    ui1, uj1, ui2, uj2 = (_entry(c, *ix) for ix in ((i, 0), (j, 0), (i, 1), (j, 1)))
     paired = np.abs(ui1 * uj2 + ui2 * uj1) ** 2 * (s2 + 2.0 * s2**2)
     uncorr = 2.0 * (
         np.abs(ui1) ** 2 * np.abs(uj1) ** 2 * (t1 / t2) ** 2
         + np.abs(ui2) ** 2 * np.abs(uj2) ** 2 * (t2 / t1) ** 2
     ) * s2**2
     return _float_or_array(prefac * (paired + uncorr))
+
+
+def coincidence_squeezed(state: InputState, transfer: TransferMatrix, ports=(1, 3)):
+    """Unnormalized squeezed-vacuum coincidence G2_ij with both loss stages.
+
+    A float for one matrix and one pair, an array for a stack; a (K, 2)
+    array of ``ports`` adds a trailing axis K.
+    """
+    if state.kind != "squeezed_vacuum":
+        raise ValueError("requires a squeezed_vacuum input state")
+    cols = _input_columns(state.modes, transfer.n_modes)
+    return _squeezed_coincidence(state, transfer.entries[..., :, cols], ports)
 
 
 def g2_squeezed_full(state: InputState, transfer: TransferMatrix, ports=(1, 3)) -> float:
@@ -288,32 +309,31 @@ def _port_pairs(n_modes: int) -> tuple[tuple, np.ndarray]:
     return cached
 
 
-def _dual_singles(state, u, cols):
+def _dual_singles(state, c):
     if not state.phase_averaged:
-        amp = u[..., cols[0]] + u[..., cols[1]]
-        return state.amplitude**2 * np.abs(amp) ** 2
-    return state.amplitude**2 * (np.abs(u[..., cols]) ** 2).sum(axis=-1)
+        return state.amplitude**2 * np.abs(c[..., 0] + c[..., 1]) ** 2
+    return state.amplitude**2 * (np.abs(c) ** 2).sum(axis=-1)
 
 
-def _dual_coincidence(state, transfer, s, ports):
+def _dual_coincidence(state, c, s, ports):
     """Phase-averaged dual coherent intensities are independent, so the coincidence factorizes."""
     i, j = _port_indices(ports)
     return s[..., i] * s[..., j]
 
 
-def _squeezed_singles(state, u, cols):
-    t_pre = state.transmissions("pre_loss", u.shape[-1])
-    t_post = state.transmissions("post_loss", u.shape[-1])
+def _squeezed_singles(state, c):
+    t_pre = state.transmissions("pre_loss", c.shape[-2])
+    t_post = state.transmissions("post_loss", c.shape[-2])
     s2 = math.sinh(abs(state.zeta)) ** 2
-    body = (np.abs(u[..., cols] * t_pre[cols]) ** 2).sum(axis=-1)
+    body = (np.abs(c * t_pre[[m - 1 for m in state.modes]]) ** 2).sum(axis=-1)
     return t_post**2 * s2 * body
 
 
 class InputKind(NamedTuple):
     modes: tuple[int, ...]       # default input modes; their count is the count the kind takes
     fields: tuple[str, ...]      # the InputState fields the kind reads
-    singles: Callable            # (state, entries, 0-based input columns) -> (..., N)
-    coincidence: Callable | None  # (state, transfer, singles, ports) -> unnormalized
+    singles: Callable            # (state, input-column slab) -> (..., N)
+    coincidence: Callable | None  # (state, slab, singles, ports) -> unnormalized
 
 
 # Each kind keeps its own arithmetic: one weighted formula for every kind
@@ -321,15 +341,15 @@ class InputKind(NamedTuple):
 KINDS = {
     "single_coherent": InputKind(
         (1,), ("modes", "amplitude"),
-        lambda state, u, cols: state.amplitude**2 * np.abs(u[..., cols[0]]) ** 2, None),
+        lambda state, c: state.amplitude**2 * np.abs(c[..., 0]) ** 2, None),
     "dual_coherent": InputKind(
         (1, 3), ("modes", "amplitude", "phase_averaged"), _dual_singles, _dual_coincidence),
     "photon_pair": InputKind(
-        (1, 3), ("modes",), lambda state, u, cols: (np.abs(u[..., cols]) ** 2).sum(axis=-1),
-        lambda state, u, s, ports: pair_coincidence(u, state.modes, ports)),
+        (1, 3), ("modes",), lambda state, c: (np.abs(c) ** 2).sum(axis=-1),
+        lambda state, c, s, ports: _pair_coincidence(c, ports)),
     "squeezed_vacuum": InputKind(
         (1, 3), ("modes", "zeta", "pre_loss", "post_loss"), _squeezed_singles,
-        lambda state, u, s, ports: coincidence_squeezed(state, u, ports)),
+        lambda state, c, s, ports: _squeezed_coincidence(state, c, ports)),
 }
 INPUT_KINDS = tuple(KINDS)
 
@@ -337,34 +357,33 @@ INPUT_KINDS = tuple(KINDS)
 def correlation_curve(state: InputState, phis, n_modes: int = 3) -> CorrelationResult:
     """Sweep singles and normalized coincidences over a nonlinear-phase grid.
 
-    The grid is evaluated in blocks of at most ``BLOCK_ENTRIES`` transfer
-    matrix entries; each block is one ``ideal_transfer`` stack and one
+    The grid is evaluated in blocks of at most ``BLOCK_ENTRIES`` entries of
+    the input-column slab; each block is one ``ideal_columns`` slab and one
     coincidence call for every port pair.  Each ``g2`` entry is a column of
-    one (len(phis), K) table.
+    one (len(phis), K) table, NaN throughout for a kind with no coincidence.
     """
     phis = np.asarray(phis, dtype=float)
+    cols = _input_columns(state.modes, n_modes)
+    kind = KINDS[state.kind]
     sgl = np.empty((len(phis), n_modes))
     pairs, ports = _port_pairs(n_modes)
-    coincidence = KINDS[state.kind].coincidence
-    if coincidence is None:
-        g2 = {pr: np.full(len(phis), np.nan) for pr in pairs}
-    else:
-        table = np.empty((len(phis), len(pairs)))
-        g2 = {pr: table[:, k] for k, pr in enumerate(pairs)}
+    table = np.full((len(phis), len(pairs)), np.nan)
+    g2 = {pr: table[:, k] for k, pr in enumerate(pairs)}
+    if kind.coincidence is not None:
         # one common normalization: the zero-phase coincidence on the input
         # port pair.  Cross-port pairs start at exactly zero, so normalizing
         # each pair by its own zero-phase value would be 0/0 for them.
-        ident = ideal_transfer(n_modes, 0.0)
-        ref = coincidence(state, ident, singles(state, ident),
-                          (min(state.modes), max(state.modes)))
+        ident = ideal_columns(n_modes, 0.0, cols)
+        ref = kind.coincidence(state, ident, kind.singles(state, ident),
+                               (min(state.modes), max(state.modes)))
         if ref == 0.0:
             raise ValueError(f"{state.kind} input carries no light: its zero-phase "
                              "coincidence vanishes; cannot normalize")
-    block = max(1, BLOCK_ENTRIES // n_modes**2)
+    block = max(1, BLOCK_ENTRIES // (n_modes * len(cols)))
     for start in range(0, len(phis), block):
         rows = slice(start, start + block)
-        u = ideal_transfer(n_modes, phis[rows])
-        s = sgl[rows] = singles(state, u)
-        if coincidence is not None:
-            table[rows] = coincidence(state, u, s, ports) / ref
+        c = ideal_columns(n_modes, phis[rows], cols)
+        s = sgl[rows] = kind.singles(state, c)
+        if kind.coincidence is not None:
+            table[rows] = kind.coincidence(state, c, s, ports) / ref
     return CorrelationResult(phi=phis, singles=sgl, g2=g2)

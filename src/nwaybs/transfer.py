@@ -3,7 +3,8 @@
 Three routes to the same object:
 
 * ``ideal_transfer``   -- closed form for perfect phase matching and equal
-  pump powers, entries p_N(phi) on the diagonal and q_N(phi) off it.
+  pump powers, entries p_N(phi) on the diagonal and q_N(phi) off it;
+  ``ideal_columns`` builds any subset of its columns.
 * ``general_transfer`` -- matrix exponential of the Hermitian coupled-mode
   generator, valid for unequal powers and nonzero mismatch.
 * ``lossy_transfer``   -- analytic solution with fiber attenuation, which
@@ -124,19 +125,38 @@ def p_coeff(n_modes: int, phi: float) -> complex:
     return q_coeff(n_modes, phi) + 1.0
 
 
+def ideal_columns(n_modes: int, phi, cols) -> np.ndarray:
+    """Columns ``cols`` of the closed-form transfer, shape ``phi.shape + (N, len(cols))``.
+
+    ``c[..., :, r]`` is column ``cols[r]`` (0-based, any order): q_N(phi)
+    everywhere but p_N(phi) = q_N(phi) + 1 in row ``cols[r]``.  An
+    observable of k input modes reads only these k columns, so a sweep
+    builds O(N k) entries per phase instead of N^2.
+    """
+    if n_modes < 2:
+        raise ValueError("need at least 2 modes")
+    cols = list(cols)
+    if not all(0 <= c < n_modes for c in cols):
+        raise ValueError(f"column indices must lie in [0, {n_modes})")
+    phi = np.asarray(phi, dtype=float)
+    # each column is one contiguous (..., N) block, so the observables'
+    # sums over input columns add whole blocks instead of reducing an inner
+    # axis of length k
+    c = np.empty((len(cols),) + phi.shape + (n_modes,), dtype=complex)
+    c[...] = np.asarray(q_coeff(n_modes, phi))[..., np.newaxis]
+    c[np.arange(len(cols)), ..., cols] += 1.0
+    return np.moveaxis(c, 0, -1)
+
+
 def ideal_transfer(n_modes: int, phi) -> TransferMatrix:
     """Closed-form transfer for zero mismatch and equal pump powers.
 
     A scalar ``phi`` gives one N x N matrix; an array of phases gives a
-    stack of shape ``phi.shape + (N, N)``.
+    stack of shape ``phi.shape + (N, N)``, in C order.  The entries are
+    ``ideal_columns`` of every column.
     """
-    if n_modes < 2:
-        raise ValueError("need at least 2 modes")
     phi = np.asarray(phi, dtype=float)
-    q = np.asarray(q_coeff(n_modes, phi))[..., np.newaxis, np.newaxis]
-    u = np.broadcast_to(q, phi.shape + (n_modes, n_modes)).copy()
-    diag = np.arange(n_modes)
-    u[..., diag, diag] += 1.0
+    u = np.ascontiguousarray(ideal_columns(n_modes, phi, range(n_modes)))
     return TransferMatrix(entries=u, phi=float(phi) if phi.ndim == 0 else phi)
 
 

@@ -918,6 +918,30 @@ class TestFitCommand:
         line = [l for l in out.read_text().splitlines() if l.startswith("zeta")][0]
         assert float(line.split("=")[1]) == pytest.approx(0.4, rel=1e-6)
 
+    @pytest.mark.parametrize("model,keys", [
+        ("pair", ["phase_scale_rad_per_w", "residual_norm", "converged", "iterations"]),
+        ("coherent", ["phase_scale_rad_per_w", "residual_norm", "converged", "iterations"]),
+        ("multiphoton", ["zeta", "residual_norm", "converged", "iterations", "channel_scale_1"]),
+    ])
+    def test_writes_only_what_the_model_fits(self, tmp_path, model, keys):
+        # the parameter a model does not fit has no line, so no value is NaN
+        path = tmp_path / "curve.csv"
+        if model == "multiphoton":
+            s2 = np.sinh(np.linspace(0.05, 0.4, 12)) ** 2
+            rows = ["singles_rate,ratio"] + [f"{0.4 * s:.17g},{s / (2 * (1 + s)):.17g}" for s in s2]
+        else:
+            powers = np.linspace(0.0, 1.5, 12)
+            rows = ["power_w,value"] + [f"{p:.17g},{math.cos(0.8 * p) ** 2:.17g}" for p in powers]
+        path.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "fit.txt"
+        assert main(["fit", "--data", str(path), "--model", model, "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0].startswith("# nwaybs ")
+        kv = dict(line.split("=", 1) for line in lines[1:])
+        assert list(kv) == keys
+        assert kv["converged"] == "1"
+        assert not any(math.isnan(float(v)) for v in kv.values())
+
 
 class TestSynthCommand:
     def test_synth_roundtrips_through_fit(self, tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from nwaybs import quantum
 from nwaybs.quantum import (
     INPUT_KINDS,
+    KINDS,
     InputState,
     coincidence_squeezed,
     correlation_curve,
@@ -21,7 +22,7 @@ from nwaybs.quantum import (
     pair_coincidence,
     singles,
 )
-from nwaybs.transfer import TransferMatrix, ideal_transfer, p_coeff, q_coeff
+from nwaybs.transfer import TransferMatrix, ideal_columns, ideal_transfer, p_coeff, q_coeff
 
 PHI_GRID = np.linspace(0.0, 2 * math.pi / 3, 97)
 TRITTER = 2 * math.pi / 9
@@ -98,6 +99,12 @@ class TestSingles:
         state = InputState(kind="photon_pair", modes=(1, 5))
         with pytest.raises(ValueError):
             singles(state, ideal_transfer(3, 0.1))
+
+    @pytest.mark.parametrize("in_modes", [(0, 3), (1, 4)])
+    def test_pair_coincidence_mode_out_of_range(self, in_modes):
+        # mode 0 would read the last column through numpy's negative index
+        with pytest.raises(ValueError, match=r"must lie in 1\.\.3"):
+            pair_coincidence(ideal_transfer(3, 0.4), in_modes, (1, 2))
 
 
 class TestPairStatistics:
@@ -291,6 +298,13 @@ class TestCorrelationCurve:
         with pytest.raises(ValueError, match="vanishes"):
             correlation_curve(state, PHI_GRID)
 
+    @pytest.mark.parametrize("kind", INPUT_KINDS)
+    def test_mode_out_of_range_raises(self, kind):
+        # a mode above n_modes names the modes, not an index error from the slab gather
+        state = InputState(kind=kind, modes=(4,) if kind == "single_coherent" else (1, 4))
+        with pytest.raises(ValueError, match=r"must lie in 1\.\.3"):
+            correlation_curve(state, PHI_GRID, n_modes=3)
+
     def test_single_coherent_has_no_g2(self):
         state = InputState(kind="single_coherent", modes=(1,))
         curve = correlation_curve(state, PHI_GRID)
@@ -362,7 +376,7 @@ def input_states(draw, n, kinds=INPUT_KINDS):
 def sweep_cases(draw):
     n = draw(st.sampled_from([2, 3, 8, 16]))
     state = draw(input_states(n))
-    block = quantum.BLOCK_ENTRIES // n**2
+    block = quantum.BLOCK_ENTRIES // (n * len(state.modes))
     # long enough to cross at least one block boundary
     points = block + draw(st.integers(1, 2 * block))
     lo = draw(st.floats(-1.0, 1.0))
@@ -377,7 +391,7 @@ class TestCorrelationCurveStack:
         state, n, phis = case
         curve = correlation_curve(state, phis, n_modes=n)
         pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-        block = quantum.BLOCK_ENTRIES // n**2
+        block = quantum.BLOCK_ENTRIES // (n * len(state.modes))
         edges = [k for b in range(block, len(phis), block) for k in (b - 1, b)]
         extra = data.draw(st.lists(st.integers(0, len(phis) - 1), max_size=4))
         in_pair = (min(state.modes), max(state.modes))
@@ -445,6 +459,13 @@ def _ref_coincidence_squeezed(state, u, ports):
     return prefac * (paired + uncorr)
 
 
+def _dual_product(s, ports):
+    """Dual coherent coincidences as products of the public singles, pair by pair."""
+    if np.ndim(ports) == 1:
+        return s[..., ports[0] - 1] * s[..., ports[1] - 1]
+    return np.stack([s[..., i - 1] * s[..., j - 1] for i, j in ports], -1)
+
+
 def reference_curve(state, phis, n_modes):
     phis = np.asarray(phis, dtype=float)
     pairs = [(i, j) for i in range(1, n_modes + 1) for j in range(i + 1, n_modes + 1)]
@@ -477,7 +498,8 @@ class TestAllPairs:
         lo = data.draw(st.floats(-1.0, 1.0))
         phis = np.linspace(lo, lo + data.draw(st.floats(0.5, 8.0)), points)
         # blocks of 1 to 9 phases, so most grids cross block boundaries
-        entries = n * n * data.draw(st.integers(1, 9)) + data.draw(st.integers(0, n * n - 1))
+        per_point = n * len(state.modes)  # input-column slab entries per phase
+        entries = per_point * data.draw(st.integers(1, 9)) + data.draw(st.integers(0, per_point - 1))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(quantum, "BLOCK_ENTRIES", entries)
             curve = correlation_curve(state, phis, n_modes=n)
@@ -522,6 +544,33 @@ class TestAllPairs:
             assert type(pair_coincidence(one, (2, 4), ports)) is float
             assert type(coincidence_squeezed(state, one, ports)) is float
         assert pair_coincidence(one, (2, 4), np.array([[1, 3]])).shape == (1,)
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_kind_kernels_on_a_slab_equal_the_observables(self, data):
+        n = data.draw(st.integers(2, 16))
+        state = data.draw(input_states(n))
+        cols = [m - 1 for m in state.modes]
+        kind = KINDS[state.kind]
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+        port_list = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=20))
+        lo = data.draw(st.floats(-1.0, 1.0))
+        phis = np.linspace(lo, lo + data.draw(st.floats(0.5, 8.0)), data.draw(st.integers(1, 40)))
+        for phi in (phis[0], phis):
+            c, tm = ideal_columns(n, phi, cols), ideal_transfer(n, phi)
+            s = kind.singles(state, c)
+            assert np.array_equal(s, singles(state, tm))
+            if kind.coincidence is None:
+                continue
+            public = {
+                "dual_coherent": lambda ports: _dual_product(singles(state, tm), ports),
+                "photon_pair": lambda ports: pair_coincidence(tm, state.modes, ports),
+                "squeezed_vacuum": lambda ports: coincidence_squeezed(state, tm, ports),
+            }[state.kind]
+            for ports in (port_list[0], np.array(port_list)):
+                got, want = kind.coincidence(state, c, s, ports), public(ports)
+                assert type(got) is type(want)
+                assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("ports", [(1, 2, 3), [[1, 2, 3]], np.ones((2, 2, 2), int)])
     def test_bad_port_shape_raises(self, ports):

@@ -11,6 +11,7 @@ from nwaybs.transfer import (
     PumpConfig,
     TransferMatrix,
     general_transfer,
+    ideal_columns,
     ideal_transfer,
     loss_reduced_phase,
     lossy_transfer,
@@ -121,6 +122,37 @@ class TestTransferStack:
         entries = ideal_transfer(3, self.PHIS).entries.copy()
         entries[100, 1, 2] += 1e-6
         assert TransferMatrix(entries=entries, phi=self.PHIS).unitarity_residual() > 1e-7
+
+
+class TestIdealColumns:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_columns_equal_the_full_matrix(self, data):
+        n = data.draw(st.integers(2, 16))
+        # any subset of the columns, in any order
+        cols = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        lo = data.draw(st.floats(-1.0, 1.0))
+        phis = np.linspace(lo, lo + data.draw(st.floats(0.5, 8.0)), data.draw(st.integers(1, 40)))
+        for phi in (phis[0], phis):
+            c = ideal_columns(n, phi, cols)
+            assert c.shape == np.shape(phi) + (n, len(cols))
+            assert np.array_equal(c, ideal_transfer(n, phi).entries[..., :, cols])
+
+    def test_all_columns_are_the_transfer(self):
+        phis = np.linspace(-1.0, 4 * math.pi, 33)
+        for n in (2, 3, 16):
+            stack = ideal_transfer(n, phis).entries
+            assert stack.flags.c_contiguous
+            assert stack.tobytes() == ideal_columns(n, phis, range(n)).tobytes()
+
+    @pytest.mark.parametrize("cols", [[3], [0, 3], [-1]])
+    def test_column_out_of_range(self, cols):
+        with pytest.raises(ValueError):
+            ideal_columns(3, 0.2, cols)
+
+    def test_needs_two_modes(self):
+        with pytest.raises(ValueError):
+            ideal_columns(1, 0.2, [0])
 
 
 class TestGeneralTransfer:
