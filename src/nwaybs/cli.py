@@ -34,10 +34,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
+# only the layers the schema needs; each subcommand imports the others it runs
 from .dispersion import DispersionProfile, FrequencyGrid, nonlinear_mismatch
-from .fitting import fit_phase_scale, fit_zeta, generate_synthetic
-from .propagation import IntegratorSettings, integrate_weak
-from .oracle import loss_chain, wick_moments
 from .quantum import KINDS, InputState, correlation_curve, g2_squeezed_full
 from .transfer import PumpConfig, general_transfer, ideal_transfer, lossy_transfer, to_lab_frame
 
@@ -327,6 +325,8 @@ def cmd_phasematch(args, cfg: dict) -> Table:
 
 
 def _oracle_classical_rows(cfg, tol):
+    from .propagation import IntegratorSettings, integrate_weak
+
     profile, grid, pumps = cfg["profile"], cfg["grid"], cfg["pumps"]
     mismatch = nonlinear_mismatch(profile, grid, pumps.powers)
     if profile.alpha > 0.0:
@@ -351,6 +351,8 @@ def _oracle_classical_rows(cfg, tol):
 
 
 def _oracle_quantum_rows(cfg, tol):
+    from .oracle import loss_chain, wick_moments
+
     state = cfg.get("input", InputState(kind="squeezed_vacuum", zeta=0.4))
     n_modes = cfg.get("n_modes", 3)
     t_pre = state.transmissions("pre_loss", n_modes)
@@ -406,6 +408,8 @@ def _read_curve_csv(path):
 
 
 def cmd_fit(args) -> int:
+    from .fitting import fit_phase_scale, fit_zeta
+
     header, data = _read_curve_csv(args.data)
     cols = {name: data[:, i] for i, name in enumerate(header)}
     depletion = args.model in ("pair", "coherent")
@@ -432,6 +436,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_synth(args, cfg: dict) -> Table:
+    from .fitting import generate_synthetic
+
     sweep = cfg["sweep"]
     n_modes = cfg.get("n_modes", 3)
     records = generate_synthetic(sweep["phase_scale_rad_per_w"], sweep["powers_w"], n_modes=n_modes,

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+# top level, not in the fits: benchmarks/worker.py reads sys.modules["scipy"].__version__
 import scipy  # scipy.optimize loads on first attribute access
 
 from .quantum import BLOCK_ENTRIES, InputState, correlation_curve, multiphoton_ratio_model

@@ -251,8 +251,12 @@ def g2_squeezed_full(state: InputState, transfer: TransferMatrix, ports=(1, 3)) 
     """Squeezed-vacuum coincidence normalized to its zero-phase value.
 
     Post-interaction losses cancel in the ratio; pre-interaction loss
-    asymmetry survives through the multiphoton term.
+    asymmetry survives through the multiphoton term.  ``ports`` is one
+    output pair: a cross pair's zero-phase coincidence is exactly 0, so the
+    (K, 2) form of ``coincidence_squeezed`` could not be normalized.
     """
+    if np.shape(ports) != (2,):
+        raise ValueError(f"ports must be one output pair (i, j), not shape {np.shape(ports)}")
     raw = coincidence_squeezed(state, transfer, ports)
     ref = coincidence_squeezed(state, ideal_transfer(transfer.n_modes, 0.0), ports)
     if ref == 0.0:
@@ -355,7 +359,7 @@ INPUT_KINDS = tuple(KINDS)
 
 
 def correlation_curve(state: InputState, phis, n_modes: int = 3) -> CorrelationResult:
-    """Sweep singles and normalized coincidences over a nonlinear-phase grid.
+    """Sweep singles and normalized coincidences over a 1-D nonlinear-phase grid.
 
     The grid is evaluated in blocks of at most ``BLOCK_ENTRIES`` entries of
     the input-column slab; each block is one ``ideal_columns`` slab and one
@@ -363,6 +367,8 @@ def correlation_curve(state: InputState, phis, n_modes: int = 3) -> CorrelationR
     one (len(phis), K) table, NaN throughout for a kind with no coincidence.
     """
     phis = np.asarray(phis, dtype=float)
+    if phis.ndim != 1:
+        raise ValueError(f"phis must be a 1-D array of phases, not shape {phis.shape}")
     cols = _input_columns(state.modes, n_modes)
     kind = KINDS[state.kind]
     sgl = np.empty((len(phis), n_modes))

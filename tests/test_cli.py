@@ -574,7 +574,7 @@ class TestOracleCommand:
     @pytest.mark.parametrize("check", ["classical", "all"])
     def test_nan_error_is_a_failure(self, tmp_path, capsys, monkeypatch, check):
         # an integrator that returns NaN makes every classical error NaN
-        monkeypatch.setattr("nwaybs.cli.integrate_weak",
+        monkeypatch.setattr("nwaybs.propagation.integrate_weak",
                             lambda *args: np.full((3, 3), np.nan, dtype=complex))
         cfgp = self.classical_cfg(tmp_path, [0.5, 0.5, 0.5])
         out = tmp_path / "o.csv"
@@ -1108,59 +1108,61 @@ def test_header_has_a_seed_line_only_when_the_config_has_seed(tmp_path, argv, cf
                       *([] if seed is None else [f"# seed={seed}"])]
 
 
-IMPORT_PATH_SCRIPT = r"""
+LOAD_PATH_SCRIPT = r"""
 import json, math, os, sys, tempfile
 
 import nwaybs.cli
 
-def loaded():
-    return "scipy.optimize" in sys.modules
-
-report = [("import", 0, loaded())]
-base = {"n_modes": 3, "input": {"kind": "squeezed_vacuum", "modes": [1, 3], "zeta": 0.4},
-        "sweep": {"powers_w": [0.2, 0.5], "phase_scale_rad_per_w": 1.5}}
 physics = {
     "profile": {"omega0_rad_s": 1.46e15, "beta_coeffs_si": [0.0, 0.0, 0.0, 1e-41],
                 "gamma_per_w_m": 2e-3, "length_m": 100.0},
     "grid": {"pump_freqs_rad_s": [1.47e15, 1.48e15], "weak_freqs_rad_s": [1.45e15, 1.44e15]},
     "pumps": {"powers_w": [0.5, 0.5]},
 }
+squeezed = {"kind": "squeezed_vacuum", "modes": [1, 3], "zeta": 0.4}
+inputs = {
+    "curve.json": json.dumps({"n_modes": 3, "input": squeezed, "sweep": {
+        "powers_w": [0.2, 0.5], "phase_scale_rad_per_w": 1.5}}),
+    "quantum.json": json.dumps({"n_modes": 3, "input": squeezed}),
+    "transfer.json": json.dumps({"n_modes": 3}),
+    "physics.json": json.dumps(physics),
+    "curve.csv": "power_w,value\n" + "".join(
+        f"{p},{math.cos(p) ** 2}\n" for p in (0.1 * k for k in range(12))),
+}
 with tempfile.TemporaryDirectory() as tmp:
-    def path(name, text):
-        p = os.path.join(tmp, name)
-        with open(p, "w") as fh:
+    for name, text in inputs.items():
+        with open(os.path.join(tmp, name), "w") as fh:
             fh.write(text)
-        return p
-    base_cfg = path("base.json", json.dumps(base))
-    oracle_cfg = path("oracle.json", json.dumps({"n_modes": 3, "input": base["input"]}))
-    transfer_cfg = path("transfer.json", json.dumps({"n_modes": 3}))
-    physics_cfg = path("physics.json", json.dumps(physics))
-    out = os.path.join(tmp, "out")
-    runs = [
-        ["transfer", "--config", transfer_cfg, "--phi", "0.3"],
-        ["sweep", "--config", base_cfg],
-        ["phasematch", "--config", physics_cfg],
-        ["oracle", "--config", oracle_cfg, "--check", "quantum"],
-        ["synth", "--config", base_cfg],
-        ["fit", "--model", "pair", "--data", path("curve.csv", "power_w,value\n" + "".join(
-            f"{p},{math.cos(p) ** 2}\n" for p in (0.1 * k for k in range(12))))],
-    ]
-    for argv in runs:
-        rc = nwaybs.cli.main(argv + ["--out", out])
-        report.append((argv[0], rc, loaded()))
-print(json.dumps(report))
+    argv = [os.path.join(tmp, a) if a in inputs else a for a in json.loads(sys.argv[1])]
+    rc = nwaybs.cli.main(argv + ["--out", os.path.join(tmp, "out")])
+print(json.dumps([rc, sorted(m for m in sys.modules if m.split(".")[0] == "nwaybs"),
+                  sorted({"scipy", "scipy.optimize"} & set(sys.modules))]))
 """
 
+# the layers the schema needs, which every subcommand loads
+SCHEMA_LAYERS = ["nwaybs", "nwaybs.cli", "nwaybs.dispersion", "nwaybs.quantum", "nwaybs.transfer"]
+LOAD_PATH_CASES = [
+    (["transfer", "--config", "transfer.json", "--phi", "0.3"], [], []),
+    (["sweep", "--config", "curve.json"], [], []),
+    (["phasematch", "--config", "physics.json"], [], []),
+    (["oracle", "--config", "quantum.json", "--check", "quantum"], ["nwaybs.oracle"], []),
+    (["oracle", "--config", "physics.json", "--check", "classical"], ["nwaybs.propagation"], []),
+    (["synth", "--config", "curve.json"], ["nwaybs.fitting"], ["scipy"]),
+    (["fit", "--model", "pair", "--data", "curve.csv"], ["nwaybs.fitting"],
+     ["scipy", "scipy.optimize"]),
+]
 
-def test_scipy_optimize_loads_only_for_fit(tmp_path):
-    """A fresh interpreter loads scipy.optimize only when a fit runs."""
+
+@pytest.mark.parametrize("argv, layers, scipy", LOAD_PATH_CASES,
+                         ids=["transfer", "sweep", "phasematch", "oracle-quantum",
+                              "oracle-classical", "synth", "fit"])
+def test_subcommand_loads_only_its_layers(tmp_path, argv, layers, scipy):
+    """A fresh interpreter running one subcommand loads only the layers it runs."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(nwaybs.__file__)))
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PATH_SCRIPT], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, check=True)
+    proc = subprocess.run([sys.executable, "-c", LOAD_PATH_SCRIPT, json.dumps(argv)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, check=True)
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report == [["import", 0, False], ["transfer", 0, False], ["sweep", 0, False],
-                      ["phasematch", 0, False], ["oracle", 0, False], ["synth", 0, False],
-                      ["fit", 0, True]]
+    assert report == [0, sorted(SCHEMA_LAYERS + layers), scipy]
     assert list(tmp_path.iterdir()) == []

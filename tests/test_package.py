@@ -1,0 +1,86 @@
+"""The package namespace: every public name, loaded from its submodule on first use."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import nwaybs
+
+# the names ``nwaybs`` has exported since it imported every layer eagerly
+PUBLIC_NAMES = {
+    "dispersion": ["DispersionProfile", "FrequencyGrid", "MismatchReport", "beta2_eval",
+                   "beta_eval", "delta_beta_pair", "delta_beta_table", "find_zgvd",
+                   "nonlinear_mismatch", "symmetric_grid"],
+    "transfer": ["NonlinearPhase", "PumpConfig", "TransferMatrix", "general_transfer",
+                 "ideal_columns", "ideal_transfer", "loss_reduced_phase", "lossy_transfer",
+                 "p_coeff", "pump_evolution", "q_coeff", "sinhc", "to_lab_frame"],
+    "propagation": ["IntegratorSettings", "full_fwm_reference", "integrate_pumps",
+                    "integrate_weak", "rk4_integrate"],
+    "quantum": ["CorrelationResult", "InputState", "correlation_curve", "g2_dual_coherent",
+                "g2_multiphoton", "g2_photon_pair", "g2_squeezed_full",
+                "multiphoton_ratio_model", "multiphoton_scaling_curve", "pair_coincidence",
+                "singles"],
+    "oracle": ["BogoliubovMap", "FockState", "McEstimate", "compose", "fock_basis_state",
+               "fock_evolve", "loss_chain", "loss_map", "mc_phase_average", "passive_map",
+               "squeezer_map", "two_mode_squeezed_fock", "wick_moments"],
+    "fitting": ["CountRecord", "FitResult", "fit_channel_scales", "fit_phase_scale",
+                "fit_zeta", "generate_synthetic", "normalize_coincidences"],
+}
+NAMES = [(module, name) for module, names in PUBLIC_NAMES.items() for name in names]
+
+
+def test_all_is_the_public_names():
+    assert sorted(nwaybs.__all__) == sorted(name for _, name in NAMES)
+
+
+def test_every_name_is_its_submodules():
+    for module, name in NAMES:
+        assert getattr(nwaybs, name) is getattr(importlib.import_module(f"nwaybs.{module}"), name)
+        assert name in dir(nwaybs)
+
+
+def test_lookup_follows_a_patched_submodule(monkeypatch):
+    # nothing is cached in the package, so a patch on the submodule is what nwaybs returns
+    marker = object()
+    monkeypatch.setattr("nwaybs.transfer.ideal_transfer", marker)
+    assert nwaybs.ideal_transfer is marker
+    monkeypatch.undo()
+    assert "ideal_transfer" not in vars(nwaybs)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        nwaybs.no_such_name
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from nwaybs import *", namespace)
+    assert {name for _, name in NAMES} <= set(namespace)
+
+
+FRESH_IMPORT_SCRIPT = r"""
+import json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("nwaybs", "scipy"))
+
+import nwaybs
+bare = loaded()
+import nwaybs.fitting
+print(json.dumps([bare, "scipy" in sys.modules]))
+"""
+
+
+def test_import_loads_no_submodule(tmp_path):
+    """A bare ``import nwaybs`` loads no layer and no scipy; the fitting layer loads scipy."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nwaybs.__file__)))
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", FRESH_IMPORT_SCRIPT], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout) == [["nwaybs"], True]

@@ -225,6 +225,15 @@ class TestSqueezedFull:
             closed = float(g2_multiphoton(phi, 0.5, 0.85, 0.6))
             assert full == pytest.approx(closed, rel=1e-12)
 
+    @pytest.mark.parametrize("ports", [np.array([[1, 3], [1, 2]]), np.array([[1, 3]]),
+                                       (1, 2, 3), 1],
+                             ids=["two-pairs", "one-pair-as-(1,2)", "triple", "scalar"])
+    def test_takes_exactly_one_port_pair(self, ports):
+        # a cross pair's zero-phase reference is exactly 0, so a (K, 2) form cannot normalize
+        state = InputState(kind="squeezed_vacuum", zeta=0.4)
+        with pytest.raises(ValueError, match="ports"):
+            g2_squeezed_full(state, ideal_transfer(3, 0.5), ports)
+
 
 class TestGlobalAndPumpPhaseInvariance:
     @given(st.floats(0, 2 * math.pi, allow_nan=False),
@@ -304,6 +313,11 @@ class TestCorrelationCurve:
         state = InputState(kind=kind, modes=(4,) if kind == "single_coherent" else (1, 4))
         with pytest.raises(ValueError, match=r"must lie in 1\.\.3"):
             correlation_curve(state, PHI_GRID, n_modes=3)
+
+    @pytest.mark.parametrize("phis", [0.5, np.zeros((4, 5))], ids=["scalar", "2-D"])
+    def test_phis_must_be_one_dimensional(self, phis):
+        with pytest.raises(ValueError, match=r"phis must be a 1-D array"):
+            correlation_curve(InputState(kind="photon_pair"), phis)
 
     def test_single_coherent_has_no_g2(self):
         state = InputState(kind="single_coherent", modes=(1,))
