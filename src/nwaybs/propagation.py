@@ -22,6 +22,13 @@ map B -> B + D B, built from the four stage matrices M1..M4:
 
 which is the joint scheme's weak-field update k1..k4 regrouped.  The maps
 are built for blocks of steps at once and applied in order as increments.
+
+M(z) carries the mismatch phasors e^{i dbeta z}, and a step's four stages sit
+at only three positions: z, z + h/2 (stages 2 and 3) and z + h.  On the
+uniform step grid h = z_next - z is exact (Sterbenz lemma), so z + h is the
+next grid point bit for bit, and stage 4 of one step shares its phasors with
+stage 1 of the next.  A block of S steps therefore needs the phasors at its
+S + 1 grid points and S midpoints, 2S + 1 evaluations instead of 4S.
 """
 
 from __future__ import annotations
@@ -55,10 +62,13 @@ class IntegratorSettings:
     richardson_tol: float = 1e-8
 
     def validate(self, length: float) -> None:
-        if self.step <= 0:
-            raise ValueError("step must be > 0")
+        if not math.isfinite(self.step) or self.step <= 0:
+            raise ValueError("step must be finite and > 0")
         if self.step > length / 100:
             raise ValueError("step must be <= L/100")
+        # a NaN tolerance fails every comparison and so would pass any step
+        if not self.richardson_tol >= 0:
+            raise ValueError("richardson_tol must be >= 0")
 
 
 def _step_grid(z_end: float, step: float) -> np.ndarray:
@@ -69,8 +79,9 @@ def _step_grid(z_end: float, step: float) -> np.ndarray:
 def rk4_integrate(rhs, y0: np.ndarray, z_end: float, step: float) -> np.ndarray:
     """Integrate dy/dz = rhs(z, y) from 0 to z_end; returns the trajectory.
 
-    The grid is n_steps + 1 points including both endpoints; the last
-    interval is shrunk so the final point lands exactly on z_end.
+    The grid is ``np.linspace``: n_steps = ceil(z_end / step) equal intervals,
+    none longer than ``step`` (to rounding), so n_steps + 1 points including
+    both endpoints.
     """
     zs = _step_grid(z_end, step)
     traj = np.empty((len(zs), len(y0)), dtype=complex)
@@ -118,13 +129,12 @@ def _trajectory(rhs, y0, z_end):
     return solve
 
 
-def _pump_stages(profile: DispersionProfile, a0, step: float):
+def _pump_stages(profile: DispersionProfile, a0, sizes: np.ndarray):
     """One RK4 pass over the pump equations on Python complex scalars.
 
-    Runs ``rk4_integrate``'s scheme on the same step grid (module docstring)
-    and returns the stage positions (S, 4), formed exactly as
-    ``rk4_integrate`` forms them, the stage amplitudes (S, 4, N) and the
-    final amplitudes (N,).
+    Runs ``rk4_integrate``'s scheme over steps of the ``sizes`` (S,) of the
+    step grid (module docstring) and returns the stage amplitudes (S, 4, N)
+    and the final amplitudes (N,).
     """
     loss, i_gamma = -profile.alpha, 1j * profile.gamma
 
@@ -136,11 +146,9 @@ def _pump_stages(profile: DispersionProfile, a0, step: float):
         # self-phase p plus twice the cross-phase of the others: 2 total - p
         return [(loss + i_gamma * (twice_total - p)) * x for p, x in zip(powers, a)]
 
-    zs = _step_grid(profile.length, step).tolist()
     a = [complex(x) for x in a0]
-    stage_z, stage_a = [], []
-    for z, z_next in zip(zs, zs[1:]):
-        h = z_next - z
+    stages = []
+    for h in sizes.tolist():
         half, sixth = h / 2, h / 6
         k1 = rhs(a)
         a2 = [x + half * k for x, k in zip(a, k1)]
@@ -149,11 +157,13 @@ def _pump_stages(profile: DispersionProfile, a0, step: float):
         k3 = rhs(a3)
         a4 = [x + h * k for x, k in zip(a, k3)]
         k4 = rhs(a4)
-        stage_z.append((z, z + half, z + half, z + h))
-        stage_a.append((a, a2, a3, a4))
+        stages += a
+        stages += a2
+        stages += a3
+        stages += a4
         a = [x + sixth * (d1 + 2 * d2 + 2 * d3 + d4)
              for x, d1, d2, d3, d4 in zip(a, k1, k2, k3, k4)]
-    return np.array(stage_z), np.array(stage_a, dtype=complex), np.array(a, dtype=complex)
+    return np.array(stages, dtype=complex).reshape(-1, 4, len(a)), np.array(a, dtype=complex)
 
 
 def integrate_pumps(
@@ -163,22 +173,34 @@ def integrate_pumps(
     settings.validate(profile.length)
 
     def solve(step):
-        _, a, a_end = _pump_stages(profile, pumps.amplitudes, step)
+        h = np.diff(_step_grid(profile.length, step))
+        a, a_end = _pump_stages(profile, pumps.amplitudes, h)
         return np.concatenate([a[:, 0], a_end[None]]), a_end
 
     return _run_with_richardson(solve, settings)
 
 
-def _weak_increments(z, a, h, dbeta, gamma, alpha):
+def _weak_increments(z, h, a, dbeta, gamma, alpha):
     """RK4 increment matrices D for a block of steps (module docstring).
 
-    ``z`` (S, 4) and ``a`` (S, 4, N) are the stage positions and pump
-    amplitudes of S steps of size ``h`` (S,); returns D with shape (S, N, N).
+    ``z`` (S + 1,) are the grid points of S steps of size ``h`` (S,), and
+    ``a`` (S, 4, N) the pump amplitudes at their four stages; returns D with
+    shape (S, N, N).  The phasors are evaluated once per distinct stage
+    position: at the S + 1 grid points, which serve stage 1 of a step and
+    stage 4 of the step before it, and at the S midpoints z + h/2 of stages
+    2 and 3.
     """
     n = a.shape[-1]
     # m[..., n, l] = 2 i gamma e^{i dbeta_ln z} A_l A_n^*: channel l into n
-    m = np.exp((1j * dbeta.T) * z[..., None, None])
-    m *= a[..., None, :] * a.conj()[..., :, None]
+    rot = 1j * dbeta.T
+    on_grid = np.exp(rot * z[:, None, None])
+    mid = np.exp(rot * (z[:-1] + h / 2)[:, None, None])
+    m = a[..., None, :] * a.conj()[..., :, None]
+    # phasor as the left operand: numpy's complex product may use fused
+    # multiply-adds, so a * b and b * a can differ in the last bit
+    np.multiply(on_grid[:-1], m[:, 0], out=m[:, 0])
+    np.multiply(mid[:, None], m[:, 1:3], out=m[:, 1:3])
+    np.multiply(on_grid[1:], m[:, 3], out=m[:, 3])
     m *= 2j * gamma
     xpm = 2.0 * np.sum(np.abs(a) ** 2, axis=-1)
     diag = np.arange(n)
@@ -232,13 +254,15 @@ def integrate_weak(
     steps_per_block = max(1, MAP_BLOCK_ENTRIES // (4 * n * n))
 
     def solve(step):
-        h = np.diff(_step_grid(profile.length, step))
-        z, a, a_end = _pump_stages(profile, pumps.amplitudes, step)
-        b = b0
+        z = _step_grid(profile.length, step)
+        h = np.diff(z)
+        a, a_end = _pump_stages(profile, pumps.amplitudes, h)
+        b = b0.copy()
         for start in range(0, len(h), steps_per_block):
-            rows = slice(start, start + steps_per_block)
-            for d in _weak_increments(z[rows], a[rows], h[rows], dbeta, gamma, alpha):
-                b = b + d @ b
+            stop = start + steps_per_block
+            for d in _weak_increments(z[start:stop + 1], h[start:stop], a[start:stop],
+                                      dbeta, gamma, alpha):
+                b += d @ b
         return b, np.concatenate([a_end, b.ravel()])
 
     return _run_with_richardson(solve, settings)

@@ -5,16 +5,22 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings as hyp_settings, strategies as st
+
 from nwaybs.dispersion import (
     DispersionProfile,
     beta_eval,
     delta_beta_pair,
+    delta_beta_table,
     nonlinear_mismatch,
     symmetric_grid,
 )
 from nwaybs.propagation import (
+    MAP_BLOCK_ENTRIES,
     IntegratorSettings,
     _pump_stages,
+    _run_with_richardson,
+    _step_grid,
     full_fwm_reference,
     integrate_pumps,
     integrate_weak,
@@ -87,8 +93,92 @@ def recorded_pump_pass(profile, a0, step):
             np.array(stage_a).reshape(-1, 4, len(a0)), traj)
 
 
+def unshared_pump_stages(profile, a0, step):
+    """The scalar pump pass that records its stages as nested 4-tuples.
+
+    Kept as the bit-for-bit reference for ``propagation._pump_stages``:
+    returns the (S, 4) stage positions, formed as Python floats, the
+    (S, 4, N) stage amplitudes and the final amplitudes (N,).
+    """
+    loss, i_gamma = -profile.alpha, 1j * profile.gamma
+
+    def rhs(a):
+        powers = [x.real * x.real + x.imag * x.imag for x in a]
+        twice_total = 2.0 * sum(powers)
+        return [(loss + i_gamma * (twice_total - p)) * x for p, x in zip(powers, a)]
+
+    zs = _step_grid(profile.length, step).tolist()
+    a = [complex(x) for x in a0]
+    stage_z, stage_a = [], []
+    for z, z_next in zip(zs, zs[1:]):
+        h = z_next - z
+        half, sixth = h / 2, h / 6
+        k1 = rhs(a)
+        a2 = [x + half * k for x, k in zip(a, k1)]
+        k2 = rhs(a2)
+        a3 = [x + half * k for x, k in zip(a, k2)]
+        k3 = rhs(a3)
+        a4 = [x + h * k for x, k in zip(a, k3)]
+        k4 = rhs(a4)
+        stage_z.append((z, z + half, z + half, z + h))
+        stage_a.append((a, a2, a3, a4))
+        a = [x + sixth * (d1 + 2 * d2 + 2 * d3 + d4)
+             for x, d1, d2, d3, d4 in zip(a, k1, k2, k3, k4)]
+    return np.array(stage_z), np.array(stage_a, dtype=complex), np.array(a, dtype=complex)
+
+
+def unshared_weak_increments(z, a, h, dbeta, gamma, alpha):
+    """RK4 increment matrices with one phasor evaluation per stage (S, 4)."""
+    n = a.shape[-1]
+    m = np.exp((1j * dbeta.T) * z[..., None, None])
+    m *= a[..., None, :] * a.conj()[..., :, None]
+    m *= 2j * gamma
+    xpm = 2.0 * np.sum(np.abs(a) ** 2, axis=-1)
+    diag = np.arange(n)
+    m[..., diag, diag] = (-alpha + 1j * gamma * xpm)[..., None]
+    h = h[:, None, None]
+    s = m[:, 0]
+    total = s.copy()
+    s = m[:, 1] + h / 2 * (m[:, 1] @ s)
+    total += 2 * s
+    s = m[:, 2] + h / 2 * (m[:, 2] @ s)
+    total += 2 * s
+    s = m[:, 3] + h * (m[:, 3] @ s)
+    total += s
+    return h / 6 * total
+
+
+def unshared_integrate_weak(profile, grid, pumps, b0, settings):
+    """integrate_weak with four phasors per step and a copying apply loop."""
+    n = grid.n_modes
+    dbeta = delta_beta_table(profile, grid)
+    steps_per_block = max(1, MAP_BLOCK_ENTRIES // (4 * n * n))
+
+    def solve(step):
+        h = np.diff(_step_grid(profile.length, step))
+        z, a, a_end = unshared_pump_stages(profile, pumps.amplitudes, step)
+        b = np.asarray(b0, dtype=complex)
+        for start in range(0, len(h), steps_per_block):
+            rows = slice(start, start + steps_per_block)
+            for d in unshared_weak_increments(z[rows], a[rows], h[rows], dbeta,
+                                              profile.gamma, profile.alpha):
+                b = b + d @ b
+        return b, np.concatenate([a_end, b.ravel()])
+
+    return _run_with_richardson(solve, settings)
+
+
+def unshared_integrate_pumps(profile, pumps, settings):
+    """integrate_pumps on the pump pass that records nested 4-tuples."""
+    def solve(step):
+        _, a, a_end = unshared_pump_stages(profile, pumps.amplitudes, step)
+        return np.concatenate([a[:, 0], a_end[None]]), a_end
+
+    return _run_with_richardson(solve, settings)
+
+
 def weak_case(kind, n):
-    """Profile, grid and pumps for a matched, mismatched or lossy N-mode case."""
+    """Profile, grid and pumps for a matched, mismatched, unequal or lossy case."""
     offsets = (1 + np.arange(n)) * 1e12
     rng = np.random.default_rng(n)
     phases = tuple(rng.uniform(0, 2 * math.pi, n))
@@ -100,7 +190,8 @@ def weak_case(kind, n):
     else:
         prof = flat_profile(alpha=4.950556e-5 if kind == "lossy" else 0.0)
         grid = symmetric_grid(W0, offsets)
-        pumps = PumpConfig(powers=(0.7,) * n, phases=phases)
+        powers = tuple(rng.uniform(0.2, 0.8, n)) if kind == "unequal" else (0.7,) * n
+        pumps = PumpConfig(powers=powers, phases=phases)
     seed = math.sqrt(1e-7 * min(pumps.powers))
     return prof, grid, pumps, seed
 
@@ -128,6 +219,26 @@ class TestRK4:
             IntegratorSettings(step=-1.0).validate(100.0)
         with pytest.raises(ValueError):
             IntegratorSettings(step=10.0).validate(100.0)  # > L/100
+
+    @pytest.mark.parametrize("field, value", [
+        ("step", float("nan")),
+        ("step", float("inf")),
+        ("richardson_tol", float("nan")),
+        ("richardson_tol", -1e-8),
+    ])
+    def test_non_finite_or_negative_setting_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            IntegratorSettings(**{"step": 1.0, field: value}).validate(100.0)
+
+    def test_nan_tolerance_does_not_switch_the_check_off(self):
+        # the default tolerance rejects this step; a NaN one must not pass it
+        prof = flat_profile(gamma=0.05, length=100.0)
+        pumps = PumpConfig(powers=(1.0, 1.0, 1.0))
+        with pytest.raises(RuntimeError, match="discrepancy"):
+            integrate_pumps(prof, pumps, IntegratorSettings(step=1.0))
+        with pytest.raises(ValueError, match="richardson_tol"):
+            integrate_pumps(prof, pumps,
+                            IntegratorSettings(step=1.0, richardson_tol=float("nan")))
 
     def test_richardson_catches_coarse_step(self):
         # a rapidly oscillating system at the coarsest legal step trips
@@ -191,10 +302,14 @@ class TestScalarPumpPass:
         pumps, alpha = PUMP_CASES[case]
         prof = flat_profile(alpha=alpha)
         step = prof.length / 200
-        z, a, a_end = _pump_stages(prof, pumps.amplitudes, step)
+        grid = _step_grid(prof.length, step)
+        h = np.diff(grid)
+        a, a_end = _pump_stages(prof, pumps.amplitudes, h)
         ref_z, ref_a, ref_traj = recorded_pump_pass(prof, pumps.amplitudes, step)
-        assert z.shape == (200, 4) and a.shape == (200, 4, pumps.n_modes)
-        assert np.array_equal(z, ref_z)
+        assert a.shape == (200, 4, pumps.n_modes)
+        # the stage positions as integrate_weak forms them from the step grid
+        mid = grid[:-1] + h / 2
+        assert np.array_equal(np.stack([grid[:-1], mid, mid, grid[1:]], axis=1), ref_z)
         assert self.rel_err(a, ref_a) < 1e-13
         assert self.rel_err(a_end, ref_traj[-1]) < 1e-13
 
@@ -332,6 +447,67 @@ class TestWeakMapsMatchJointRK4:
             integrate_weak(prof, grid, pumps, np.zeros((4, 2)), settings_for(prof))
         with pytest.raises(ValueError, match="dimension"):
             integrate_weak(prof, grid, pumps, np.zeros((3, 2, 1)), settings_for(prof))
+
+
+class TestBitIdenticalToUnsharedPass:
+    """Shared phasors, the flat stage array and in-place steps change no bit."""
+
+    @pytest.mark.parametrize("kind", ["matched", "mismatched", "unequal", "lossy"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_integrate_weak(self, n, kind):
+        prof, grid, pumps, seed = weak_case(kind, n)
+        rng = np.random.default_rng(200 + n)
+        block = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+        block *= seed / np.max(np.abs(block))
+        # one seed with the Richardson check at a step dividing L, and a block
+        # without it at a step that does not divide L
+        for b0, step, richardson in ((block[:, 0], prof.length / 200, True),
+                                     (block, prof.length / 107.3, False)):
+            settings = IntegratorSettings(step=step, richardson_check=richardson)
+            out = integrate_weak(prof, grid, pumps, b0, settings)
+            ref = unshared_integrate_weak(prof, grid, pumps, b0, settings)
+            assert out.shape == b0.shape
+            assert out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("richardson", [True, False])
+    @pytest.mark.parametrize("case", list(PUMP_CASES))
+    def test_integrate_pumps(self, case, richardson):
+        pumps, alpha = PUMP_CASES[case]
+        prof = flat_profile(alpha=alpha)
+        settings = IntegratorSettings(step=prof.length / 211.7, richardson_check=richardson)
+        out = integrate_pumps(prof, pumps, settings)
+        ref = unshared_integrate_pumps(prof, pumps, settings)
+        assert out.tobytes() == ref.tobytes()
+
+    def test_coarse_step_raises_the_same_message(self):
+        prof = flat_profile(gamma=1.0, length=100.0)
+        pumps = PumpConfig(powers=(1.0, 1.0, 1.0))
+        coarse = IntegratorSettings(step=1.0, richardson_tol=1e-14)
+        with pytest.raises(RuntimeError, match="discrepancy") as got:
+            integrate_pumps(prof, pumps, coarse)
+        with pytest.raises(RuntimeError) as ref:
+            unshared_integrate_pumps(prof, pumps, coarse)
+        assert str(got.value) == str(ref.value)
+
+        prof, grid, pumps, seed = weak_case("mismatched", 4)
+        b0 = np.full(4, seed, dtype=complex)
+        coarse = IntegratorSettings(step=prof.length / 100, richardson_tol=1e-14)
+        with pytest.raises(RuntimeError, match="discrepancy") as got:
+            integrate_weak(prof, grid, pumps, b0, coarse)
+        with pytest.raises(RuntimeError) as ref:
+            unshared_integrate_weak(prof, grid, pumps, b0, coarse)
+        assert str(got.value) == str(ref.value)
+
+
+@hyp_settings(max_examples=200, deadline=None)
+@given(length=st.floats(1e-3, 1e4),
+       steps=st.one_of(st.integers(100, 100_000), st.floats(100.0, 1e5)))
+def test_grid_point_plus_step_is_next_grid_point(length, steps):
+    """z + h lands exactly on the next grid point, so RK4 stage 4 of a step
+    and stage 1 of the next share one phasor (Sterbenz: h = z_next - z is
+    exact)."""
+    z = _step_grid(length, length / steps)
+    assert np.array_equal(z[:-1] + np.diff(z), z[1:])
 
 
 class TestFullFwmReference:
