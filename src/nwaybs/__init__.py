@@ -9,9 +9,10 @@ chain used on measured count curves.
 
 ``import nwaybs`` loads no submodule.  Each public name below is looked up
 in its submodule on first use (PEP 562), so ``nwaybs.fit_zeta`` imports
-``nwaybs.fitting`` (and scipy) and ``nwaybs.ideal_transfer`` imports only
-``nwaybs.transfer`` and ``nwaybs.dispersion``.  The lookup is not cached
-here: ``nwaybs.X`` is always the submodule's current ``X``.
+``nwaybs.fitting`` (and top-level scipy, never ``scipy.optimize``) and
+``nwaybs.ideal_transfer`` imports only ``nwaybs.transfer`` and
+``nwaybs.dispersion``.  The lookup is not cached here: ``nwaybs.X`` is
+always the submodule's current ``X``.
 """
 
 import importlib

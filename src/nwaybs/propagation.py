@@ -66,9 +66,11 @@ class IntegratorSettings:
             raise ValueError("step must be finite and > 0")
         if self.step > length / 100:
             raise ValueError("step must be <= L/100")
-        # a NaN tolerance fails every comparison and so would pass any step
-        if not self.richardson_tol >= 0:
-            raise ValueError("richardson_tol must be >= 0")
+        # a NaN tolerance fails every comparison and an infinite one exceeds
+        # every discrepancy, so either would pass any step; richardson_check
+        # is the one switch that turns the check off
+        if not (math.isfinite(self.richardson_tol) and self.richardson_tol >= 0):
+            raise ValueError("richardson_tol must be finite and >= 0")
 
 
 def _step_grid(z_end: float, step: float) -> np.ndarray:

@@ -918,6 +918,24 @@ class TestFitCommand:
         line = [l for l in out.read_text().splitlines() if l.startswith("zeta")][0]
         assert float(line.split("=")[1]) == pytest.approx(0.4, rel=1e-6)
 
+    def test_multiphoton_iteration_cap_is_exit_3(self, tmp_path, capsys, monkeypatch):
+        from nwaybs import fitting
+
+        rng = np.random.default_rng(3)
+        s2 = np.sinh(np.linspace(0.05, 0.4, 600)) ** 2
+        ratio = s2 / (2 * (1 + s2)) * (1 + 0.05 * rng.standard_normal(600))
+        path = tmp_path / "ratio.csv"
+        path.write_text("singles_rate,ratio\n"
+                        + "".join(f"{s / 2:.17g},{r:.17g}\n" for s, r in zip(s2, ratio)))
+        out = tmp_path / "fit.txt"
+        argv = ["fit", "--data", str(path), "--model", "multiphoton", "--out", str(out)]
+        monkeypatch.setattr(fitting, "ITERATION_CAP", 3)
+        assert main(argv) == 3
+        assert "fit did not converge" in capsys.readouterr().err
+        assert not out.exists()
+        monkeypatch.undo()
+        assert main(argv) == 0 and out.exists()
+
     @pytest.mark.parametrize("model,keys", [
         ("pair", ["phase_scale_rad_per_w", "residual_norm", "converged", "iterations"]),
         ("coherent", ["phase_scale_rad_per_w", "residual_norm", "converged", "iterations"]),
@@ -1128,6 +1146,8 @@ inputs = {
     "physics.json": json.dumps(physics),
     "curve.csv": "power_w,value\n" + "".join(
         f"{p},{math.cos(p) ** 2}\n" for p in (0.1 * k for k in range(12))),
+    "ratio.csv": "singles_rate,ratio\n" + "".join(
+        f"{0.4 * s},{s / (2 * (1 + s))}\n" for s in (math.sinh(0.05 * k) ** 2 for k in range(1, 9))),
 }
 with tempfile.TemporaryDirectory() as tmp:
     for name, text in inputs.items():
@@ -1148,14 +1168,15 @@ LOAD_PATH_CASES = [
     (["oracle", "--config", "quantum.json", "--check", "quantum"], ["nwaybs.oracle"], []),
     (["oracle", "--config", "physics.json", "--check", "classical"], ["nwaybs.propagation"], []),
     (["synth", "--config", "curve.json"], ["nwaybs.fitting"], ["scipy"]),
-    (["fit", "--model", "pair", "--data", "curve.csv"], ["nwaybs.fitting"],
-     ["scipy", "scipy.optimize"]),
+    # the fits run in numpy: no fit loads scipy.optimize
+    (["fit", "--model", "pair", "--data", "curve.csv"], ["nwaybs.fitting"], ["scipy"]),
+    (["fit", "--model", "multiphoton", "--data", "ratio.csv"], ["nwaybs.fitting"], ["scipy"]),
 ]
 
 
 @pytest.mark.parametrize("argv, layers, scipy", LOAD_PATH_CASES,
                          ids=["transfer", "sweep", "phasematch", "oracle-quantum",
-                              "oracle-classical", "synth", "fit"])
+                              "oracle-classical", "synth", "fit", "fit-multiphoton"])
 def test_subcommand_loads_only_its_layers(tmp_path, argv, layers, scipy):
     """A fresh interpreter running one subcommand loads only the layers it runs."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(nwaybs.__file__)))

@@ -1,6 +1,9 @@
 """Fitting-pipeline tests: normalization, calibration fits, closed loops."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from nwaybs import fitting
 from nwaybs.fitting import (
     ITERATION_CAP,
     PARAM_TOL,
+    RESIDUAL_TOL,
     CountRecord,
     FitResult,
     fit_channel_scales,
@@ -23,6 +27,7 @@ from nwaybs.quantum import (
     InputState,
     correlation_curve,
     g2_photon_pair,
+    multiphoton_ratio_model,
     multiphoton_scaling_curve,
 )
 from nwaybs.transfer import p_coeff, q_coeff
@@ -114,6 +119,104 @@ def depletion_data(n_modes, n_points, noisy, seed):
     if noisy:
         values = values * (1 + 0.02 * rng.standard_normal(n_points))
     return powers, values
+
+
+def reference_fit_zeta(singles_rates, ratios):
+    """fit_zeta's (scale, conv) fit by MINPACK's Levenberg-Marquardt, the oracle."""
+    s_rates = np.asarray(singles_rates, dtype=float)
+    ratios = np.asarray(ratios, dtype=float)
+
+    def resid(params):
+        scale, conv = np.abs(params)
+        return scale * multiphoton_ratio_model(conv * s_rates) - ratios
+
+    slope0 = float(ratios[-1] / s_rates[-1])
+    res = scipy.optimize.least_squares(resid, np.array([1.0, 2.0 * slope0]), method="lm",
+                                       xtol=PARAM_TOL, ftol=RESIDUAL_TOL, max_nfev=ITERATION_CAP)
+    scale, conv = np.abs(res.x)
+    return FitResult(zeta=math.asinh(math.sqrt(conv * s_rates.max())),
+                     channel_scales=(float(scale),),
+                     residual_norm=float(np.linalg.norm(res.fun)),
+                     converged=bool(res.success), iterations=int(res.nfev))
+
+
+def zeta_data(zeta, n_points, conv, efficiency, noise, seed):
+    """A ratio curve up to ``zeta``: singles rates sinh^2 / conv, optional relative noise."""
+    curve = multiphoton_scaling_curve(np.linspace(0.05, zeta, n_points))
+    ratios = efficiency * curve["ratio"]
+    if noise:
+        rng = np.random.default_rng(seed)
+        ratios = np.clip(ratios * (1 + noise * rng.standard_normal(n_points)), 0.0, 1.0)
+    return curve["sinh2"] / conv, ratios
+
+
+# (name, make(c, k) -> objective) for the bounded-Brent port: smooth, flat, kinked, multimodal
+BRENT_OBJECTIVES = [
+    ("quadratic", lambda c, k: lambda x: (x - c) ** 2),
+    ("quartic", lambda c, k: lambda x: (x - c) ** 4),
+    ("kink", lambda c, k: lambda x: abs(x - c)),
+    ("sine", lambda c, k: lambda x: math.sin(k * x) + 0.1 * (x - c) ** 2),
+    ("damped-cosine", lambda c, k: lambda x: math.cos(k * (x - c)) * math.exp(-0.1 * abs(x))),
+    ("depletion", lambda c, k: lambda x: reference_objective(
+        x, np.linspace(0.0, 2.0, 30), np.abs(p_coeff(3, c * np.linspace(0.0, 2.0, 30))) ** 2, 3)),
+]
+
+
+def recorded(func):
+    """``func`` with a list of the points it was called at."""
+    calls = []
+
+    def wrapped(x):
+        calls.append(x)
+        return func(x)
+
+    return wrapped, calls
+
+
+def assert_brent_port_matches(func, lo, hi, xatol, maxiter):
+    ours, ours_calls = recorded(func)
+    theirs, their_calls = recorded(func)
+    x, nfev, converged = fitting._bounded_min(ours, lo, hi, xatol, maxiter)
+    res = scipy.optimize.minimize_scalar(theirs, bounds=(lo, hi), method="bounded",
+                                         options={"xatol": xatol, "maxiter": maxiter})
+    assert x == float(res.x) and math.copysign(1.0, x) == math.copysign(1.0, float(res.x))
+    assert nfev == res.nfev
+    assert converged is bool(res.success)
+    # every evaluation point, bit for bit and in order
+    assert [float(v).hex() for v in ours_calls] == [float(v).hex() for v in their_calls]
+    return res
+
+
+class TestBoundedMin:
+    @given(st.sampled_from(BRENT_OBJECTIVES), st.floats(-3.0, 3.0), st.floats(0.5, 40.0),
+           st.floats(-5.0, 5.0), st.floats(1e-6, 10.0), st.sampled_from([1e-14, 1e-10, 1e-5, 0.1]),
+           st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_scipy(self, named, c, k, lo, width, xatol, numpy_bounds):
+        _, make = named
+        hi = lo + width
+        if numpy_bounds:  # fit_phase_scale brackets with np.float64 grid points
+            lo, hi = np.float64(lo), np.float64(hi)
+        res = assert_brent_port_matches(make(c, k), lo, hi, xatol, ITERATION_CAP)
+        assert res.status in (0, 1)
+
+    @pytest.mark.parametrize("maxiter", [1, 2, 3, 7])
+    def test_iteration_cap_is_not_converged(self, maxiter):
+        # the port's converged flag equals scipy's success, False at flag 1
+        res = assert_brent_port_matches(lambda x: math.sin(3.0 * x), 0.0, 4.0, 1e-14, maxiter)
+        assert res.status == 1
+
+    @pytest.mark.parametrize("nan_from", [-1.0, 0.5])
+    def test_nan_objective_is_not_converged(self, nan_from):
+        def func(x):
+            return math.nan if x > nan_from else (x - 1.0) ** 2
+
+        res = assert_brent_port_matches(func, 0.0, 2.0, 1e-10, ITERATION_CAP)
+        assert res.status == 2
+
+    def test_degenerate_bracket(self):
+        res = assert_brent_port_matches(lambda x: (x - 1.0) ** 2, 0.5, 0.5, 1e-10, ITERATION_CAP)
+        assert res.nfev == 1 and res.success
 
 
 class TestNormalizeCoincidences:
@@ -235,12 +338,46 @@ class TestFitPhaseScale:
         whole = fitting._scan_objective(grid, powers, values, 3)
         assert whole.tolist() == [reference_objective(k, powers, values, 3) for k in grid]
         fit = fit_phase_scale(powers, values)
-        monkeypatch.setattr(fitting, "BLOCK_ENTRIES", rows * len(powers))
+        monkeypatch.setattr(fitting, "SCAN_BLOCK_ENTRIES", rows * len(powers))
         assert np.array_equal(fitting._scan_objective(grid, powers, values, 3), whole)
         assert fit_phase_scale(powers, values) == fit
         # below one row per block: still one kappa at a time
-        monkeypatch.setattr(fitting, "BLOCK_ENTRIES", 1)
+        monkeypatch.setattr(fitting, "SCAN_BLOCK_ENTRIES", 1)
         assert np.array_equal(fitting._scan_objective(grid, powers, values, 3), whole)
+
+
+SCAN_FAULTS_SCRIPT = r"""
+import resource
+import numpy as np
+from nwaybs.fitting import fit_phase_scale
+from nwaybs.transfer import p_coeff
+
+rng = np.random.default_rng(0)
+powers = np.linspace(0.0, 2.0, 30)
+values = np.abs(p_coeff(3, 0.9 * powers)) ** 2 * (1 + 0.01 * rng.standard_normal(30))
+for _ in range(20):
+    fit_phase_scale(powers, values)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(200):
+    fit_phase_scale(powers, values)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 200)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor page faults as on Linux")
+def test_warm_phase_fit_maps_no_fresh_pages():
+    """In a fresh interpreter the scan's temporaries reuse freed heap memory.
+
+    A block of 2**16 (kappa, power) entries takes about 90 minor page faults
+    per 30-point fit there, because its complex temporaries are mapped and
+    unmapped on every call.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fitting.__file__)))
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", SCAN_FAULTS_SCRIPT], env=env,
+                          capture_output=True, text=True, check=True)
+    assert float(proc.stdout.split()[-1]) < 5
 
 
 class TestFitChannelScales:
@@ -292,6 +429,61 @@ class TestFitZeta:
             fit = fit_zeta(0.5 * curve["sinh2"], np.clip(noisy, 0, 1))
             errs.append(abs(fit.zeta - 0.4) / 0.4)
         assert np.median(errs) < 0.05
+
+    @pytest.mark.parametrize("zeta, n_points, conv, efficiency", [
+        (0.4, 10, 1 / 0.41, 1.0), (0.4, 10, 1 / 0.41, 0.8), (0.4, 12, 2.5, 1.0),
+        (0.3, 12, 0.3, 0.6), (0.5, 12, 0.6, 1.0), (0.45, 12, 1.7, 0.9), (0.4, 600, 2.0, 1.0),
+    ])
+    def test_exact_data_matches_the_truth_and_lm(self, zeta, n_points, conv, efficiency):
+        s_rates, ratios = zeta_data(zeta, n_points, conv, efficiency, 0.0, 0)
+        fit = fit_zeta(s_rates, ratios)
+        assert fit.converged
+        assert fit.zeta == pytest.approx(zeta, rel=1e-12)
+        assert fit.channel_scales[0] == pytest.approx(efficiency, rel=1e-12)
+        ref = reference_fit_zeta(s_rates, ratios)
+        assert fit.zeta == pytest.approx(ref.zeta, rel=1e-12)
+        assert fit.channel_scales[0] == pytest.approx(ref.channel_scales[0], rel=1e-12)
+
+    def test_noisy_residual_no_worse_than_lm(self):
+        for seed in range(200):
+            s_rates, ratios = zeta_data(0.4, 600, 2.0, 1.0, 0.05, seed)
+            fit = fit_zeta(s_rates, ratios)
+            ref = reference_fit_zeta(s_rates, ratios)
+            assert fit.converged and ref.converged
+            assert fit.residual_norm <= ref.residual_norm * (1 + 1e-12), seed
+            # the minimum is flat along zeta, so equal residuals leave zeta to ~1e-7
+            assert fit.zeta == pytest.approx(ref.zeta, rel=1e-6), seed
+
+    def test_iterations_count_residual_evaluations(self, monkeypatch):
+        s_rates, ratios = zeta_data(0.4, 12, 2.5, 1.0, 0.0, 0)
+        calls = []
+        model = fitting.multiphoton_ratio_model
+
+        def counted(s):
+            calls.append(1)
+            return model(s)
+
+        monkeypatch.setattr(fitting, "multiphoton_ratio_model", counted)
+        fit = fit_zeta(s_rates, ratios)
+        assert fit.converged and fit.iterations == len(calls) > 1
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_iteration_cap_is_not_converged(self, monkeypatch, cap):
+        s_rates, ratios = zeta_data(0.4, 600, 2.0, 1.0, 0.05, 3)
+        monkeypatch.setattr(fitting, "ITERATION_CAP", cap)
+        fit = fit_zeta(s_rates, ratios)
+        assert not fit.converged
+        assert fit.iterations == cap
+
+    @pytest.mark.parametrize("s_rates, ratios", [
+        ([1.0, 2.0, math.nan], [0.1, 0.2, 0.3]),
+        ([1.0, 2.0, math.inf], [0.1, 0.2, 0.3]),
+        ([1.0, 2.0, 3.0], [0.1, math.nan, 0.3]),
+        ([1.0, 2.0, 3.0], [0.1, -math.inf, 0.3]),
+    ])
+    def test_non_finite_data_rejected(self, s_rates, ratios):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not finite"):
+            fit_zeta(s_rates, ratios)
 
     def test_zero_ratio_returns_zero_zeta(self):
         fit = fit_zeta([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])

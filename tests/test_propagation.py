@@ -224,6 +224,7 @@ class TestRK4:
         ("step", float("nan")),
         ("step", float("inf")),
         ("richardson_tol", float("nan")),
+        ("richardson_tol", float("inf")),
         ("richardson_tol", -1e-8),
     ])
     def test_non_finite_or_negative_setting_rejected(self, field, value):
@@ -231,14 +232,15 @@ class TestRK4:
             IntegratorSettings(**{"step": 1.0, field: value}).validate(100.0)
 
     def test_nan_tolerance_does_not_switch_the_check_off(self):
-        # the default tolerance rejects this step; a NaN one must not pass it
+        # the default tolerance rejects this step; a NaN or infinite one must
+        # not pass it (richardson_check=False is the one way to skip the check)
         prof = flat_profile(gamma=0.05, length=100.0)
         pumps = PumpConfig(powers=(1.0, 1.0, 1.0))
         with pytest.raises(RuntimeError, match="discrepancy"):
             integrate_pumps(prof, pumps, IntegratorSettings(step=1.0))
-        with pytest.raises(ValueError, match="richardson_tol"):
-            integrate_pumps(prof, pumps,
-                            IntegratorSettings(step=1.0, richardson_tol=float("nan")))
+        for tol in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="richardson_tol"):
+                integrate_pumps(prof, pumps, IntegratorSettings(step=1.0, richardson_tol=tol))
 
     def test_richardson_catches_coarse_step(self):
         # a rapidly oscillating system at the coarsest legal step trips
