@@ -283,7 +283,10 @@ def fit_zeta(singles_rates, ratios) -> FitResult:
     of squares by at most ``RESIDUAL_TOL`` relative (actual and predicted);
     a rejected step that small also ends it.  ``iterations`` counts
     residual evaluations; reaching ``ITERATION_CAP`` of them is not
-    converged.
+    converged.  Nor is a fit whose data do not fix ``conv``: at the
+    solution, the part of the conv column of J (scaled by conv) that the
+    scale column cannot absorb is at most ``PARAM_TOL`` of the scaled scale
+    column.  A ratio flat or falling in the singles rate ends that way.
     """
     s_rates = np.asarray(singles_rates, dtype=float)
     ratios = np.asarray(ratios, dtype=float)
@@ -353,6 +356,11 @@ def fit_zeta(singles_rates, ratios) -> FitResult:
             if small_step:
                 converged = True
                 break
+    # |x1 J_conv|^2 - (x1 J_conv . J_scale)^2 / |J_scale|^2 against
+    # (PARAM_TOL |x0 J_scale|)^2, times |J_scale|^2: at or below it, even
+    # doubling conv moves the fitted curve by less than the fit resolves
+    if converged and x1 * x1 * (a00 * a11 - a01 * a01) <= (PARAM_TOL * x0 * a00) ** 2:
+        converged = False
     return FitResult(
         zeta=math.asinh(math.sqrt(x1 * smax)),
         channel_scales=(x0,),

@@ -11,9 +11,13 @@ two parts.  The pump equations do not involve the weak fields, so one
 pump-only RK4 pass yields the pump amplitudes at all four stages of every
 step, as the joint scheme evaluates them.  That pass runs on Python complex
 scalars: there are only N pump amplitudes, and a numpy call on so short a
-vector costs more in overhead than in arithmetic.  Scalar and vector complex
-products round differently, so it agrees with the vector form to about
-1e-16 relative, not bit for bit.  The weak-field equations
+vector costs more in overhead than in arithmetic.  Each RK4 stage is one
+loop over the pumps that forms their slopes, the next stage's amplitudes
+and those amplitudes' powers, and the RK4 sum is kept as a running sum in
+the left-to-right order Python gives the written sum, so no bit depends on
+how the loops are grouped.  Scalar and vector complex products round
+differently, so the pass agrees with the vector form to about 1e-16
+relative, not bit for bit.  The weak-field equations
 are linear, dB/dz = M(z, A) B, so the weak part of each step is the linear
 map B -> B + D B, built from the four stage matrices M1..M4:
 
@@ -137,34 +141,61 @@ def _pump_stages(profile: DispersionProfile, a0, sizes: np.ndarray):
     Runs ``rk4_integrate``'s scheme over steps of the ``sizes`` (S,) of the
     step grid (module docstring) and returns the stage amplitudes (S, 4, N)
     and the final amplitudes (N,).
+
+    Each stage is one loop over the pumps.  Per pump it forms the slope
+    k = (loss + i gamma (2 total - p)) x, the amplitude the next stage reads
+    and that amplitude's power; the powers sum to the next stage's total,
+    and those of a step's end point serve the next step's first stage.  The
+    RK4 sum is kept as it runs, acc = k1, acc + 2 k2, acc + 2 k3, and the
+    update is x + h/6 (acc + k4).  Python evaluates k1 + 2 k2 + 2 k3 + k4
+    left to right, as ((k1 + 2 k2) + 2 k3) + k4, so the running sum
+    performs the same float operations in the same order: the bits equal
+    those of four separate slope evaluations and one five-way update.
     """
     loss, i_gamma = -profile.alpha, 1j * profile.gamma
-
-    def rhs(a):
-        # re^2 + im^2 rather than abs(x) ** 2: a diverging pass must run on to
-        # inf/nan for the Richardson check, and float ** raises on overflow
-        powers = [x.real * x.real + x.imag * x.imag for x in a]
-        twice_total = 2.0 * sum(powers)
-        # self-phase p plus twice the cross-phase of the others: 2 total - p
-        return [(loss + i_gamma * (twice_total - p)) * x for p, x in zip(powers, a)]
-
     a = [complex(x) for x in a0]
+    # re^2 + im^2 rather than abs(x) ** 2: a diverging pass must run on to
+    # inf/nan for the Richardson check, and float ** raises on overflow
+    pa = [x.real * x.real + x.imag * x.imag for x in a]
     stages = []
     for h in sizes.tolist():
         half, sixth = h / 2, h / 6
-        k1 = rhs(a)
-        a2 = [x + half * k for x, k in zip(a, k1)]
-        k2 = rhs(a2)
-        a3 = [x + half * k for x, k in zip(a, k2)]
-        k3 = rhs(a3)
-        a4 = [x + h * k for x, k in zip(a, k3)]
-        k4 = rhs(a4)
+        # self-phase p plus twice the cross-phase of the others: 2 total - p
+        t = 2.0 * sum(pa)
+        acc1, a2, p2 = [], [], []
+        for x, p in zip(a, pa):
+            k = (loss + i_gamma * (t - p)) * x
+            acc1.append(k)
+            y = x + half * k
+            a2.append(y)
+            p2.append(y.real * y.real + y.imag * y.imag)
+        t = 2.0 * sum(p2)
+        acc2, a3, p3 = [], [], []
+        for x, u, p, s in zip(a, a2, p2, acc1):
+            k = (loss + i_gamma * (t - p)) * u
+            acc2.append(s + 2 * k)
+            y = x + half * k
+            a3.append(y)
+            p3.append(y.real * y.real + y.imag * y.imag)
+        t = 2.0 * sum(p3)
+        acc3, a4, p4 = [], [], []
+        for x, u, p, s in zip(a, a3, p3, acc2):
+            k = (loss + i_gamma * (t - p)) * u
+            acc3.append(s + 2 * k)
+            y = x + h * k
+            a4.append(y)
+            p4.append(y.real * y.real + y.imag * y.imag)
+        t = 2.0 * sum(p4)
         stages += a
         stages += a2
         stages += a3
         stages += a4
-        a = [x + sixth * (d1 + 2 * d2 + 2 * d3 + d4)
-             for x, d1, d2, d3, d4 in zip(a, k1, k2, k3, k4)]
+        a_next, pa = [], []
+        for x, u, p, s in zip(a, a4, p4, acc3):
+            y = x + sixth * (s + (loss + i_gamma * (t - p)) * u)
+            a_next.append(y)
+            pa.append(y.real * y.real + y.imag * y.imag)
+        a = a_next
     return np.array(stages, dtype=complex).reshape(-1, 4, len(a)), np.array(a, dtype=complex)
 
 

@@ -936,6 +936,16 @@ class TestFitCommand:
         monkeypatch.undo()
         assert main(argv) == 0 and out.exists()
 
+    def test_multiphoton_unidentifiable_is_exit_3(self, tmp_path, capsys):
+        # a ratio falling with the singles rate sends conv to infinity
+        path = tmp_path / "ratio.csv"
+        path.write_text("singles_rate,ratio\n1,0.3\n2,0.2\n3,0.1\n")
+        out = tmp_path / "fit.txt"
+        argv = ["fit", "--data", str(path), "--model", "multiphoton", "--out", str(out)]
+        assert main(argv) == 3
+        assert "fit did not converge" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("model,keys", [
         ("pair", ["phase_scale_rad_per_w", "residual_norm", "converged", "iterations"]),
         ("coherent", ["phase_scale_rad_per_w", "residual_norm", "converged", "iterations"]),

@@ -475,6 +475,17 @@ class TestFitZeta:
         assert not fit.converged
         assert fit.iterations == cap
 
+    @pytest.mark.parametrize("ratios", [
+        [0.3, 0.2, 0.1],  # falls with the singles rate
+        [0.2, 0.2, 0.2],  # flat: saturated at every rate
+    ])
+    def test_unidentifiable_conv_is_not_converged(self, ratios):
+        # the best fit sends conv to infinity, where the model is the
+        # constant scale / 2 and the data no longer fix conv (or zeta)
+        fit = fit_zeta([1.0, 2.0, 3.0], ratios)
+        assert not fit.converged
+        assert fit.iterations < fitting.ITERATION_CAP
+
     @pytest.mark.parametrize("s_rates, ratios", [
         ([1.0, 2.0, math.nan], [0.1, 0.2, 0.3]),
         ([1.0, 2.0, math.inf], [0.1, 0.2, 0.3]),

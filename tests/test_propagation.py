@@ -501,6 +501,41 @@ class TestBitIdenticalToUnsharedPass:
         assert str(got.value) == str(ref.value)
 
 
+class TestPumpStagesBitIdentical:
+    """The pump pass with one loop per stage and a running RK4 sum carries
+    the bits of the pass with four slope calls and a five-way update."""
+
+    @staticmethod
+    def assert_same_bits(profile, a0, step):
+        a, a_end = _pump_stages(profile, a0, np.diff(_step_grid(profile.length, step)))
+        _, ref, ref_end = unshared_pump_stages(profile, a0, step)
+        assert a.shape == ref.shape
+        assert a.tobytes() == ref.tobytes()
+        assert a_end.tobytes() == ref_end.tobytes()
+        return a
+
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(data=st.data(),
+           n=st.integers(1, 8),
+           alpha=st.one_of(st.just(0.0), st.floats(1e-6, 1e-2)),
+           gamma=st.one_of(st.floats(0.0, 1e-2), st.floats(1.0, 50.0)),
+           length=st.floats(1.0, 1000.0),
+           divisor=st.one_of(st.integers(100, 300), st.floats(100.0, 300.0)))
+    def test_matches_unshared_pass(self, data, n, alpha, gamma, length, divisor):
+        powers = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+        phases = data.draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=n, max_size=n))
+        prof = flat_profile(gamma=gamma, length=length, alpha=alpha)
+        a0 = PumpConfig(powers=tuple(powers), phases=tuple(phases)).amplitudes
+        self.assert_same_bits(prof, a0, length / divisor)
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_diverging_pass_carries_the_same_non_finite_bits(self, n):
+        prof = flat_profile(gamma=50.0, length=100.0, alpha=2e-4)
+        a0 = PumpConfig(powers=(1.0,) * n, phases=tuple(np.linspace(0.0, 3.0, n))).amplitudes
+        a = self.assert_same_bits(prof, a0, 1.0)
+        assert not np.all(np.isfinite(a))
+
+
 @hyp_settings(max_examples=200, deadline=None)
 @given(length=st.floats(1e-3, 1e4),
        steps=st.one_of(st.integers(100, 100_000), st.floats(100.0, 1e5)))
