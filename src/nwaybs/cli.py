@@ -374,6 +374,9 @@ def _oracle_quantum_rows(cfg, tol):
 
 
 def cmd_oracle(args, cfg: dict) -> Table:
+    if args.check == "all":
+        # both checks must run the same N: the classical one takes it from the pumps
+        _require_pump_count(cfg, cfg["pumps"], "oracle --check all")
     rows = []
     if args.check in ("classical", "all"):
         rows += _oracle_classical_rows(cfg, args.tol)

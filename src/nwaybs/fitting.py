@@ -37,6 +37,11 @@ from .transfer import p_coeff, q_coeff
 ITERATION_CAP = 10_000
 PARAM_TOL = 1e-10
 RESIDUAL_TOL = 1e-12
+# fit_zeta's linear limit: with conv * max(singles) at or below it, the model
+# departs from the line scale * conv * s / 2 by at most that share over the
+# data.  It is sqrt(RESIDUAL_TOL), the relative residual norm the fit
+# resolves, so the data then fix scale * conv but not conv.
+LINEAR_LIMIT = 1e-6
 # (kappa, power) entries per block of the coarse scan: its complex
 # temporaries then stay below glibc's 128 KiB mmap threshold, so each block
 # reuses freed heap memory instead of mapping (and page-faulting) fresh pages
@@ -287,6 +292,10 @@ def fit_zeta(singles_rates, ratios) -> FitResult:
     solution, the part of the conv column of J (scaled by conv) that the
     scale column cannot absorb is at most ``PARAM_TOL`` of the scaled scale
     column.  A ratio flat or falling in the singles rate ends that way.
+    The model is concave, so a ratio that curves upward sends conv to 0
+    and scale to infinity, its linear limit scale conv s / 2, where only
+    scale * conv is fixed: an accepted step to conv * max(s) at or below
+    ``LINEAR_LIMIT`` ends the fit, not converged.
     """
     s_rates = np.asarray(singles_rates, dtype=float)
     ratios = np.asarray(ratios, dtype=float)
@@ -347,6 +356,8 @@ def fit_zeta(singles_rates, ratios) -> FitResult:
             # enough for the weak (scale, conv) direction to reach full precision
             mu *= max(0.1, 1.0 - (2.0 * actual / predicted - 1.0) ** 3)
             nu = 2.0
+            if x1 * smax <= LINEAR_LIMIT:
+                break
             if small_step or small_reduction:
                 converged = True
                 break

@@ -11,15 +11,19 @@ two parts.  The pump equations do not involve the weak fields, so one
 pump-only RK4 pass yields the pump amplitudes at all four stages of every
 step, as the joint scheme evaluates them.  That pass runs on Python complex
 scalars: there are only N pump amplitudes, and a numpy call on so short a
-vector costs more in overhead than in arithmetic.  Each RK4 stage is one
-loop over the pumps that forms their slopes, the next stage's amplitudes
-and those amplitudes' powers, and the RK4 sum is kept as a running sum in
-the left-to-right order Python gives the written sum, so no bit depends on
-how the loops are grouped.  Scalar and vector complex products round
-differently, so the pass agrees with the vector form to about 1e-16
-relative, not bit for bit.  The weak-field equations
-are linear, dB/dz = M(z, A) B, so the weak part of each step is the linear
-map B -> B + D B, built from the four stage matrices M1..M4:
+vector costs more in overhead than in arithmetic.  Nor does the pass loop
+over the pumps: for each pump count N it is straight-line code, filled in
+from one template and compiled once, that keeps each pump's amplitude,
+running RK4 sum, stage amplitudes and power in local variables.  Per stage
+and pump it forms the slope, the next stage's amplitude and its power; the
+RK4 sum runs in the left-to-right order Python gives the written sum, and
+the totals are ``sum`` of the powers, so the code performs the float
+operations of the plain per-step loop in the same order and keeps its
+bits.  Scalar and vector complex products round differently, so the pass
+agrees with the vector form to about 1e-16 relative, not bit for bit.  The
+weak-field equations are linear, dB/dz = M(z, A) B, so the weak part of
+each step is the linear map B -> B + D B, built from the four stage
+matrices M1..M4:
 
     D = h/6 (S1 + 2 S2 + 2 S3 + S4),  S1 = M1,  S2 = M2 (I + h/2 S1),
     S3 = M3 (I + h/2 S2),  S4 = M4 (I + h S3),
@@ -135,6 +139,85 @@ def _trajectory(rhs, y0, z_end):
     return solve
 
 
+# The pump pass for N pumps, written once for pump {i}.  A run of lines that
+# name {i} is repeated for every pump in turn; {x}, {p} and {stages} are tuple
+# displays of all the pumps' amplitudes, powers and four stage amplitudes.
+# With t twice the total power, t - p is the self-phase p plus twice the
+# cross-phase of the others.  Powers are re^2 + im^2 rather than abs(x) ** 2:
+# a diverging pass must run on to inf/nan for the Richardson check, and
+# float ** raises on overflow.
+_PUMP_KERNEL_TEMPLATE = """\
+def pump_kernel(loss, i_gamma, a, sizes):
+    {x} = a
+    re = x{i}.real
+    im = x{i}.imag
+    p{i} = re * re + im * im
+    stages = []
+    for h in sizes:
+        half = h / 2
+        sixth = h / 6
+        t = 2.0 * sum({p})
+        s{i} = (loss + i_gamma * (t - p{i})) * x{i}
+        b{i} = x{i} + half * s{i}
+        re = b{i}.real
+        im = b{i}.imag
+        p{i} = re * re + im * im
+        t = 2.0 * sum({p})
+        k = (loss + i_gamma * (t - p{i})) * b{i}
+        s{i} += 2 * k
+        c{i} = x{i} + half * k
+        re = c{i}.real
+        im = c{i}.imag
+        p{i} = re * re + im * im
+        t = 2.0 * sum({p})
+        k = (loss + i_gamma * (t - p{i})) * c{i}
+        s{i} += 2 * k
+        d{i} = x{i} + h * k
+        re = d{i}.real
+        im = d{i}.imag
+        p{i} = re * re + im * im
+        t = 2.0 * sum({p})
+        stages += {stages}
+        x{i} = x{i} + sixth * (s{i} + (loss + i_gamma * (t - p{i})) * d{i})
+        re = x{i}.real
+        im = x{i}.imag
+        p{i} = re * re + im * im
+    return stages, {x}
+"""
+
+
+def _pump_kernel_source(n: int) -> str:
+    """The template filled in for n pumps."""
+    def display(*prefixes):
+        names = [f"{prefix}{i}" for prefix in prefixes for i in range(n)]
+        return f"({names[0]},)" if len(names) == 1 else f"({', '.join(names)})"
+
+    tuples = {"x": display("x"), "p": display("p"), "stages": display("x", "b", "c", "d")}
+    lines, run = [], []
+    for line in _PUMP_KERNEL_TEMPLATE.splitlines(keepends=True) + [""]:
+        if "{i}" in line:
+            run.append(line)
+            continue
+        lines += [pump.format(i=i) for i in range(n) for pump in run]
+        run = []
+        lines.append(line.format(**tuples))
+    return "".join(lines)
+
+
+# Compiled pump passes by pump count, each built on first use.
+_PUMP_KERNELS = {}
+
+
+def _pump_kernel(n: int):
+    """The compiled pump pass for n pumps, from ``_PUMP_KERNELS``."""
+    kernel = _PUMP_KERNELS.get(n)
+    if kernel is None:
+        namespace = {}
+        exec(compile(_pump_kernel_source(n), f"<pump kernel N={n}>", "exec"), namespace)
+        kernel = _PUMP_KERNELS[n] = namespace["pump_kernel"]
+    return kernel
+
+
 def _pump_stages(profile: DispersionProfile, a0, sizes: np.ndarray):
     """One RK4 pass over the pump equations on Python complex scalars.
 
@@ -142,61 +225,24 @@ def _pump_stages(profile: DispersionProfile, a0, sizes: np.ndarray):
     step grid (module docstring) and returns the stage amplitudes (S, 4, N)
     and the final amplitudes (N,).
 
-    Each stage is one loop over the pumps.  Per pump it forms the slope
+    The pass is straight-line code for the pump count N (``_pump_kernel``):
+    each pump's amplitude x, running RK4 sum s, stage amplitudes b, c, d and
+    power p are local variables.  Per stage and pump it forms the slope
     k = (loss + i gamma (2 total - p)) x, the amplitude the next stage reads
     and that amplitude's power; the powers sum to the next stage's total,
     and those of a step's end point serve the next step's first stage.  The
-    RK4 sum is kept as it runs, acc = k1, acc + 2 k2, acc + 2 k3, and the
-    update is x + h/6 (acc + k4).  Python evaluates k1 + 2 k2 + 2 k3 + k4
-    left to right, as ((k1 + 2 k2) + 2 k3) + k4, so the running sum
-    performs the same float operations in the same order: the bits equal
-    those of four separate slope evaluations and one five-way update.
+    RK4 sum is kept as it runs, s = k1, s + 2 k2, s + 2 k3, and the update
+    is x + h/6 (s + k4).  Python evaluates k1 + 2 k2 + 2 k3 + k4 left to
+    right, as ((k1 + 2 k2) + 2 k3) + k4, so the running sum performs the
+    same float operations in the same order: the bits equal those of four
+    separate slope evaluations and one five-way update.  The totals are
+    ``2.0 * sum`` of the powers, as in that form: ``sum`` of floats rounds
+    differently from a chain of ``+`` on Python 3.12 and later.
     """
-    loss, i_gamma = -profile.alpha, 1j * profile.gamma
     a = [complex(x) for x in a0]
-    # re^2 + im^2 rather than abs(x) ** 2: a diverging pass must run on to
-    # inf/nan for the Richardson check, and float ** raises on overflow
-    pa = [x.real * x.real + x.imag * x.imag for x in a]
-    stages = []
-    for h in sizes.tolist():
-        half, sixth = h / 2, h / 6
-        # self-phase p plus twice the cross-phase of the others: 2 total - p
-        t = 2.0 * sum(pa)
-        acc1, a2, p2 = [], [], []
-        for x, p in zip(a, pa):
-            k = (loss + i_gamma * (t - p)) * x
-            acc1.append(k)
-            y = x + half * k
-            a2.append(y)
-            p2.append(y.real * y.real + y.imag * y.imag)
-        t = 2.0 * sum(p2)
-        acc2, a3, p3 = [], [], []
-        for x, u, p, s in zip(a, a2, p2, acc1):
-            k = (loss + i_gamma * (t - p)) * u
-            acc2.append(s + 2 * k)
-            y = x + half * k
-            a3.append(y)
-            p3.append(y.real * y.real + y.imag * y.imag)
-        t = 2.0 * sum(p3)
-        acc3, a4, p4 = [], [], []
-        for x, u, p, s in zip(a, a3, p3, acc2):
-            k = (loss + i_gamma * (t - p)) * u
-            acc3.append(s + 2 * k)
-            y = x + h * k
-            a4.append(y)
-            p4.append(y.real * y.real + y.imag * y.imag)
-        t = 2.0 * sum(p4)
-        stages += a
-        stages += a2
-        stages += a3
-        stages += a4
-        a_next, pa = [], []
-        for x, u, p, s in zip(a, a4, p4, acc3):
-            y = x + sixth * (s + (loss + i_gamma * (t - p)) * u)
-            a_next.append(y)
-            pa.append(y.real * y.real + y.imag * y.imag)
-        a = a_next
-    return np.array(stages, dtype=complex).reshape(-1, 4, len(a)), np.array(a, dtype=complex)
+    stages, a_end = _pump_kernel(len(a))(-profile.alpha, 1j * profile.gamma, a,
+                                         sizes.tolist())
+    return np.array(stages, dtype=complex).reshape(-1, 4, len(a)), np.array(a_end, dtype=complex)
 
 
 def integrate_pumps(

@@ -619,6 +619,20 @@ class TestOracleCommand:
         assert rc == 1
         assert "mismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_modes, exit_code", [(5, 1), (2, 1), (3, 0)])
+    def test_all_needs_one_mode_per_pump(self, tmp_path, capsys, n_modes, exit_code):
+        # both checks must run the same N: the classical one runs the pump count
+        cfg = json.loads(open(self.classical_cfg(tmp_path, [0.5, 0.5, 0.5])).read())
+        cfg.update(n_modes=n_modes, input={"kind": "squeezed_vacuum", "modes": [1, 2],
+                                           "zeta": 0.4})
+        out = tmp_path / "o.csv"
+        assert main(["oracle", "--config", write_config(tmp_path, cfg), "--check", "all",
+                     "--out", str(out)]) == exit_code
+        if exit_code:
+            err = capsys.readouterr().err
+            assert f"'n_modes' is {n_modes}" in err and "one mode per pump (3)" in err
+            assert not out.exists()
+
     def test_lossy_unequal_powers_is_exit_1(self, tmp_path, capsys):
         cfgp = self.classical_cfg(tmp_path, [0.7, 0.5, 0.7], alpha=4.950556e-5)
         rc = main(["oracle", "--config", cfgp, "--check", "classical",
@@ -940,6 +954,21 @@ class TestFitCommand:
         # a ratio falling with the singles rate sends conv to infinity
         path = tmp_path / "ratio.csv"
         path.write_text("singles_rate,ratio\n1,0.3\n2,0.2\n3,0.1\n")
+        out = tmp_path / "fit.txt"
+        argv = ["fit", "--data", str(path), "--model", "multiphoton", "--out", str(out)]
+        assert main(argv) == 3
+        assert "fit did not converge" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows", [
+        "1,0.1\n2,0.2\n3,0.4\n4,0.8\n",
+        "1,0.05\n2,0.1\n3,0.2\n4,0.4\n5,0.8\n",
+    ], ids=["4-point", "5-point"])
+    def test_multiphoton_upward_curve_is_exit_3(self, tmp_path, capsys, rows):
+        # the concave model fits a ratio that curves upward only in its
+        # linear limit, where the data fix scale * conv but not zeta
+        path = tmp_path / "ratio.csv"
+        path.write_text("singles_rate,ratio\n" + rows)
         out = tmp_path / "fit.txt"
         argv = ["fit", "--data", str(path), "--model", "multiphoton", "--out", str(out)]
         assert main(argv) == 3

@@ -487,6 +487,18 @@ class TestFitZeta:
         assert fit.iterations < fitting.ITERATION_CAP
 
     @pytest.mark.parametrize("s_rates, ratios", [
+        ([1.0, 2.0, 3.0, 4.0], [0.1, 0.2, 0.4, 0.8]),
+        ([1.0, 2.0, 3.0, 4.0, 5.0], [0.05, 0.1, 0.2, 0.4, 0.8]),
+        ([1.0, 2.0, 3.0], [0.1, 0.2, 0.4]),
+    ])
+    def test_upward_curve_is_not_converged(self, s_rates, ratios):
+        # the model is concave, so the best fit to a convex ratio is its linear
+        # limit: conv -> 0 and scale -> infinity with only scale * conv fixed
+        fit = fit_zeta(s_rates, ratios)
+        assert not fit.converged
+        assert fit.iterations < fitting.ITERATION_CAP // 5
+
+    @pytest.mark.parametrize("s_rates, ratios", [
         ([1.0, 2.0, math.nan], [0.1, 0.2, 0.3]),
         ([1.0, 2.0, math.inf], [0.1, 0.2, 0.3]),
         ([1.0, 2.0, 3.0], [0.1, math.nan, 0.3]),

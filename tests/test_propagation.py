@@ -15,6 +15,7 @@ from nwaybs.dispersion import (
     nonlinear_mismatch,
     symmetric_grid,
 )
+from nwaybs import propagation
 from nwaybs.propagation import (
     MAP_BLOCK_ENTRIES,
     IntegratorSettings,
@@ -288,6 +289,8 @@ PUMP_CASES = {
     "n3-one-off": (PumpConfig(powers=(0.5, 0.0, 0.5)), 0.0),
     "n8-unequal-lossy": (PumpConfig(powers=tuple(np.linspace(0.1, 0.9, 8)),
                                     phases=tuple(np.linspace(0.0, 3.0, 8))), 2e-4),
+    "n12-unequal-lossy": (PumpConfig(powers=tuple(np.linspace(0.2, 0.8, 12)),
+                                     phases=tuple(np.linspace(0.0, 5.0, 12))), 1e-4),
     "n16": (PumpConfig(powers=(0.4,) * 16, phases=tuple(np.linspace(0.0, 6.0, 16))), 0.0),
 }
 
@@ -455,15 +458,17 @@ class TestBitIdenticalToUnsharedPass:
     """Shared phasors, the flat stage array and in-place steps change no bit."""
 
     @pytest.mark.parametrize("kind", ["matched", "mismatched", "unequal", "lossy"])
-    @pytest.mark.parametrize("n", range(2, 9))
-    def test_integrate_weak(self, n, kind):
+    # N = 12 and 16 carry up to 11 W of pumps: L/200 would fail the Richardson check
+    @pytest.mark.parametrize("n, divisions", [pytest.param(n, 200 if n <= 8 else 500, id=str(n))
+                                              for n in [*range(2, 9), 12, 16]])
+    def test_integrate_weak(self, n, divisions, kind):
         prof, grid, pumps, seed = weak_case(kind, n)
         rng = np.random.default_rng(200 + n)
         block = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
         block *= seed / np.max(np.abs(block))
         # one seed with the Richardson check at a step dividing L, and a block
         # without it at a step that does not divide L
-        for b0, step, richardson in ((block[:, 0], prof.length / 200, True),
+        for b0, step, richardson in ((block[:, 0], prof.length / divisions, True),
                                      (block, prof.length / 107.3, False)):
             settings = IntegratorSettings(step=step, richardson_check=richardson)
             out = integrate_weak(prof, grid, pumps, b0, settings)
@@ -516,7 +521,7 @@ class TestPumpStagesBitIdentical:
 
     @hyp_settings(max_examples=60, deadline=None)
     @given(data=st.data(),
-           n=st.integers(1, 8),
+           n=st.one_of(st.integers(1, 8), st.sampled_from([12, 16])),
            alpha=st.one_of(st.just(0.0), st.floats(1e-6, 1e-2)),
            gamma=st.one_of(st.floats(0.0, 1e-2), st.floats(1.0, 50.0)),
            length=st.floats(1.0, 1000.0),
@@ -528,12 +533,28 @@ class TestPumpStagesBitIdentical:
         a0 = PumpConfig(powers=tuple(powers), phases=tuple(phases)).amplitudes
         self.assert_same_bits(prof, a0, length / divisor)
 
-    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("n", [1, 3, 8, 16])
     def test_diverging_pass_carries_the_same_non_finite_bits(self, n):
         prof = flat_profile(gamma=50.0, length=100.0, alpha=2e-4)
         a0 = PumpConfig(powers=(1.0,) * n, phases=tuple(np.linspace(0.0, 3.0, n))).amplitudes
         a = self.assert_same_bits(prof, a0, 1.0)
         assert not np.all(np.isfinite(a))
+
+    def test_kernel_is_built_once_per_pump_count(self, monkeypatch):
+        built = []
+        source = propagation._pump_kernel_source
+        monkeypatch.setattr(propagation, "_pump_kernel_source",
+                            lambda n: built.append(n) or source(n))
+        monkeypatch.delitem(propagation._PUMP_KERNELS, 11, raising=False)
+        prof = flat_profile()
+        a0 = PumpConfig(powers=(0.5,) * 11).amplitudes
+        h = np.diff(_step_grid(prof.length, prof.length / 100))
+        first = _pump_stages(prof, a0, h)
+        kernel = propagation._PUMP_KERNELS[11]
+        second = _pump_stages(prof, a0, h)
+        assert built == [11]
+        assert propagation._pump_kernel(11) is kernel
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(first, second))
 
 
 @hyp_settings(max_examples=200, deadline=None)
