@@ -350,11 +350,10 @@ def _oracle_classical_rows(cfg, tol):
     return [[f"classical_seed_{k + 1}", err, err < tol] for k, err in enumerate(errs)]
 
 
-def _oracle_quantum_rows(cfg, tol):
+def _oracle_quantum_rows(cfg, tol, n_modes):
     from .oracle import loss_chain, wick_moments
 
     state = cfg.get("input", InputState(kind="squeezed_vacuum", zeta=0.4))
-    n_modes = cfg.get("n_modes", 3)
     t_pre = state.transmissions("pre_loss", n_modes)
     t_post = state.transmissions("post_loss", n_modes)
     rows = []
@@ -375,13 +374,15 @@ def _oracle_quantum_rows(cfg, tol):
 
 def cmd_oracle(args, cfg: dict) -> Table:
     if args.check == "all":
-        # both checks must run the same N: the classical one takes it from the pumps
+        # both checks run the same N, the pump count: the classical one takes
+        # it from the pumps, so n_modes may only repeat it
         _require_pump_count(cfg, cfg["pumps"], "oracle --check all")
     rows = []
     if args.check in ("classical", "all"):
         rows += _oracle_classical_rows(cfg, args.tol)
     if args.check in ("quantum", "all"):
-        rows += _oracle_quantum_rows(cfg, args.tol)
+        n_modes = cfg["pumps"].n_modes if args.check == "all" else cfg.get("n_modes", 3)
+        rows += _oracle_quantum_rows(cfg, args.tol, n_modes)
     # np.max propagates NaN, so a non-finite error cannot report as a pass
     worst = float(np.max([row[1] for row in rows]))
     return Table(["case", "max_error", "pass"], rows,

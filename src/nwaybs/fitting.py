@@ -290,9 +290,10 @@ def fit_zeta(singles_rates, ratios) -> FitResult:
     residual evaluations; reaching ``ITERATION_CAP`` of them is not
     converged.  Nor is a fit whose data do not fix ``conv``: at the
     solution, the part of the conv column of J (scaled by conv) that the
-    scale column cannot absorb is at most ``PARAM_TOL`` of the scaled scale
-    column.  A ratio flat or falling in the singles rate ends that way.
-    The model is concave, so a ratio that curves upward sends conv to 0
+    scale column cannot absorb, the norm of its component orthogonal to
+    the scale column, is at most ``PARAM_TOL`` of the scaled scale column.
+    A ratio flat or falling in the singles rate ends that way, as does one
+    singles rate for every row.  The model is concave, so a ratio that curves upward sends conv to 0
     and scale to infinity, its linear limit scale conv s / 2, where only
     scale * conv is fixed: an accepted step to conv * max(s) at or below
     ``LINEAR_LIMIT`` ends the fit, not converged.
@@ -307,21 +308,25 @@ def fit_zeta(singles_rates, ratios) -> FitResult:
         return FitResult(zeta=0.0, residual_norm=0.0, converged=True, iterations=0)
 
     smax = float(s_rates.max())
-    rows = np.empty((3, len(s_rates)))
+    # the columns of J and r as rows: at the accepted point, and at the trial point
+    rows, trial_rows = np.empty((2, 3, len(s_rates)))
 
-    def evaluate(scale, conv):
-        """Residual r at (scale, conv) >= 0, as the normal equations' J^T J, J^T r and r.r."""
+    def evaluate(scale, conv, out):
+        """Residual r at (scale, conv) >= 0, as the normal equations' J^T J, J^T r and r.r.
+
+        J and r go to the rows of ``out``.
+        """
         cs = conv * s_rates
-        rows[0] = multiphoton_ratio_model(cs)
-        rows[1] = scale * s_rates / (2.0 * (1.0 + cs) ** 2)
-        rows[2] = scale * rows[0] - ratios
-        (a00, a01, g0), (_, a11, g1), (_, _, cost) = (rows @ rows.T).tolist()
+        out[0] = multiphoton_ratio_model(cs)
+        out[1] = scale * s_rates / (2.0 * (1.0 + cs) ** 2)
+        out[2] = scale * out[0] - ratios
+        (a00, a01, g0), (_, a11, g1), (_, _, cost) = (out @ out.T).tolist()
         return a00, a01, a11, g0, g1, cost
 
     # initial guess from the small-s slope assuming unit efficiency scale
     slope0 = float(ratios[-1] / s_rates[-1]) if s_rates[-1] > 0 else 1.0
     x0, x1 = 1.0, abs(2.0 * slope0)
-    a00, a01, a11, g0, g1, cost = evaluate(x0, x1)
+    a00, a01, a11, g0, g1, cost = evaluate(x0, x1, rows)
     nfev = 1
     if not math.isfinite(cost):
         raise ValueError("residuals are not finite at the initial point")
@@ -339,7 +344,7 @@ def fit_zeta(singles_rates, ratios) -> FitResult:
         h1 = (a01 * g0 - b00 * g1) / det
         # the residual reads |params|, so the iterate stays in the positive quadrant
         y0, y1 = abs(x0 + h0), abs(x1 + h1)
-        trial = evaluate(y0, y1)
+        trial = evaluate(y0, y1, trial_rows)
         nfev += 1
         small_step = d0 * h0 * h0 + d1 * h1 * h1 <= PARAM_TOL**2 * (d0 * x0 * x0 + d1 * x1 * x1)
         if trial[-1] < cost:
@@ -350,6 +355,7 @@ def fit_zeta(singles_rates, ratios) -> FitResult:
             small_reduction = actual <= RESIDUAL_TOL * cost and predicted <= RESIDUAL_TOL * cost
             x0, x1 = y0, y1
             a00, a01, a11, g0, g1, cost = trial
+            rows, trial_rows = trial_rows, rows
             d0, d1 = max(d0, a00), max(d1, a11)
             # Nielsen's gain-ratio update, with the decrease floored at 1/10
             # rather than 1/3: near the solution the damping then fades fast
@@ -367,11 +373,15 @@ def fit_zeta(singles_rates, ratios) -> FitResult:
             if small_step:
                 converged = True
                 break
-    # |x1 J_conv|^2 - (x1 J_conv . J_scale)^2 / |J_scale|^2 against
-    # (PARAM_TOL |x0 J_scale|)^2, times |J_scale|^2: at or below it, even
-    # doubling conv moves the fitted curve by less than the fit resolves
-    if converged and x1 * x1 * (a00 * a11 - a01 * a01) <= (PARAM_TOL * x0 * a00) ** 2:
-        converged = False
+    if converged:
+        # the part of the conv column that the scale column cannot absorb, at
+        # the accepted point: the norm of a vector, so unlike the Gram
+        # determinant a00 a11 - a01^2, formed by cancellation, it cannot come
+        # out negative by rounding.  Scaled by conv, at or below PARAM_TOL
+        # |x0 J_scale| even doubling conv moves the fitted curve by less than
+        # the fit resolves
+        perp = rows[1] - (a01 / a00) * rows[0] if a00 else rows[1]
+        converged = x1 * math.sqrt(perp @ perp) > PARAM_TOL * x0 * math.sqrt(a00)
     return FitResult(
         zeta=math.asinh(math.sqrt(x1 * smax)),
         channel_scales=(x0,),
@@ -396,9 +406,10 @@ def generate_synthetic(
 
     ``state`` is the full ``InputState`` (modes, amplitude, zeta, losses);
     without it, ``input_kind`` selects that kind on its default modes.  Applies
-    per-channel scale factors and multiplicative Gaussian noise of relative
-    width ``noise``; deterministic for a fixed seed.  The returned list
-    always starts with a zero-power record usable for normalization.
+    per-channel scale factors (``channel_scales``, one per channel) and
+    multiplicative Gaussian noise of relative width ``noise``; deterministic
+    for a fixed seed.  The returned list always starts with a zero-power
+    record usable for normalization.
     """
     if not noise >= 0:
         raise ValueError("noise must be >= 0")
@@ -406,6 +417,9 @@ def generate_synthetic(
     if powers[0] != 0.0:
         powers = np.concatenate([[0.0], powers])
     scales = np.ones(n_modes) if channel_scales is None else np.asarray(channel_scales)
+    if scales.shape != (n_modes,):
+        raise ValueError(f"channel_scales has {scales.size} entries, but n_modes is {n_modes}: "
+                         "give one scale per channel")
     rng = np.random.default_rng(seed)
     state = state or InputState(kind=input_kind)
     curve = correlation_curve(state, phase_scale * powers, n_modes=n_modes)
@@ -414,7 +428,7 @@ def generate_synthetic(
     pair_scales = np.array([scales[i - 1] * scales[j - 1] * accidental_rate**2 for i, j in pairs])
     # one (P, N + pairs) table: scaled singles, then the scaled coincidences;
     # every single is kept, a pair only where its coincidence is defined
-    table = np.hstack([scales[:n_modes] * curve.singles, pair_scales * g2])
+    table = np.hstack([scales * curve.singles, pair_scales * g2])
     kept = np.hstack([np.ones(curve.singles.shape, dtype=bool), ~np.isnan(g2)])
     if noise:
         # one draw per kept entry, record by record: singles, then pairs

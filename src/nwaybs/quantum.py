@@ -363,33 +363,43 @@ def correlation_curve(state: InputState, phis, n_modes: int = 3) -> CorrelationR
 
     The grid is evaluated in blocks of at most ``BLOCK_ENTRIES`` entries of
     the input-column slab; each block is one ``ideal_columns`` slab and one
-    coincidence call for every port pair.  Each ``g2`` entry is a column of
-    one (len(phis), K) table, NaN throughout for a kind with no coincidence.
+    coincidence call for every port pair.  Row 0 of the first slab is phase
+    0: its coincidence on the input port pair is the reference that
+    normalizes every pair, so the first block holds one phase fewer of
+    ``phis`` and later blocks are shifted by one row.  Each ``g2`` entry is
+    a column of one (len(phis), K) table, NaN throughout for a kind with no
+    coincidence.
     """
     phis = np.asarray(phis, dtype=float)
     if phis.ndim != 1:
         raise ValueError(f"phis must be a 1-D array of phases, not shape {phis.shape}")
     cols = _input_columns(state.modes, n_modes)
     kind = KINDS[state.kind]
-    sgl = np.empty((len(phis), n_modes))
     pairs, ports = _port_pairs(n_modes)
-    table = np.full((len(phis), len(pairs)), np.nan)
-    g2 = {pr: table[:, k] for k, pr in enumerate(pairs)}
-    if kind.coincidence is not None:
+    # row 0 of every array below is the zero-phase reference, dropped on return
+    grid = np.concatenate(([0.0], phis))
+    sgl = np.empty((len(grid), n_modes))
+    if kind.coincidence is None:
+        table = np.full((len(grid), len(pairs)), np.nan)
+    else:
+        table = np.empty((len(grid), len(pairs)))
         # one common normalization: the zero-phase coincidence on the input
         # port pair.  Cross-port pairs start at exactly zero, so normalizing
-        # each pair by its own zero-phase value would be 0/0 for them.
-        ident = ideal_columns(n_modes, 0.0, cols)
-        ref = kind.coincidence(state, ident, kind.singles(state, ident),
-                               (min(state.modes), max(state.modes)))
-        if ref == 0.0:
-            raise ValueError(f"{state.kind} input carries no light: its zero-phase "
-                             "coincidence vanishes; cannot normalize")
+        # each pair by its own zero-phase value would be 0/0 for them.  At
+        # phase 0 every slab entry is exactly 0 or 1, so this row gives the
+        # one-matrix observables' reference bit for bit.
+        in_pair = pairs.index((min(state.modes), max(state.modes)))
     block = max(1, BLOCK_ENTRIES // (n_modes * len(cols)))
-    for start in range(0, len(phis), block):
+    for start in range(0, len(grid), block):
         rows = slice(start, start + block)
-        c = ideal_columns(n_modes, phis[rows], cols)
+        c = ideal_columns(n_modes, grid[rows], cols)
         s = sgl[rows] = kind.singles(state, c)
         if kind.coincidence is not None:
-            table[rows] = kind.coincidence(state, c, s, ports) / ref
-    return CorrelationResult(phi=phis, singles=sgl, g2=g2)
+            raw = kind.coincidence(state, c, s, ports)
+            if start == 0:
+                ref = raw[0, in_pair]
+                if ref == 0.0:
+                    raise ValueError(f"{state.kind} input carries no light: its zero-phase "
+                                     "coincidence vanishes; cannot normalize")
+            table[rows] = raw / ref
+    return CorrelationResult(phi=phis, singles=sgl[1:], g2=dict(zip(pairs, table[1:].T)))

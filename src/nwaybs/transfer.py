@@ -131,7 +131,10 @@ def ideal_columns(n_modes: int, phi, cols) -> np.ndarray:
     ``c[..., :, r]`` is column ``cols[r]`` (0-based, any order): q_N(phi)
     everywhere but p_N(phi) = q_N(phi) + 1 in row ``cols[r]``.  An
     observable of k input modes reads only these k columns, so a sweep
-    builds O(N k) entries per phase instead of N^2.
+    builds O(N k) entries per phase instead of N^2.  At phi = 0 every entry
+    is exactly 0 or 1 (q_N(0) is exactly 0), so a row at phase 0 is the
+    identity's columns bit for bit: ``correlation_curve`` takes its
+    zero-phase reference from such a row.
     """
     if n_modes < 2:
         raise ValueError("need at least 2 modes")
@@ -144,8 +147,9 @@ def ideal_columns(n_modes: int, phi, cols) -> np.ndarray:
     # axis of length k
     c = np.empty((len(cols),) + phi.shape + (n_modes,), dtype=complex)
     c[...] = np.asarray(q_coeff(n_modes, phi))[..., np.newaxis]
-    c[np.arange(len(cols)), ..., cols] += 1.0
-    return np.moveaxis(c, 0, -1)
+    for r, col in enumerate(cols):
+        c[r, ..., col] += 1.0
+    return c.transpose(tuple(range(1, c.ndim)) + (0,))
 
 
 def ideal_transfer(n_modes: int, phi) -> TransferMatrix:

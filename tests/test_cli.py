@@ -584,6 +584,29 @@ class TestOracleCommand:
         classical = self.read_oracle_rows(out)[:3]
         assert all(math.isnan(err) and ok == 0 for err, ok in classical)
 
+    def test_all_runs_the_quantum_check_at_the_pump_count(self, tmp_path, capsys):
+        # without n_modes both checks take N from the five pumps: five
+        # classical rows, and quantum rows from phi = 0 to 2 pi / 5
+        offs = [k * 1e12 for k in range(1, 6)]
+        cfg = {
+            "profile": {"omega0_rad_s": W0, "beta_coeffs_si": [0.0],
+                        "gamma_per_w_m": 2e-3, "length_m": 100.0},
+            "grid": {"pump_freqs_rad_s": [W0 + o for o in offs],
+                     "weak_freqs_rad_s": [W0 - o for o in offs]},
+            "pumps": {"powers_w": [0.5] * 5},
+            "input": {"kind": "squeezed_vacuum", "zeta": 0.4},
+        }
+        out = tmp_path / "o.csv"
+        rc = main(["oracle", "--config", write_config(tmp_path, cfg), "--check", "all",
+                   "--out", str(out)])
+        assert rc == 0, capsys.readouterr()
+        names = [l.split(",")[0] for l in out.read_text().splitlines()
+                 if l and not l.startswith("#")][1:]
+        assert names[:5] == [f"classical_seed_{k}" for k in range(1, 6)]
+        assert names[5] == "quantum_phi_0.000000"
+        assert names[-1] == f"quantum_phi_{2 * math.pi / 5:.6f}" == "quantum_phi_1.256637"
+        assert len(names) == 5 + 25
+
     @pytest.mark.parametrize("powers", [[0.5, 0.0, 0.5], [0.0, 0.0, 0.0]])
     def test_pump_switched_off_passes(self, tmp_path, capsys, powers):
         # the seed is sized by the weakest pump that is on, or 1 with none on

@@ -1,5 +1,6 @@
 """Fitting-pipeline tests: normalization, calibration fits, closed loops."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -499,6 +500,19 @@ class TestFitZeta:
         assert fit.iterations < fitting.ITERATION_CAP // 5
 
     @pytest.mark.parametrize("s_rates, ratios", [
+        # one singles rate: the scale and conv columns of J are exactly parallel
+        ([2.0, 2.0, 2.0, 2.0], [0.1, 0.15, 0.12, 0.2]),
+        ([1.0, 2.0, 3.0, 4.0], [0.2, 0.2, 0.2, 0.2]),
+        ([1.0, 2.0, 3.0, 4.0], [0.1, 0.2, 0.4, 0.8]),
+    ], ids=["one-rate", "flat", "upward"])
+    def test_degenerate_data_not_converged_in_any_row_order(self, s_rates, ratios):
+        # the row order changes the rounding of every sum (and the start, from
+        # the last row); none may turn a degenerate fit into a converged one
+        for order in itertools.permutations(range(len(s_rates))):
+            fit = fit_zeta(np.take(s_rates, order), np.take(ratios, order))
+            assert not fit.converged, order
+
+    @pytest.mark.parametrize("s_rates, ratios", [
         ([1.0, 2.0, math.nan], [0.1, 0.2, 0.3]),
         ([1.0, 2.0, math.inf], [0.1, 0.2, 0.3]),
         ([1.0, 2.0, 3.0], [0.1, math.nan, 0.3]),
@@ -578,6 +592,19 @@ class TestGenerateSynthetic:
         # noise 0.5 draws a factor 1 + 0.5 z below zero for some z < -2
         with pytest.raises(ValueError, match=r"noise 0\.5 .* pump power [0-9.]+ W"):
             generate_synthetic(1.3, np.linspace(0.1, 1.0, 10), noise=0.5, seed=0)
+
+    @pytest.mark.parametrize("scales", [(0.9, 0.8), (0.9, 0.8, 0.7, 0.6, 0.5)],
+                             ids=["too-few", "too-many"])
+    def test_channel_scales_must_match_n_modes(self, scales):
+        # neither dropped nor an IndexError: the message names both lengths
+        with pytest.raises(ValueError, match=rf"channel_scales has {len(scales)} entries, "
+                                             r"but n_modes is 3"):
+            generate_synthetic(1.0, [0.5], n_modes=3, channel_scales=scales)
+
+    def test_one_scale_per_channel_accepted(self):
+        recs = generate_synthetic(1.0, [0.5], n_modes=3, channel_scales=(0.9, 0.8, 0.7))
+        plain = generate_synthetic(1.0, [0.5], n_modes=3)
+        assert recs[1].singles == tuple(s * f for s, f in zip(plain[1].singles, (0.9, 0.8, 0.7)))
 
     @pytest.mark.parametrize("noise", [-0.1, math.nan])
     def test_noise_must_be_a_non_negative_number(self, noise):

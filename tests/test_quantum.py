@@ -591,3 +591,111 @@ class TestAllPairs:
         stack = ideal_transfer(4, np.linspace(0.0, 1.0, 3))
         with pytest.raises(ValueError):
             pair_coincidence(stack, (1, 3), ports)
+
+
+def fancy_index_ideal_columns(n_modes, phi, cols):
+    """``ideal_columns`` as one fancy-index add and a ``moveaxis``: the reference
+    for the bytes and strides of the per-column form."""
+    cols = list(cols)
+    phi = np.asarray(phi, dtype=float)
+    c = np.empty((len(cols),) + phi.shape + (n_modes,), dtype=complex)
+    c[...] = np.asarray(q_coeff(n_modes, phi))[..., np.newaxis]
+    c[np.arange(len(cols)), ..., cols] += 1.0
+    return np.moveaxis(c, 0, -1)
+
+
+def fixed_state(kind, n):
+    """One input state per kind on modes 1 and n, with losses on the squeezed vacuum."""
+    if kind == "single_coherent":
+        return InputState(kind=kind, modes=(n,), amplitude=1.3)
+    if kind == "squeezed_vacuum":
+        return InputState(kind=kind, modes=(n, 1), zeta=0.7j,
+                          pre_loss=tuple(np.linspace(0.4, 1.0, n)),
+                          post_loss=tuple(np.linspace(1.0, 0.5, n)))
+    return InputState(kind=kind, modes=(1, n))
+
+
+def assert_curve_is_reference(curve, state, phis, n):
+    sgl, g2 = reference_curve(state, phis, n)
+    assert curve.singles.shape == sgl.shape and curve.singles.tobytes() == sgl.tobytes()
+    assert list(curve.g2) == list(g2)
+    for pr, col in g2.items():
+        assert curve.g2[pr].shape == col.shape and curve.g2[pr].tobytes() == col.tobytes()
+
+
+class TestZeroPhaseReferenceRow:
+    """correlation_curve's reference is row 0 of its first slab; every bit stays
+    that of the one-matrix reference (``reference_curve``)."""
+
+    @pytest.mark.parametrize("points", [0, 1])
+    @pytest.mark.parametrize("n", [2, 3, 16])
+    @pytest.mark.parametrize("kind", INPUT_KINDS)
+    def test_empty_and_one_point_grids(self, kind, n, points):
+        state = fixed_state(kind, n)
+        phis = np.linspace(0.4, 1.1, points)
+        assert_curve_is_reference(correlation_curve(state, phis, n_modes=n), state, phis, n)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["block-1", "block", "block+1"])
+    @pytest.mark.parametrize("n", [3, 16])
+    @pytest.mark.parametrize("kind", INPUT_KINDS)
+    def test_grids_around_one_block(self, kind, n, offset, monkeypatch):
+        # at block - 1 phases the reference row fills the first slab exactly
+        state = fixed_state(kind, n)
+        block = quantum.BLOCK_ENTRIES // (n * len(state.modes))
+        phis = np.linspace(-0.3, 2.5, block + offset)
+        slabs = []
+
+        def recorded(n_modes, phi, cols):
+            slabs.append(np.array(phi))
+            return ideal_columns(n_modes, phi, cols)
+
+        monkeypatch.setattr(quantum, "ideal_columns", recorded)
+        curve = correlation_curve(state, phis, n_modes=n)
+        assert_curve_is_reference(curve, state, phis, n)
+        assert [len(s) for s in slabs] == ([block] if offset < 0 else [block, offset + 1])
+        assert slabs[0][0] == 0.0 and math.copysign(1.0, slabs[0][0]) == 1.0
+        assert np.array_equal(np.concatenate(slabs)[1:], phis)
+        assert max(len(s) * n * len(state.modes) for s in slabs) <= quantum.BLOCK_ENTRIES
+
+    @pytest.mark.parametrize("points", [0, 1, 5])
+    @pytest.mark.parametrize("state", [InputState(kind="dual_coherent", amplitude=0.0),
+                                       InputState(kind="squeezed_vacuum", zeta=0.0)],
+                             ids=["dual_coherent", "squeezed_vacuum"])
+    def test_input_without_light_raises_the_same_text(self, state, points):
+        text = (f"{state.kind} input carries no light: its zero-phase coincidence "
+                "vanishes; cannot normalize")
+        with pytest.raises(ValueError) as err:
+            correlation_curve(state, np.linspace(0.1, 1.0, points))
+        assert str(err.value) == text
+
+    @given(st.integers(2, 16), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_ideal_columns_bytes_and_strides(self, n, data):
+        cols = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        shape = data.draw(st.sampled_from([(), (1,), (7,), (3, 4)]))
+        phi = np.asarray(data.draw(st.lists(st.floats(-8.0, 8.0), min_size=math.prod(shape),
+                                            max_size=math.prod(shape)))).reshape(shape)
+        got, want = ideal_columns(n, phi, cols), fancy_index_ideal_columns(n, phi, cols)
+        assert got.shape == want.shape and got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
+        got, want = ideal_transfer(n, phi).entries, np.ascontiguousarray(
+            fancy_index_ideal_columns(n, phi, range(n)))
+        assert got.strides == want.strides and got.tobytes() == want.tobytes()
+
+    @given(st.integers(2, 16), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_one_matrix_port_array_on_general_matrices(self, n, data):
+        # a (K, 2) ports array on one matrix keeps the one-pair scalar arithmetic:
+        # the stack kernels round differently on a general (non-ideal) matrix
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        u = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * rng.uniform(0.1, 3.0)
+        tm = TransferMatrix(entries=u, phi=0.0)
+        state = data.draw(input_states(n, kinds=("squeezed_vacuum",)))
+        all_pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+        pairs = data.draw(st.lists(st.sampled_from(all_pairs), min_size=1, max_size=20))
+        got = coincidence_squeezed(state, tm, np.array(pairs))
+        per_pair = [coincidence_squeezed(state, tm, pr) for pr in pairs]
+        kept = [_ref_coincidence_squeezed(state, u, pr) for pr in pairs]
+        assert got.shape == (len(pairs),)
+        assert got.tobytes() == np.array(per_pair).tobytes() == np.array(kept).tobytes()
