@@ -606,6 +606,14 @@ class TestOracleCommand:
         assert names[5] == "quantum_phi_0.000000"
         assert names[-1] == f"quantum_phi_{2 * math.pi / 5:.6f}" == "quantum_phi_1.256637"
         assert len(names) == 5 + 25
+        # so a loss list is one transmission per pump there, not per one of 3 modes
+        cfg["input"]["pre_loss"] = [0.9, 0.8, 0.7]
+        out.unlink()
+        rc = main(["oracle", "--config", write_config(tmp_path, cfg), "--check", "all",
+                   "--out", str(out)])
+        assert rc == 1
+        assert "pre_loss must supply one transmission per channel" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("powers", [[0.5, 0.0, 0.5], [0.0, 0.0, 0.0]])
     def test_pump_switched_off_passes(self, tmp_path, capsys, powers):
