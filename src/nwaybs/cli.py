@@ -36,7 +36,7 @@ import numpy as np
 from . import __version__
 # only the layers the schema needs; each subcommand imports the others it runs
 from .dispersion import DispersionProfile, FrequencyGrid, nonlinear_mismatch
-from .quantum import KINDS, InputState, correlation_curve, g2_squeezed_full
+from .quantum import KINDS, InputState, coincidence_squeezed, correlation_curve
 from .transfer import PumpConfig, general_transfer, ideal_transfer, lossy_transfer, to_lab_frame
 
 SPEED_OF_LIGHT = 299792458.0  # m/s, exact
@@ -242,12 +242,6 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _require_pump_count(cfg: dict, pumps: PumpConfig, command: str) -> None:
-    if cfg.get("n_modes", pumps.n_modes) != pumps.n_modes:
-        raise ConfigError(f"config key 'n_modes' is {cfg['n_modes']}, but {command} takes "
-                          f"one mode per pump ({pumps.n_modes})")
-
-
 def config_hash(cfg: dict) -> str:
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
@@ -279,10 +273,9 @@ class Table(NamedTuple):
 def cmd_transfer(args, cfg: dict) -> Table:
     kind = cfg.get("transfer", "ideal")
     if kind == "ideal":
-        tm = ideal_transfer(cfg.get("n_modes", 3), args.phi)
+        tm = ideal_transfer(cfg["n_modes"], args.phi)
     else:
         profile, pumps = cfg["profile"], cfg["pumps"]
-        _require_pump_count(cfg, pumps, f"the {kind} route")
         mismatch = nonlinear_mismatch(profile, cfg["grid"], pumps.powers) if "grid" in cfg else None
         # the lossy route takes zero mismatch only: any other raises ValueError, so exit 1
         build = general_transfer if kind == "general" else lossy_transfer
@@ -295,7 +288,7 @@ def cmd_transfer(args, cfg: dict) -> Table:
 
 
 def cmd_sweep(args, cfg: dict) -> Table:
-    n_modes = cfg.get("n_modes", 3)
+    n_modes = cfg["n_modes"]
     sweep = cfg.get("sweep", {})
     if "powers_w" in sweep:
         phis = sweep["phase_scale_rad_per_w"] * np.asarray(sweep["powers_w"])
@@ -315,7 +308,6 @@ def cmd_sweep(args, cfg: dict) -> Table:
 
 def cmd_phasematch(args, cfg: dict) -> Table:
     profile, pumps = cfg["profile"], cfg["pumps"]
-    _require_pump_count(cfg, pumps, "phasematch")
     report = nonlinear_mismatch(profile, cfg["grid"], pumps.powers)
     columns = ["channel", "delta_beta_per_m", "delta_k_per_m", "dk_L_over_pi", "negligible"]
     rows = [[n + 1, report.delta_beta[n], report.delta_k[n],
@@ -350,39 +342,39 @@ def _oracle_classical_rows(cfg, tol):
     return [[f"classical_seed_{k + 1}", err, err < tol] for k, err in enumerate(errs)]
 
 
-def _oracle_quantum_rows(cfg, tol, n_modes):
+def _oracle_quantum_rows(cfg, tol):
     from .oracle import loss_chain, wick_moments
 
+    n_modes = cfg["n_modes"]
     state = cfg.get("input", InputState(kind="squeezed_vacuum", zeta=0.4))
     t_pre = state.transmissions("pre_loss", n_modes)
     t_post = state.transmissions("post_loss", n_modes)
-    rows = []
-    phis = np.linspace(0.0, 2.0 * math.pi / n_modes, 25)
-    ref = None
-    for phi in phis:
+
+    def coincidences(phi):
+        """The unnormalized coincidences at phi: the Wick oracle's and the closed form's."""
         tm = ideal_transfer(n_modes, phi)
         chain = loss_chain(n_modes, state.zeta, tm.entries, t_pre, t_post, state.modes)
-        _, _, raw = wick_moments(chain, ports=state.modes)
-        if ref is None:
-            ref = raw
-        wick_g2 = raw / ref
-        closed = g2_squeezed_full(state, tm, ports=state.modes)
+        return wick_moments(chain, state.modes)[2], coincidence_squeezed(state, tm, state.modes)
+
+    wick_ref, closed_ref = coincidences(0.0)
+    if wick_ref == 0.0 or closed_ref == 0.0:
+        raise ValueError(f"{state.kind} input carries no light: its zero-phase coincidence "
+                         "vanishes; cannot normalize")
+    rows = []
+    for phi in np.linspace(0.0, 2.0 * math.pi / n_modes, 25):
+        wick_raw, closed_raw = coincidences(phi)
+        wick_g2, closed = wick_raw / wick_ref, closed_raw / closed_ref
         err = abs(wick_g2 - closed) / max(abs(closed), 1e-300)
         rows.append([f"quantum_phi_{phi:.6f}", err, err < tol])
     return rows
 
 
 def cmd_oracle(args, cfg: dict) -> Table:
-    if args.check == "all":
-        # both checks run the same N, the pump count: the classical one takes
-        # it from the pumps, so n_modes may only repeat it
-        _require_pump_count(cfg, cfg["pumps"], "oracle --check all")
     rows = []
     if args.check in ("classical", "all"):
         rows += _oracle_classical_rows(cfg, args.tol)
     if args.check in ("quantum", "all"):
-        n_modes = cfg["pumps"].n_modes if args.check == "all" else cfg.get("n_modes", 3)
-        rows += _oracle_quantum_rows(cfg, args.tol, n_modes)
+        rows += _oracle_quantum_rows(cfg, args.tol)
     # np.max propagates NaN, so a non-finite error cannot report as a pass
     worst = float(np.max([row[1] for row in rows]))
     return Table(["case", "max_error", "pass"], rows,
@@ -443,7 +435,7 @@ def cmd_synth(args, cfg: dict) -> Table:
     from .fitting import generate_synthetic
 
     sweep = cfg["sweep"]
-    n_modes = cfg.get("n_modes", 3)
+    n_modes = cfg["n_modes"]
     records = generate_synthetic(sweep["phase_scale_rad_per_w"], sweep["powers_w"], n_modes=n_modes,
                                  state=cfg["input"], noise=args.noise, seed=cfg.get("seed", 0))
     columns = ["power_w"] + [f"singles_{i}" for i in range(1, n_modes + 1)]
@@ -531,6 +523,12 @@ def main(argv=None) -> int:
         variant = config_variant(args.command, raw, args)
         cfg = check_section(raw, CONFIGS[args.command, variant],
                             f"the config of {args.command} {variant}".rstrip())
+        # N: one channel per pump/weak pair; without pumps, n_modes or 3
+        pumps = cfg.get("pumps")
+        n_modes = cfg.setdefault("n_modes", 3 if pumps is None else pumps.n_modes)
+        if pumps is not None and n_modes != pumps.n_modes:
+            raise ConfigError(f"config key 'n_modes' is {n_modes}, but {args.command} takes "
+                              f"one mode per pump ({pumps.n_modes})")
         handler = {"transfer": cmd_transfer, "sweep": cmd_sweep, "phasematch": cmd_phasematch,
                    "oracle": cmd_oracle, "synth": cmd_synth}[args.command]
         table = handler(args, cfg)
@@ -548,7 +546,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (RuntimeError, np.linalg.LinAlgError, AssertionError) as exc:
+    except (RuntimeError, ArithmeticError, np.linalg.LinAlgError, AssertionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -663,6 +663,15 @@ class TestOracleCommand:
             err = capsys.readouterr().err
             assert f"'n_modes' is {n_modes}" in err and "one mode per pump (3)" in err
             assert not out.exists()
+        else:
+            # an n_modes that repeats the pump count changes no row
+            del cfg["n_modes"]
+            bare = tmp_path / "bare.csv"
+            assert main(["oracle", "--config", write_config(tmp_path, cfg), "--check", "all",
+                         "--out", str(bare)]) == 0
+            bodies = [[l for l in path.read_text().splitlines() if not l.startswith("#")]
+                      for path in (out, bare)]
+            assert bodies[0] == bodies[1] and len(bodies[0]) == 1 + 3 + 25
 
     def test_lossy_unequal_powers_is_exit_1(self, tmp_path, capsys):
         cfgp = self.classical_cfg(tmp_path, [0.7, 0.5, 0.7], alpha=4.950556e-5)
@@ -810,6 +819,34 @@ def test_error_path_writes_nothing(tmp_path, capsys, command, flags, text, code,
     path.write_text(text)
     out = tmp_path / "o.csv"
     assert main([command, flags[0], str(path), *flags[1:], "--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+NO_LIGHT = ("squeezed_vacuum input carries no light: its zero-phase coincidence vanishes; "
+            "cannot normalize")
+# configs the schema accepts but that cannot be computed: (subcommand and flags,
+# the config but its input, the input's zeta, exit code, a part of the message);
+# zeta 800 overflows math.sinh and math.cosh
+DEGENERATE = [
+    pytest.param(["sweep"], {}, 0, 1, NO_LIGHT, id="sweep-zeta-0"),
+    pytest.param(["oracle", "--check", "quantum"], {}, 0, 1, NO_LIGHT, id="oracle-quantum-zeta-0"),
+    pytest.param(["oracle", "--check", "all"], TestPhasematchCommand.symmetric_cfg(), 0, 1,
+                 NO_LIGHT, id="oracle-all-zeta-0"),
+    pytest.param(["sweep"], {}, 800, 2, "numerical failure", id="sweep-zeta-800"),
+    pytest.param(["synth"], {"sweep": POWER_SWEEP}, 800, 2, "numerical failure",
+                 id="synth-zeta-800"),
+    pytest.param(["oracle", "--check", "quantum"], {}, 800, 2, "numerical failure",
+                 id="oracle-quantum-zeta-800"),
+]
+
+
+@pytest.mark.parametrize("argv,cfg,zeta,code,message", DEGENERATE)
+def test_degenerate_config_is_an_exit_code(tmp_path, capsys, argv, cfg, zeta, code, message):
+    cfg = dict(cfg, input={"kind": "squeezed_vacuum", "modes": [1, 3], "zeta": zeta})
+    out = tmp_path / "o.csv"
+    assert main([argv[0], "--config", write_config(tmp_path, cfg), "--out", str(out),
+                 *argv[1:]]) == code
     assert message in capsys.readouterr().err
     assert not out.exists()
 
@@ -1150,6 +1187,11 @@ PINNED_OUTPUTS = [
                  "646384a4688f17f9", id="phasematch"),
     pytest.param(["oracle", "--check", "quantum"], {"n_modes": 3, "input": PIN_SQUEEZED},
                  "725a477973b62bc2", id="oracle-quantum"),
+    # no n_modes: both checks run at the pump count
+    pytest.param(["oracle", "--check", "all"], {"profile": PIN_PROFILE, "grid": PIN_GRID,
+                                                "pumps": {"powers_w": [0.5, 0.6, 0.7]},
+                                                "input": PIN_SQUEEZED},
+                 "7d42edae7c633739", id="oracle-all"),
     pytest.param(["synth", "--noise", "0.01"], {"n_modes": 3, "input": PIN_SQUEEZED, "seed": 6,
                                                 "sweep": {"powers_w": [0.1, 0.4, 0.7],
                                                           "phase_scale_rad_per_w": 1.3}},
