@@ -370,11 +370,10 @@ def _oracle_quantum_rows(cfg, tol):
 
 
 def cmd_oracle(args, cfg: dict) -> Table:
-    rows = []
-    if args.check in ("classical", "all"):
-        rows += _oracle_classical_rows(cfg, args.tol)
-    if args.check in ("quantum", "all"):
-        rows += _oracle_quantum_rows(cfg, args.tol)
+    # the quantum rows first: an input without light exits 1 there, before the RK4 run
+    quantum = _oracle_quantum_rows(cfg, args.tol) if args.check in ("quantum", "all") else []
+    classical = _oracle_classical_rows(cfg, args.tol) if args.check in ("classical", "all") else []
+    rows = classical + quantum
     # np.max propagates NaN, so a non-finite error cannot report as a pass
     worst = float(np.max([row[1] for row in rows]))
     return Table(["case", "max_error", "pass"], rows,

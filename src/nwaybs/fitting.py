@@ -12,13 +12,18 @@ Both nonlinear fits run in this module, in numpy and plain Python:
 * ``fit_phase_scale`` scans kappa on a grid and refines the best bracket
   with Brent's bounded minimization (golden section with parabolic steps;
   Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 5).
+  The scan screens every grid point in real arithmetic, |p_N|^2 = A +
+  B cos(theta), with a rigorous rounding-error bound (``SCREEN_DELTA``),
+  and evaluates the exact complex objective only at the points that can
+  hold its minimum, so it picks the exact scan's point bit for bit.
   ``_bounded_min`` performs the float operations of scipy's
   ``minimize_scalar(method="bounded")`` in the same order, so its result
   and evaluation count equal scipy's bit for bit.
 * ``fit_zeta`` is a two-parameter Levenberg-Marquardt fit (Moré, *Lecture
   Notes in Math.* 630, 1978) with the analytic Jacobian of the ratio model.
 
-``FitResult.iterations`` counts objective (residual) evaluations.  All fits
+``FitResult.iterations`` counts objective (residual) evaluations, all 513
+scan points included however few the screen leaves exact.  All fits
 are deterministic: identical inputs (and seeds) give bit-identical results.
 """
 
@@ -42,7 +47,7 @@ RESIDUAL_TOL = 1e-12
 # data.  It is sqrt(RESIDUAL_TOL), the relative residual norm the fit
 # resolves, so the data then fix scale * conv but not conv.
 LINEAR_LIMIT = 1e-6
-# (kappa, power) entries per block of the coarse scan: its complex
+# (kappa, power) entries per block of the coarse scan and of its screen: their
 # temporaries then stay below glibc's 128 KiB mmap threshold, so each block
 # reuses freed heap memory instead of mapping (and page-faulting) fresh pages
 SCAN_BLOCK_ENTRIES = 4096
@@ -132,6 +137,59 @@ def _scan_objective(grid: np.ndarray, powers: np.ndarray, values: np.ndarray,
     return obj
 
 
+# Bound on |m - m'|, the gap between the exact path's |p_N(theta)|^2 (complex
+# exp, abs, square) and the screen's A + B cos(theta), both computed in
+# floating point at the same theta.  Each is within a few ulps of the true
+# value, which lies in [0, 1]; measured, the gap stays below 1e-15 for
+# N = 2..16 and |theta| up to 1e7.  This is an error bound, not a setting.
+#
+# Why ``_screen_bounds`` holds the exact objective: with u = 2^-53 and
+# residuals r = fl(v - m), r' = fl(v - m'), each d = r - r' obeys
+# |d| <= |m - m'| (1 + u) + 2u |r'| / (1 - u).  Then
+#   |sum r^2 - sum r'^2| = |sum d (2 r' + d)| <= 2 sum |d| |r'| + sum d^2
+#                        <= 2 delta sum |r'| + P delta^2 + (4u + O(u^2)) sum r'^2,
+# with delta = 100x the measured gap absorbing the cross terms and the
+# rounding of sum |r'|.  A floating-point sum of P squares is within
+# gamma_P = P u / (1 - P u) of its exact value, in any order (Higham,
+# *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002, ch. 3),
+# once for the exact objective and once for the screen's: together about
+# 2 (P + 2) u obj'.  The slack takes twice that, 4 (P + 2) u obj', so the
+# rounding of the slack itself and of obj' -/+ slack stays inside it.
+SCREEN_DELTA = 1e-13
+
+
+def _screen_bounds(grid: np.ndarray, powers: np.ndarray, values: np.ndarray,
+                   n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds on ``_scan_objective`` at every kappa of ``grid``.
+
+    Real arithmetic: |p_N(theta)|^2 = A + B cos(theta), with theta = N kappa P
+    the bits the exact path passes to ``exp``.  Each row's sum of squares
+    obj' is widened by the slack 2 delta sum|r'| + P delta^2 + 4 (P + 2)
+    2^-53 obj' (``SCREEN_DELTA`` above).  Blocked like ``_scan_objective``.
+    A row with a NaN or infinite entry gets a NaN lower bound.
+    """
+    a = ((n_modes - 1) ** 2 + 1) / n_modes**2
+    b = 2 * (n_modes - 1) / n_modes**2
+    obj = np.empty(len(grid))
+    abs_sum = np.empty(len(grid))
+    ones = np.ones(len(powers))
+    block = max(1, SCAN_BLOCK_ENTRIES // len(powers))
+    for start in range(0, len(grid), block):
+        rows = slice(start, start + block)
+        # in place, one temporary: theta, cos(theta), m', then r'
+        r = grid[rows, np.newaxis] * powers
+        r *= n_modes
+        np.cos(r, out=r)
+        r *= b
+        r += a
+        np.subtract(values, r, out=r)
+        obj[rows] = (r[:, np.newaxis, :] @ r[:, :, np.newaxis])[:, 0, 0]
+        abs_sum[rows] = np.abs(r, out=r) @ ones
+    n = len(powers)
+    slack = 2.0 * SCREEN_DELTA * abs_sum + n * SCREEN_DELTA**2 + 4 * (n + 2) * 2.0**-53 * obj
+    return obj - slack, obj + slack
+
+
 _SQRT_EPS = math.sqrt(2.2e-16)
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
@@ -214,13 +272,19 @@ def fit_phase_scale(powers, values, n_modes: int = 3) -> FitResult:
     full oscillations of |p|^2 over the data, followed by Brent's bounded
     golden-section / parabolic refinement (``_bounded_min``) of the
     squared-residual objective between the best grid point's neighbours,
-    to ``PARAM_TOL * max(kappa_max, 1)`` in kappa.  The 513-point scan is
-    evaluated as one array, in blocks of at most ``SCAN_BLOCK_ENTRIES``
-    (kappa, power) entries, and gives the same floats as the scalar
-    objective.  Ties in the coarse scan break toward smaller kappa.
-    ``iterations`` counts objective evaluations: the 513 scan points plus
-    the refinement's.  Not converged when the refinement reaches
-    ``ITERATION_CAP`` evaluations or meets a NaN.
+    to ``PARAM_TOL * max(kappa_max, 1)`` in kappa.  The 513-point scan
+    first bounds the objective at every grid point with the cosine screen
+    (``_screen_bounds``) and keeps each point whose lower bound is at most
+    the smallest upper bound (all of them when a bound is NaN); only the
+    kept points, usually one, get the exact objective (``_scan_objective``,
+    the same floats as the scalar objective).  Every point where the exact
+    scan reaches its minimum is kept, so the best point is the exact scan's.
+    Both passes run in blocks of at most ``SCAN_BLOCK_ENTRIES`` (kappa,
+    power) entries.  Ties in the coarse scan break toward smaller kappa.
+    ``iterations`` counts objective evaluations: the 513 scan points,
+    however many the screen leaves exact, plus the refinement's.  Not
+    converged when the refinement reaches ``ITERATION_CAP`` evaluations or
+    meets a NaN.
     """
     powers = np.asarray(powers, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -238,8 +302,13 @@ def fit_phase_scale(powers, values, n_modes: int = 3) -> FitResult:
         return float(r @ r)
 
     grid = np.linspace(0.0, kappa_max, 513)
-    obj = _scan_objective(grid, powers, values, n_modes)
-    best = int(np.argmin(obj))  # argmin takes the first (smallest kappa) on ties
+    # a non-finite screen keeps every row, whose exact scan then warns as before
+    with np.errstate(all="ignore"):
+        lower, upper = _screen_bounds(grid, powers, values, n_modes)
+    # every row that can reach the exact minimum; a NaN minimum keeps all
+    kept = np.flatnonzero(~(lower > upper.min()))
+    obj = _scan_objective(grid[kept], powers, values, n_modes)
+    best = int(kept[np.argmin(obj)])  # argmin takes the first (smallest kappa) on ties
     lo = grid[max(0, best - 1)]
     hi = grid[min(len(grid) - 1, best + 1)]
     kappa, nfev, converged = _bounded_min(objective, lo, hi, PARAM_TOL * max(kappa_max, 1.0),

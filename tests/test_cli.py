@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import nwaybs
+from nwaybs import cli
 from nwaybs.cli import (_INPUT_KIND_ALIASES, build_parser, check_section, config_hash,
                         input_section, lambda_nm_to_omega, main)
 from nwaybs.quantum import INPUT_KINDS, InputState, correlation_curve
@@ -851,6 +852,21 @@ def test_degenerate_config_is_an_exit_code(tmp_path, capsys, argv, cfg, zeta, co
     assert not out.exists()
 
 
+def test_oracle_all_rejects_an_input_without_light_before_the_classical_check(
+        tmp_path, capsys, monkeypatch):
+    def classical_rows(cfg, tol):
+        raise AssertionError("the classical check ran")
+
+    monkeypatch.setattr(cli, "_oracle_classical_rows", classical_rows)
+    cfg = dict(TestPhasematchCommand.symmetric_cfg(),
+               input={"kind": "squeezed_vacuum", "modes": [1, 3], "zeta": 0})
+    out = tmp_path / "o.csv"
+    assert main(["oracle", "--config", write_config(tmp_path, cfg), "--out", str(out),
+                 "--check", "all"]) == 1
+    assert NO_LIGHT in capsys.readouterr().err
+    assert not out.exists()
+
+
 # flag values that would run and write NaN, or report a numerical failure
 BAD_FLAG_VALUES = [
     ["transfer", "--phi", "nan"], ["synth", "--noise", "nan"], ["oracle", "--tol", "nan"],
@@ -1066,6 +1082,29 @@ class TestFitCommand:
         assert list(kv) == keys
         assert kv["converged"] == "1"
         assert not any(math.isnan(float(v)) for v in kv.values())
+
+    def write_ratio_csv(self, tmp_path):
+        s2 = np.sinh(np.linspace(0.05, 0.4, 12)) ** 2
+        path = tmp_path / "ratio.csv"
+        lines = ["singles_rate,ratio"] + [f"{0.4 * s:.17g},{s / (2 * (1 + s)):.17g}" for s in s2]
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    # (model, curve, sha256 prefix of the output file): fit outputs pinned byte
+    # for byte, header included; like PINNED_OUTPUTS they pin one numpy build
+    PINNED_FITS = [
+        pytest.param("pair", {}, "542dd01557496f61", id="pair-exact"),
+        pytest.param("pair", {"noise": 0.01, "seed": 5}, "3e4ce4a4ef7f9d22", id="pair-noisy"),
+        pytest.param("multiphoton", None, "1144add31e3be931", id="multiphoton"),
+    ]
+
+    @pytest.mark.parametrize("model,curve,digest", PINNED_FITS)
+    def test_fit_output_is_pinned(self, tmp_path, model, curve, digest):
+        data = (self.write_ratio_csv(tmp_path) if curve is None
+                else self.write_depletion_csv(tmp_path, **curve)[0])
+        out = tmp_path / "fit.txt"
+        assert main(["fit", "--data", data, "--model", model, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
 
 
 class TestSynthCommand:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -345,6 +346,137 @@ class TestFitPhaseScale:
         # below one row per block: still one kappa at a time
         monkeypatch.setattr(fitting, "SCAN_BLOCK_ENTRIES", 1)
         assert np.array_equal(fitting._scan_objective(grid, powers, values, 3), whole)
+
+
+def screen_data(n_modes, n_points, powers_kind, values_kind, seed):
+    """A curve for the scan's screen: sorted, signed or large powers (max > 0), and
+    exact, noisy, scaled, offset or random values."""
+    rng = np.random.default_rng(seed)
+    kappa = rng.uniform(0.2, 2.0)
+    if powers_kind == "sorted":
+        powers = np.sort(rng.uniform(0.0, 2.0, n_points))
+    elif powers_kind == "signed":
+        powers = rng.uniform(-5.0, 2.0, n_points)
+        powers[0] = 2.0
+    else:  # up to 1e7 in size, against a largest power of 1 to 1e7
+        powers = rng.uniform(-1e7, 1e7, n_points)
+        powers[0] = 10.0 ** rng.uniform(0.0, 7.0)
+        kappa /= powers.max()
+    model = np.abs(p_coeff(n_modes, kappa * powers)) ** 2
+    if values_kind == "exact":
+        return powers, model
+    if values_kind == "noisy":
+        return powers, model * (1 + 0.02 * rng.standard_normal(n_points))
+    if values_kind == "scaled":
+        return powers, model * rng.uniform(0.1, 10.0)
+    if values_kind == "offset":
+        return powers, model + rng.uniform(-1.0, 1.0)
+    return powers, rng.uniform(-2.0, 2.0, n_points) * 10.0 ** rng.integers(-5, 5)
+
+
+def recorded_scan_rows(monkeypatch):
+    """The kappas of every _scan_objective call, as fit_phase_scale makes them."""
+    rows = []
+    scan = fitting._scan_objective
+
+    def wrapped(grid, *args):
+        rows.extend(grid.tolist())
+        return scan(grid, *args)
+
+    monkeypatch.setattr(fitting, "_scan_objective", wrapped)
+    return rows
+
+
+def warned(func, *args):
+    """``func(*args)`` as the repr of its result or exception, and the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = repr(func(*args))
+        except ValueError as exc:
+            out = f"{type(exc).__name__}: {exc}"
+    return out, sorted({(w.category.__name__, str(w.message)) for w in caught})
+
+
+# (array, {index: non-finite entry}) on a 12-point curve
+NON_FINITE_ENTRIES = [
+    *(pytest.param(array, {index: bad}, id=f"{array}-{bad}-{index}")
+      for array in ("values", "powers") for bad in (math.nan, math.inf, -math.inf)
+      for index in (0, 5, 11)),
+    pytest.param("values", {2: math.inf, 7: -math.inf}, id="values-inf-and--inf"),
+]
+
+
+class TestScanScreen:
+    """The cosine screen keeps every grid row that can hold the scan's exact minimum."""
+
+    @given(st.integers(2, 16), st.integers(5, 600), st.sampled_from(["sorted", "signed", "large"]),
+           st.sampled_from(["exact", "noisy", "scaled", "offset", "random"]),
+           st.integers(0, 2**31 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_bounds_hold_the_exact_objective(self, n, n_points, powers_kind, values_kind, seed):
+        powers, values = screen_data(n, n_points, powers_kind, values_kind, seed)
+        grid = np.linspace(0.0, 8.0 * math.pi / n / powers.max(), 513)
+        lower, upper = fitting._screen_bounds(grid, powers, values, n)
+        exact = fitting._scan_objective(grid, powers, values, n)
+        assert np.all(lower <= exact) and np.all(exact <= upper)
+        assert repr(fit_phase_scale(powers, values, n)) == repr(
+            reference_fit_phase_scale(powers, values, n))
+
+    def test_bounds_hold_where_residuals_round_apart(self):
+        # N = 2 with theta next to pi/2 + k pi: |p|^2 is 0.5 to an ulp, and where the
+        # two forms land on opposite sides of 0.5, values of 2^52 + 2 give residuals
+        # a whole unit apart; only the slack's relative term covers that gap
+        grid = np.linspace(0.0, 4.0 * math.pi, 513)  # kappa_max at N = 2, largest power 1
+        powers = ((0.5 + np.arange(3))[:, np.newaxis] * math.pi / (2.0 * grid[1::7])).ravel()
+        powers = np.append(1.0, powers[powers <= 1.0])
+        values = np.full(len(powers), 2.0**52 + 2.0)
+        lower, upper = fitting._screen_bounds(grid, powers, values, 2)
+        exact = fitting._scan_objective(grid, powers, values, 2)
+        assert np.all(lower <= exact) and np.all(exact <= upper)
+
+    @pytest.mark.parametrize("row", [1, 100, 255, 256])
+    @pytest.mark.parametrize("between", [False, True], ids=["at-row", "between-rows"])
+    @pytest.mark.parametrize("noise", [0.0, 0.02])
+    def test_mirror_ties_match_the_reference(self, monkeypatch, row, between, noise):
+        # powers 0..4 and N = 3: |p_3(3 kappa P)|^2 is even and 2 pi / 3 periodic in
+        # kappa, and kappa_max is 2 pi / 3, so the objective is symmetric about grid
+        # row 256: rows j and 512 - j tie up to rounding
+        powers = np.arange(5.0)
+        grid = np.linspace(0.0, 2.0 * math.pi / 3.0, 513)
+        kappa = 0.5 * (grid[row] + grid[row + 1]) if between else grid[row]
+        values = np.abs(p_coeff(3, kappa * powers)) ** 2
+        values *= 1 + noise * np.random.default_rng(row).standard_normal(5)
+        kept = recorded_scan_rows(monkeypatch)
+        fit = fit_phase_scale(powers, values)
+        ref = reference_fit_phase_scale(powers, values, 3)
+        assert repr(fit) == repr(ref)
+        best = int(np.argmin([reference_objective(k, powers, values, 3) for k in grid]))
+        assert {grid[best], grid[512 - best]} <= set(kept)
+
+    def test_calibrate_fit_checks_one_row(self, monkeypatch):
+        # a noisy 30-point curve, as the calibration loop fits: one exact row
+        powers, values = depletion_data(3, 30, True, 7)
+        kept = recorded_scan_rows(monkeypatch)
+        fit = fit_phase_scale(powers, values)
+        assert len(kept) == 1
+        assert repr(fit) == repr(reference_fit_phase_scale(powers, values, 3))
+
+    @pytest.mark.parametrize("array,entries", NON_FINITE_ENTRIES)
+    def test_non_finite_entries_match_the_reference(self, array, entries):
+        powers = np.linspace(0.0, 2.0, 12)
+        values = np.abs(p_coeff(3, 0.9 * powers)) ** 2
+        target = values if array == "values" else powers
+        for index, bad in entries.items():
+            target[index] = bad
+        fit = warned(fit_phase_scale, powers, values, 3)
+        ref = warned(reference_fit_phase_scale, powers, values, 3)
+        if array == "powers" and math.isnan(bad):
+            # the largest power, kappa_max and so the bracket are NaN: scipy rejects
+            # the bracket, the Brent port spends one evaluation and reports NaN
+            assert ref == ("ValueError: Optimization bounds must be finite scalars.", [])
+            ref = (repr(FitResult(phase_scale=math.nan, iterations=514)), [])
+        assert fit == ref
 
 
 SCAN_FAULTS_SCRIPT = r"""
