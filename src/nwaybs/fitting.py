@@ -15,7 +15,11 @@ Both nonlinear fits run in this module, in numpy and plain Python:
   The scan screens every grid point in real arithmetic, |p_N|^2 = A +
   B cos(theta), with a rigorous rounding-error bound (``SCREEN_DELTA``),
   and evaluates the exact complex objective only at the points that can
-  hold its minimum, so it picks the exact scan's point bit for bit.
+  hold its minimum, so it picks the exact scan's point bit for bit.  The
+  screen has two stages: a lower bound at every grid point from a fixed
+  subset of about six data points (a sum of non-negative squares is at
+  least any of its sub-sums), then the full-point screen at the few grid
+  points whose subset bound can reach the objective's smallest upper bound.
   ``_bounded_min`` performs the float operations of scipy's
   ``minimize_scalar(method="bounded")`` in the same order, so its result
   and evaluation count equal scipy's bit for bit.
@@ -63,16 +67,17 @@ class CountRecord:
     accidental_singles: tuple[float, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "singles", tuple(float(s) for s in self.singles))
-        object.__setattr__(
-            self, "accidental_singles", tuple(float(s) for s in self.accidental_singles)
-        )
+        singles = tuple(map(float, self.singles))
+        accidental = tuple(map(float, self.accidental_singles))
+        object.__setattr__(self, "singles", singles)
+        object.__setattr__(self, "accidental_singles", accidental)
         if self.pump_peak_power < 0:
             raise ValueError("pump power must be >= 0")
-        if any(s < 0 for s in self.singles + self.accidental_singles):
-            raise ValueError("rates must be >= 0")
-        if any(r < 0 for r in self.coincidences.values()):
-            raise ValueError("rates must be >= 0")
+        # NaN compares false, so a NaN rate is accepted
+        for rates in (singles, accidental, self.coincidences.values()):
+            for r in rates:
+                if r < 0:
+                    raise ValueError("rates must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -97,23 +102,30 @@ def normalize_coincidences(records, ports=(1, 3)):
     if not records or records[0].pump_peak_power != 0.0:
         raise ValueError("need a zero-pump-power record for normalization")
     i, j = ports
+    key = (min(ports), max(ports))
     powers = []
     values = []
     for rec in records:
-        if len(rec.accidental_singles) < max(ports):
+        acc_singles = rec.accidental_singles
+        if len(acc_singles) < key[1]:
             raise ValueError("record lacks accidental singles for the requested ports")
-        acc = rec.accidental_singles[i - 1] * rec.accidental_singles[j - 1]
+        acc = acc_singles[i - 1] * acc_singles[j - 1]
         if acc == 0.0:
             raise ValueError("zero accidental rate; normalization undefined")
-        key = (min(ports), max(ports))
-        if key not in rec.coincidences:
+        coinc = rec.coincidences
+        if key not in coinc:
             raise ValueError(f"record lacks coincidences for ports {key}")
         powers.append(rec.pump_peak_power)
-        values.append(rec.coincidences[key] / acc)
+        values.append(coinc[key] / acc)
     values = np.asarray(values)
     if values[0] == 0.0:
         raise ValueError("zero-power coincidence vanishes; cannot normalize")
     return np.asarray(powers), values / values[0]
+
+
+def _check_finite(name: str, x) -> None:
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} must be finite")
 
 
 def _depletion_model(kappa, powers: np.ndarray, n_modes: int) -> np.ndarray:
@@ -155,21 +167,45 @@ def _scan_objective(grid: np.ndarray, powers: np.ndarray, values: np.ndarray,
 # once for the exact objective and once for the screen's: together about
 # 2 (P + 2) u obj'.  The slack takes twice that, 4 (P + 2) u obj', so the
 # rounding of the slack itself and of obj' -/+ slack stays inside it.
+#
+# Why a subset S of s distinct points bounds the objective over all P from
+# below: the exact objective's squares are non-negative, so its float sum is
+# fl(sum_P r^2) >= (1 - gamma_P) sum_P r^2 >= (1 - gamma_P) sum_S r^2.  Over S
+# the bound above gives sum_S r^2 >= obj'_S - 2 delta sum_S |r'| - s delta^2
+# - (gamma_s + 4u + O(u^2)) obj'_S, where obj'_S is the screen's float sum of
+# s squares; the factor (1 - gamma_P) adds about gamma_P obj'_S to the
+# relative part, which is then about (P + s + 4) u obj'_S <= 2 (P + 2) u obj'_S
+# for s <= P.  So the same slack, with s in its delta terms and the full P
+# in its relative term, 4 (P + 2) u obj'_S, again with the factor 2 to spare,
+# keeps obj'_S - slack at or below the exact objective over all P points.
 SCREEN_DELTA = 1e-13
+# Data points of the scan's first screen stage (``_screen_points``).  Measured
+# on calibrate-shaped 30-point fits (N = 3, exact and 1 % noise, 3000
+# curves), 6 leave at most 8 of the 513 grid points to the full-point screen
+# (4.1 on average); 3 alias and leave up to all 513, 4 up to 12.  From 5 to
+# 10 points a fit takes the same time within timing noise, and 3 or 4 are
+# slower at 600 points.
+SCREEN_POINTS = 6
 
 
 def _screen_bounds(grid: np.ndarray, powers: np.ndarray, values: np.ndarray,
-                   n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+                   n_modes: int, points=None) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper bounds on ``_scan_objective`` at every kappa of ``grid``.
 
     Real arithmetic: |p_N(theta)|^2 = A + B cos(theta), with theta = N kappa P
     the bits the exact path passes to ``exp``.  Each row's sum of squares
-    obj' is widened by the slack 2 delta sum|r'| + P delta^2 + 4 (P + 2)
-    2^-53 obj' (``SCREEN_DELTA`` above).  Blocked like ``_scan_objective``.
-    A row with a NaN or infinite entry gets a NaN lower bound.
+    obj' is widened by the slack 2 delta sum|r'| + n delta^2 + 4 (P + 2)
+    2^-53 obj' (``SCREEN_DELTA`` above), over the n points summed.  Blocked
+    like ``_scan_objective``.  A row with a NaN or infinite entry gets a NaN
+    lower bound.  With ``points``, the indices of distinct points, the sum
+    runs over those points only: the lower bound still bounds the objective
+    over all P points, and the upper bound bounds only the subset's.
     """
     a = ((n_modes - 1) ** 2 + 1) / n_modes**2
     b = 2 * (n_modes - 1) / n_modes**2
+    n_all = len(powers)
+    if points is not None:
+        powers, values = powers[points], values[points]
     obj = np.empty(len(grid))
     abs_sum = np.empty(len(grid))
     ones = np.ones(len(powers))
@@ -185,9 +221,21 @@ def _screen_bounds(grid: np.ndarray, powers: np.ndarray, values: np.ndarray,
         np.subtract(values, r, out=r)
         obj[rows] = (r[:, np.newaxis, :] @ r[:, :, np.newaxis])[:, 0, 0]
         abs_sum[rows] = np.abs(r, out=r) @ ones
-    n = len(powers)
-    slack = 2.0 * SCREEN_DELTA * abs_sum + n * SCREEN_DELTA**2 + 4 * (n + 2) * 2.0**-53 * obj
+    slack = (2.0 * SCREEN_DELTA * abs_sum + len(powers) * SCREEN_DELTA**2
+             + 4 * (n_all + 2) * 2.0**-53 * obj)
     return obj - slack, obj + slack
+
+
+def _screen_points(powers: np.ndarray) -> list[int]:
+    """Indices of the first screen stage: ``SCREEN_POINTS`` evenly spaced, and the largest |P|.
+
+    At the largest |P| theta is largest, so any row whose theta overflows
+    somewhere has a NaN subset bound, and the subset stage keeps it.
+    """
+    last = len(powers) - 1
+    picks = {last * k // (SCREEN_POINTS - 1) for k in range(SCREEN_POINTS)}
+    picks.add(int(np.abs(powers).argmax()))
+    return sorted(picks)
 
 
 _SQRT_EPS = math.sqrt(2.2e-16)
@@ -273,23 +321,29 @@ def fit_phase_scale(powers, values, n_modes: int = 3) -> FitResult:
     golden-section / parabolic refinement (``_bounded_min``) of the
     squared-residual objective between the best grid point's neighbours,
     to ``PARAM_TOL * max(kappa_max, 1)`` in kappa.  The 513-point scan
-    first bounds the objective at every grid point with the cosine screen
-    (``_screen_bounds``) and keeps each point whose lower bound is at most
-    the smallest upper bound (all of them when a bound is NaN); only the
-    kept points, usually one, get the exact objective (``_scan_objective``,
-    the same floats as the scalar objective).  Every point where the exact
-    scan reaches its minimum is kept, so the best point is the exact scan's.
-    Both passes run in blocks of at most ``SCAN_BLOCK_ENTRIES`` (kappa,
-    power) entries.  Ties in the coarse scan break toward smaller kappa.
-    ``iterations`` counts objective evaluations: the 513 scan points,
-    however many the screen leaves exact, plus the refinement's.  Not
-    converged when the refinement reaches ``ITERATION_CAP`` evaluations or
-    meets a NaN.
+    first bounds the objective from below at every grid point with the
+    cosine screen (``_screen_bounds``) over the subset ``_screen_points``,
+    and takes an upper bound from the full-point screen at the grid point
+    with the least subset bound.  The points whose subset bound is at most
+    that go on to the full-point screen, which keeps each point whose lower
+    bound is at most the smallest upper bound (every point in both stages
+    when a bound is NaN).  Only the kept points, usually one, get the exact
+    objective (``_scan_objective``, the same floats as the scalar
+    objective).  Every point where the exact scan reaches its minimum is
+    kept, so the best point is the exact scan's.  All passes run in blocks
+    of at most ``SCAN_BLOCK_ENTRIES`` (kappa, power) entries.  Ties in the
+    coarse scan break toward smaller kappa.  ``iterations`` counts
+    objective evaluations: the 513 scan points, however many the screen
+    leaves exact, plus the refinement's.  Not converged when the refinement
+    reaches ``ITERATION_CAP`` evaluations or meets a NaN.  A non-finite
+    power or value is a ``ValueError``.
     """
     powers = np.asarray(powers, dtype=float)
     values = np.asarray(values, dtype=float)
     if len(powers) < 5:
         raise ValueError("need at least 5 points")
+    _check_finite("powers", powers)
+    _check_finite("values", values)
     if np.ptp(values) < 1e-12:
         raise ValueError("degenerate flat data; phase scale unidentifiable")
     pmax = powers.max()
@@ -304,9 +358,15 @@ def fit_phase_scale(powers, values, n_modes: int = 3) -> FitResult:
     grid = np.linspace(0.0, kappa_max, 513)
     # a non-finite screen keeps every row, whose exact scan then warns as before
     with np.errstate(all="ignore"):
-        lower, upper = _screen_bounds(grid, powers, values, n_modes)
+        # subset bounds at every row, and a full-point upper bound at the row
+        # with the least of them: only rows that can reach it go on
+        sub_lower, _ = _screen_bounds(grid, powers, values, n_modes, _screen_points(powers))
+        first = int(np.argmin(sub_lower))  # a NaN row when there is one
+        _, bound = _screen_bounds(grid[first:first + 1], powers, values, n_modes)
+        rows = np.flatnonzero(~(sub_lower > bound[0]))
+        lower, upper = _screen_bounds(grid[rows], powers, values, n_modes)
     # every row that can reach the exact minimum; a NaN minimum keeps all
-    kept = np.flatnonzero(~(lower > upper.min()))
+    kept = rows[~(lower > upper.min())]
     obj = _scan_objective(grid[kept], powers, values, n_modes)
     best = int(kept[np.argmin(obj)])  # argmin takes the first (smallest kappa) on ties
     lo = grid[max(0, best - 1)]
@@ -327,11 +387,15 @@ def fit_channel_scales(generation_curves, phase_scale: float, n_modes: int = 3):
 
     Linear least squares has the closed form scale = <data, model> /
     <model, model> per channel.  A channel with all-zero data gets scale 0.
+    A non-finite phase scale, power or value is a ``ValueError``.
     """
+    _check_finite("phase_scale", phase_scale)
     scales = []
-    for powers, values in generation_curves:
+    for k, (powers, values) in enumerate(generation_curves):
         powers = np.asarray(powers, dtype=float)
         values = np.asarray(values, dtype=float)
+        _check_finite(f"generation_curves[{k}] powers", powers)
+        _check_finite(f"generation_curves[{k}] values", values)
         model = np.abs(q_coeff(n_modes, phase_scale * powers)) ** 2
         denom = float(model @ model)
         if denom == 0.0:
@@ -508,11 +572,12 @@ def generate_synthetic(
             raise ValueError(f"noise {noise:g} drew a negative rate at pump power "
                              f"{powers[negative.argmax()]:g} W; use a smaller noise")
     acc = (accidental_rate,) * n_modes
-    records = []
-    for power, row, keep in zip(powers, table.tolist(), kept.tolist()):
-        coinc = {pr: v for pr, v, k in zip(pairs, row[n_modes:], keep[n_modes:]) if k}
-        records.append(
-            CountRecord(pump_peak_power=power, singles=row[:n_modes], coincidences=coinc,
+    rows = table.tolist()
+    if kept.all():
+        coincs = [dict(zip(pairs, row[n_modes:])) for row in rows]
+    else:
+        coincs = [{pr: v for pr, v, k in zip(pairs, row[n_modes:], keep[n_modes:]) if k}
+                  for row, keep in zip(rows, kept.tolist())]
+    return [CountRecord(pump_peak_power=power, singles=row[:n_modes], coincidences=coinc,
                         accidental_singles=acc)
-        )
-    return records
+            for power, row, coinc in zip(powers, rows, coincs)]

@@ -39,7 +39,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .transfer import TransferMatrix, ideal_columns, ideal_transfer, p_coeff, q_coeff
+from .transfer import TransferMatrix, ideal_columns, p_coeff, q_coeff
 
 # Input-column slab entries per block in correlation_curve (2**16
 # complex128 = 1 MiB): bounds the memory of a sweep at any grid size.
@@ -258,7 +258,8 @@ def g2_squeezed_full(state: InputState, transfer: TransferMatrix, ports=(1, 3)) 
     if np.shape(ports) != (2,):
         raise ValueError(f"ports must be one output pair (i, j), not shape {np.shape(ports)}")
     raw = coincidence_squeezed(state, transfer, ports)
-    ref = coincidence_squeezed(state, ideal_transfer(transfer.n_modes, 0.0), ports)
+    n = transfer.n_modes
+    ref = _squeezed_coincidence(state, ideal_columns(n, 0.0, _input_columns(state.modes, n)), ports)
     if ref == 0.0:
         raise ValueError("zero-phase coincidence vanishes; cannot normalize")
     return raw / ref

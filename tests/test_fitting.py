@@ -26,6 +26,7 @@ from nwaybs.fitting import (
     normalize_coincidences,
 )
 from nwaybs.quantum import (
+    INPUT_KINDS,
     InputState,
     correlation_curve,
     g2_photon_pair,
@@ -60,6 +61,29 @@ class TestCountRecord:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             CountRecord(pump_peak_power=-1.0, singles=(1.0,))
+
+    @pytest.mark.parametrize("field,rates", [
+        ("singles", (1.0, -0.5)), ("accidental_singles", (2.0, -1e-300)),
+        ("coincidences", {(1, 2): 0.5, (1, 3): -2.0}),
+    ])
+    def test_each_negative_rate_has_the_same_message(self, field, rates):
+        kwargs = dict(pump_peak_power=0.5, singles=(1.0, 2.0))
+        kwargs[field] = rates
+        with pytest.raises(ValueError, match=r"^rates must be >= 0$"):
+            CountRecord(**kwargs)
+        with pytest.raises(ValueError, match=r"^pump power must be >= 0$"):
+            CountRecord(**dict(kwargs, pump_peak_power=-0.5))
+
+    def test_nan_rates_accepted_and_converted(self):
+        power = np.float64(0.25)
+        rec = CountRecord(pump_peak_power=power, singles=np.array([math.nan, 1.0]),
+                          coincidences={(1, 2): math.nan},
+                          accidental_singles=[np.float32(2.0), 3])
+        assert rec.pump_peak_power is power
+        assert type(rec.singles) is tuple and type(rec.accidental_singles) is tuple
+        assert all(type(v) is float for v in rec.singles + rec.accidental_singles)
+        assert repr(rec) == ("CountRecord(pump_peak_power=np.float64(0.25), singles=(nan, 1.0), "
+                             "coincidences={(1, 2): nan}, accidental_singles=(2.0, 3.0))")
 
 
 def reference_objective(kappa, powers, values, n_modes):
@@ -109,6 +133,33 @@ def reference_synthetic(phase_scale, powers, n_modes, state, channel_scales,
                 coinc[(i, j)] = noisy(scales[i - 1] * scales[j - 1] * accidental_rate**2 * vals[k])
         records.append(CountRecord(pump_peak_power=power, singles=sgl, coincidences=coinc,
                                    accidental_singles=(accidental_rate,) * n_modes))
+    return records
+
+
+def parent_generate_synthetic(phase_scale, powers, n_modes=3, input_kind="photon_pair",
+                              channel_scales=None, accidental_rate=1.0, noise=0.0, seed=0,
+                              state=None):
+    """generate_synthetic as it was before its records were built in one pass."""
+    powers = np.asarray(powers, dtype=float)
+    if powers[0] != 0.0:
+        powers = np.concatenate([[0.0], powers])
+    scales = np.ones(n_modes) if channel_scales is None else np.asarray(channel_scales)
+    rng = np.random.default_rng(seed)
+    state = state or InputState(kind=input_kind)
+    curve = correlation_curve(state, phase_scale * powers, n_modes=n_modes)
+    pairs = list(curve.g2)
+    g2 = np.column_stack([curve.g2[pr] for pr in pairs])
+    pair_scales = np.array([scales[i - 1] * scales[j - 1] * accidental_rate**2 for i, j in pairs])
+    table = np.hstack([scales * curve.singles, pair_scales * g2])
+    kept = np.hstack([np.ones(curve.singles.shape, dtype=bool), ~np.isnan(g2)])
+    if noise:
+        table[kept] *= 1.0 + noise * rng.standard_normal(np.count_nonzero(kept))
+    acc = (accidental_rate,) * n_modes
+    records = []
+    for power, row, keep in zip(powers, table.tolist(), kept.tolist()):
+        coinc = {pr: v for pr, v, k in zip(pairs, row[n_modes:], keep[n_modes:]) if k}
+        records.append(CountRecord(pump_peak_power=power, singles=row[:n_modes],
+                                   coincidences=coinc, accidental_singles=acc))
     return records
 
 
@@ -387,6 +438,20 @@ def recorded_scan_rows(monkeypatch):
     return rows
 
 
+def recorded_screen_rows(monkeypatch):
+    """The number of kappa rows of every full-point _screen_bounds call of fit_phase_scale."""
+    rows = []
+    screen = fitting._screen_bounds
+
+    def wrapped(grid, powers, values, n_modes, points=None):
+        if points is None:
+            rows.append(len(grid))
+        return screen(grid, powers, values, n_modes, points)
+
+    monkeypatch.setattr(fitting, "_screen_bounds", wrapped)
+    return rows
+
+
 def warned(func, *args):
     """``func(*args)`` as the repr of its result or exception, and the warnings it gave."""
     with warnings.catch_warnings(record=True) as caught:
@@ -454,6 +519,43 @@ class TestScanScreen:
         best = int(np.argmin([reference_objective(k, powers, values, 3) for k in grid]))
         assert {grid[best], grid[512 - best]} <= set(kept)
 
+    @given(st.integers(2, 16), st.integers(5, 600),
+           st.sampled_from(["sorted", "unsorted", "duplicates"]), st.floats(0.0, 0.3),
+           st.integers(0, 2**31 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_fit_matches_the_reference(self, n, n_points, order, noise, seed):
+        # the subset stage only drops rows: every FitResult bit is the reference's
+        rng = np.random.default_rng(seed)
+        powers = rng.uniform(0.0, 2.0, n_points)
+        if order == "sorted":
+            powers.sort()
+        elif order == "duplicates":  # a few distinct powers, each repeated, unsorted
+            powers = rng.choice(powers[:max(2, n_points // 8)], n_points)
+        values = np.abs(p_coeff(n, rng.uniform(0.2, 2.0) * powers)) ** 2
+        values *= 1 + noise * rng.standard_normal(n_points)
+        if np.ptp(values) < 1e-12:
+            return
+        assert repr(fit_phase_scale(powers, values, n)) == repr(
+            reference_fit_phase_scale(powers, values, n))
+
+    def test_calibrate_fits_screen_few_rows_on_all_points(self, monkeypatch):
+        # calibrate-shaped 30-point curves, exact and 1 % noisy: the subset stage
+        # leaves at most 8 of 513 rows (the row of its least bound included) to the
+        # full-point screen, which leaves one exact row
+        rows = recorded_screen_rows(monkeypatch)
+        kept = recorded_scan_rows(monkeypatch)
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            kappa = rng.uniform(0.5, 2.0)
+            powers = np.linspace(0.0, 2.0 * math.pi / 3.0 / kappa, 30)
+            values = np.abs(p_coeff(3, kappa * powers)) ** 2
+            values *= 1 + (0.01 if seed % 6 else 0.0) * rng.standard_normal(30)
+            rows.clear()
+            kept.clear()
+            fit = fit_phase_scale(powers, values)
+            assert sum(rows) <= 8 and len(kept) == 1, seed
+            assert repr(fit) == repr(reference_fit_phase_scale(powers, values, 3)), seed
+
     def test_calibrate_fit_checks_one_row(self, monkeypatch):
         # a noisy 30-point curve, as the calibration loop fits: one exact row
         powers, values = depletion_data(3, 30, True, 7)
@@ -464,19 +566,29 @@ class TestScanScreen:
 
     @pytest.mark.parametrize("array,entries", NON_FINITE_ENTRIES)
     def test_non_finite_entries_match_the_reference(self, array, entries):
+        # rejected before the scan, naming the array and warning nothing: without
+        # the check an infinite value fit "converged" to residual inf, and a NaN
+        # power gave NaN where the reference's scipy rejects the NaN bracket
         powers = np.linspace(0.0, 2.0, 12)
         values = np.abs(p_coeff(3, 0.9 * powers)) ** 2
         target = values if array == "values" else powers
         for index, bad in entries.items():
             target[index] = bad
-        fit = warned(fit_phase_scale, powers, values, 3)
-        ref = warned(reference_fit_phase_scale, powers, values, 3)
-        if array == "powers" and math.isnan(bad):
-            # the largest power, kappa_max and so the bracket are NaN: scipy rejects
-            # the bracket, the Brent port spends one evaluation and reports NaN
-            assert ref == ("ValueError: Optimization bounds must be finite scalars.", [])
-            ref = (repr(FitResult(phase_scale=math.nan, iterations=514)), [])
-        assert fit == ref
+        assert warned(fit_phase_scale, powers, values, 3) == (
+            f"ValueError: {array} must be finite", [])
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    @pytest.mark.parametrize("big", [-1e308, -5e307])
+    def test_overflowing_theta_matches_the_reference(self, n, big):
+        # one huge negative power, at none of the evenly spaced subset points, sends
+        # N kappa P to -inf past the first rows: their objective is NaN, and the
+        # first of them must still win the scan, as in the reference
+        powers = np.linspace(0.0, 2.0, 30)
+        values = np.abs(p_coeff(n, 0.9 * powers)) ** 2
+        powers[3] = big
+        fit = warned(fit_phase_scale, powers, values, n)
+        assert fit == warned(reference_fit_phase_scale, powers, values, n)
+        assert "nan" in fit[0]
 
 
 SCAN_FAULTS_SCRIPT = r"""
@@ -533,6 +645,22 @@ class TestFitChannelScales:
         powers = np.zeros(5)
         with pytest.raises(ValueError, match="vanishes"):
             fit_channel_scales([(powers, np.ones(5))], 1.0)
+
+    @pytest.mark.parametrize("bad,name", [
+        ("phase_scale", "phase_scale"), ("powers", r"generation_curves\[1\] powers"),
+        ("values", r"generation_curves\[1\] values"),
+    ], ids=["phase_scale", "powers", "values"])
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_input_rejected(self, bad, name, entry):
+        # an infinite value once came back as the scale (inf,), with no error
+        powers = np.linspace(0, 1.5, 20)
+        values = 0.37 * np.abs(q_coeff(3, 1.2 * powers)) ** 2
+        curves = [(powers, values), (powers.copy(), values.copy())]
+        kappa = entry if bad == "phase_scale" else 1.2
+        if bad != "phase_scale":
+            curves[1][0 if bad == "powers" else 1][4] = entry
+        with pytest.raises(ValueError, match=rf"^{name} must be finite$"):
+            fit_channel_scales(curves, kappa)
 
 
 class TestFitZeta:
@@ -769,6 +897,27 @@ class TestGenerateSynthetic:
         ref = reference_synthetic(1.1, powers, **kwargs)
         assert recs == ref
         assert repr(recs) == repr(ref)
+
+    @given(st.sampled_from(INPUT_KINDS), st.booleans(), st.integers(2, 8),
+           st.sampled_from([0.0, 0.01, 0.05]), st.booleans(), st.integers(0, 2**31 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_records_equal_the_parents(self, kind, default_modes, n, noise, scaled, seed):
+        rng = np.random.default_rng(seed)
+        if default_modes:
+            n = max(n, 3)  # the default modes reach channel 3
+            modes = None
+        else:
+            count = 1 if kind == "single_coherent" else 2
+            modes = tuple(sorted(int(m) for m in rng.choice(np.arange(1, n + 1), count,
+                                                            replace=False)))
+        kwargs = dict(state=InputState(kind=kind, modes=modes,
+                                       zeta=0.3 if kind == "squeezed_vacuum" else 0.0))
+        powers = np.linspace(0.0, rng.uniform(0.5, 3.0), int(rng.integers(2, 40)))
+        kwargs.update(n_modes=n, channel_scales=rng.uniform(0.5, 1.0, n) if scaled else None,
+                      accidental_rate=float(rng.uniform(0.5, 2.0)), noise=noise, seed=seed)
+        recs = generate_synthetic(1.3, powers, **kwargs)
+        assert repr(recs) == repr(parent_generate_synthetic(1.3, powers, **kwargs))
+        assert all(type(r.pump_peak_power) is np.float64 for r in recs)
 
 
 class TestFullClosedLoop:

@@ -235,6 +235,41 @@ class TestSqueezedFull:
             g2_squeezed_full(state, ideal_transfer(3, 0.5), ports)
 
 
+    @given(st.integers(2, 8), st.floats(0.05, 1.5), st.booleans(), st.booleans(),
+           st.sampled_from(["one", "stack"]), st.integers(0, 2**31 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_whole_matrix_reference(self, n, zeta, pre, post, phis, seed):
+        # the zero-phase reference from the input columns of the identity, not a
+        # whole ideal_transfer(n, 0): the same bits, or the same error
+        rng = np.random.default_rng(seed)
+        modes = tuple(sorted(int(m) for m in rng.choice(np.arange(1, n + 1), 2, replace=False)))
+        state = InputState(kind="squeezed_vacuum", modes=modes, zeta=zeta,
+                           pre_loss=tuple(rng.uniform(0.3, 1.0, n)) if pre else None,
+                           post_loss=tuple(rng.uniform(0.3, 1.0, n)) if post else None)
+        # the input pair, one input mode twice, or any pair (often a zero reference)
+        ports = [modes, modes[:1] * 2, modes[1:] * 2,
+                 tuple(int(p) for p in rng.integers(1, n + 1, 2))][int(rng.integers(4))]
+        phi = rng.uniform(0.0, 2 * math.pi, 5) if phis == "stack" else float(rng.uniform(0, 7))
+        tm = ideal_transfer(n, phi)
+
+        def outcome(func):
+            try:
+                return np.asarray(func(state, tm, ports)).tobytes()
+            except ValueError as exc:
+                return str(exc)
+
+        assert outcome(g2_squeezed_full) == outcome(whole_matrix_g2_squeezed_full)
+
+
+def whole_matrix_g2_squeezed_full(state, transfer, ports):
+    """g2_squeezed_full with its reference from the whole ideal_transfer(n, 0.0)."""
+    raw = coincidence_squeezed(state, transfer, ports)
+    ref = coincidence_squeezed(state, ideal_transfer(transfer.n_modes, 0.0), ports)
+    if ref == 0.0:
+        raise ValueError("zero-phase coincidence vanishes; cannot normalize")
+    return raw / ref
+
+
 class TestGlobalAndPumpPhaseInvariance:
     @given(st.floats(0, 2 * math.pi, allow_nan=False),
            st.floats(0.01, 2 * math.pi / 3, allow_nan=False))
