@@ -106,17 +106,15 @@ def normalize_coincidences(records, ports=(1, 3)):
     powers = []
     values = []
     for rec in records:
-        acc_singles = rec.accidental_singles
-        if len(acc_singles) < key[1]:
+        if len(rec.accidental_singles) < key[1]:
             raise ValueError("record lacks accidental singles for the requested ports")
-        acc = acc_singles[i - 1] * acc_singles[j - 1]
+        acc = rec.accidental_singles[i - 1] * rec.accidental_singles[j - 1]
         if acc == 0.0:
             raise ValueError("zero accidental rate; normalization undefined")
-        coinc = rec.coincidences
-        if key not in coinc:
+        if key not in rec.coincidences:
             raise ValueError(f"record lacks coincidences for ports {key}")
         powers.append(rec.pump_peak_power)
-        values.append(coinc[key] / acc)
+        values.append(rec.coincidences[key] / acc)
     values = np.asarray(values)
     if values[0] == 0.0:
         raise ValueError("zero-power coincidence vanishes; cannot normalize")
@@ -572,12 +570,11 @@ def generate_synthetic(
             raise ValueError(f"noise {noise:g} drew a negative rate at pump power "
                              f"{powers[negative.argmax()]:g} W; use a smaller noise")
     acc = (accidental_rate,) * n_modes
-    rows = table.tolist()
-    if kept.all():
-        coincs = [dict(zip(pairs, row[n_modes:])) for row in rows]
-    else:
-        coincs = [{pr: v for pr, v, k in zip(pairs, row[n_modes:], keep[n_modes:]) if k}
-                  for row, keep in zip(rows, kept.tolist())]
-    return [CountRecord(pump_peak_power=power, singles=row[:n_modes], coincidences=coinc,
+    records = []
+    for power, row, keep in zip(powers, table.tolist(), kept.tolist()):
+        coinc = {pr: v for pr, v, k in zip(pairs, row[n_modes:], keep[n_modes:]) if k}
+        records.append(
+            CountRecord(pump_peak_power=power, singles=row[:n_modes], coincidences=coinc,
                         accidental_singles=acc)
-            for power, row, coinc in zip(powers, rows, coincs)]
+        )
+    return records

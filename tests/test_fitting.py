@@ -94,6 +94,9 @@ def reference_objective(kappa, powers, values, n_modes):
 
 def reference_fit_phase_scale(powers, values, n_modes):
     """fit_phase_scale with its coarse scan as one scalar objective call per kappa."""
+    for name, x in (("powers", powers), ("values", values)):
+        if not np.isfinite(x).all():
+            raise ValueError(f"{name} must be finite")
     kappa_max = 2.0 * (2.0 * math.pi / n_modes) / powers.max() * 2.0
 
     def objective(kappa):
@@ -136,10 +139,27 @@ def reference_synthetic(phase_scale, powers, n_modes, state, channel_scales,
     return records
 
 
+def parent_count_record(pump_peak_power, singles, coincidences, accidental_singles):
+    """A CountRecord converted and checked as its earlier __post_init__ did: generator
+    expressions and any()."""
+    rec = object.__new__(CountRecord)
+    object.__setattr__(rec, "pump_peak_power", pump_peak_power)
+    object.__setattr__(rec, "singles", tuple(float(s) for s in singles))
+    object.__setattr__(rec, "coincidences", coincidences)
+    object.__setattr__(rec, "accidental_singles", tuple(float(s) for s in accidental_singles))
+    if rec.pump_peak_power < 0:
+        raise ValueError("pump power must be >= 0")
+    if any(s < 0 for s in rec.singles + rec.accidental_singles):
+        raise ValueError("rates must be >= 0")
+    if any(r < 0 for r in rec.coincidences.values()):
+        raise ValueError("rates must be >= 0")
+    return rec
+
+
 def parent_generate_synthetic(phase_scale, powers, n_modes=3, input_kind="photon_pair",
                               channel_scales=None, accidental_rate=1.0, noise=0.0, seed=0,
                               state=None):
-    """generate_synthetic as it was before its records were built in one pass."""
+    """generate_synthetic with its records built by ``parent_count_record``."""
     powers = np.asarray(powers, dtype=float)
     if powers[0] != 0.0:
         powers = np.concatenate([[0.0], powers])
@@ -158,8 +178,8 @@ def parent_generate_synthetic(phase_scale, powers, n_modes=3, input_kind="photon
     records = []
     for power, row, keep in zip(powers, table.tolist(), kept.tolist()):
         coinc = {pr: v for pr, v, k in zip(pairs, row[n_modes:], keep[n_modes:]) if k}
-        records.append(CountRecord(pump_peak_power=power, singles=row[:n_modes],
-                                   coincidences=coinc, accidental_singles=acc))
+        records.append(parent_count_record(pump_peak_power=power, singles=row[:n_modes],
+                                           coincidences=coinc, accidental_singles=acc))
     return records
 
 
@@ -566,16 +586,18 @@ class TestScanScreen:
 
     @pytest.mark.parametrize("array,entries", NON_FINITE_ENTRIES)
     def test_non_finite_entries_match_the_reference(self, array, entries):
-        # rejected before the scan, naming the array and warning nothing: without
-        # the check an infinite value fit "converged" to residual inf, and a NaN
-        # power gave NaN where the reference's scipy rejects the NaN bracket
+        # rejected before the scan, naming the array and warning nothing, as the
+        # reference's input check does: without the check an infinite value fit
+        # "converged" to residual inf, and a NaN power gave NaN where scipy's
+        # bounded minimizer rejects the NaN bracket
         powers = np.linspace(0.0, 2.0, 12)
         values = np.abs(p_coeff(3, 0.9 * powers)) ** 2
         target = values if array == "values" else powers
         for index, bad in entries.items():
             target[index] = bad
-        assert warned(fit_phase_scale, powers, values, 3) == (
-            f"ValueError: {array} must be finite", [])
+        fit = warned(fit_phase_scale, powers, values, 3)
+        assert fit == (f"ValueError: {array} must be finite", [])
+        assert fit == warned(reference_fit_phase_scale, powers, values, 3)
 
     @pytest.mark.parametrize("n", [2, 3, 8])
     @pytest.mark.parametrize("big", [-1e308, -5e307])
