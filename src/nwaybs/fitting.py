@@ -321,7 +321,7 @@ def fit_phase_scale(powers, values, n_modes: int = 3) -> FitResult:
     to ``PARAM_TOL * max(kappa_max, 1)`` in kappa.  The 513-point scan
     first bounds the objective from below at every grid point with the
     cosine screen (``_screen_bounds``) over the subset ``_screen_points``,
-    and takes an upper bound from the full-point screen at the grid point
+    and takes an upper bound from the exact objective at the grid point
     with the least subset bound.  The points whose subset bound is at most
     that go on to the full-point screen, which keeps each point whose lower
     bound is at most the smallest upper bound (every point in both stages
@@ -356,12 +356,13 @@ def fit_phase_scale(powers, values, n_modes: int = 3) -> FitResult:
     grid = np.linspace(0.0, kappa_max, 513)
     # a non-finite screen keeps every row, whose exact scan then warns as before
     with np.errstate(all="ignore"):
-        # subset bounds at every row, and a full-point upper bound at the row
-        # with the least of them: only rows that can reach it go on
+        # subset bounds at every row, and the exact objective at the row with
+        # the least of them, which bounds the exact minimum from above: only
+        # rows that can reach it go on
         sub_lower, _ = _screen_bounds(grid, powers, values, n_modes, _screen_points(powers))
         first = int(np.argmin(sub_lower))  # a NaN row when there is one
-        _, bound = _screen_bounds(grid[first:first + 1], powers, values, n_modes)
-        rows = np.flatnonzero(~(sub_lower > bound[0]))
+        bound = objective(grid[first])
+        rows = np.flatnonzero(~(sub_lower > bound))
         lower, upper = _screen_bounds(grid[rows], powers, values, n_modes)
     # every row that can reach the exact minimum; a NaN minimum keeps all
     kept = rows[~(lower > upper.min())]

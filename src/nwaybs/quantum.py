@@ -15,20 +15,28 @@ Coincidences are normalized to their value at zero nonlinear phase.
 
 Every observable of a k-mode input reads only the k input columns of U,
 so each formula is written once, as a kernel on the input-column slab
-``c`` of shape (..., N, k): ``c[..., :, r]`` is column ``modes[r] - 1`` of
-U.  ``KINDS`` is the one table of input kinds: each kind's default modes,
-the ``InputState`` fields it reads, and its singles and coincidence
-kernels.
+``c`` of shape (..., R, k): ``c[..., :, r]`` holds column ``modes[r] - 1``
+of U, one slab row per output channel or per distinct row.  A kernel reads
+slab rows only: the singles of each row, and the coincidence of the row
+pair (a, b).  What depends on the output channel itself, the
+post-interaction losses of squeezed vacuum, is a separate per-channel or
+per-pair factor.  ``KINDS`` is the one table of input kinds: each kind's
+default modes, the ``InputState`` fields it reads, its singles and
+coincidence kernels and its factors.
 
 The public observables (``singles``, ``pair_coincidence``,
 ``coincidence_squeezed``) take a single N x N transfer matrix or a
-(..., N, N) stack of them, slice its input columns and call the kernels; a
-stack gives arrays over its leading axes, one matrix gives numpy scalar
-arithmetic (a ``float`` for the coincidences).  The coincidences take
-``ports`` as one output pair or as a (K, 2) array of pairs; an array adds a
-trailing axis K, one entry per pair.  ``correlation_curve`` never builds a
-full stack: it evaluates a phase grid as ``ideal_columns`` slabs of bounded
-size, with every port pair of a slab in one call.
+(..., N, N) stack of them, slice its input columns (every row, so row i is
+channel i) and call the kernels and factors; a stack gives arrays over its
+leading axes, one matrix gives numpy scalar arithmetic (a ``float`` for the
+coincidences).  The coincidences take ``ports`` as one output pair or as a
+(K, 2) array of pairs; an array adds a trailing axis K, one entry per pair.
+``correlation_curve`` never builds a full stack: it evaluates a phase grid
+as ``ideal_rows`` slabs of bounded size.  On the ideal transfer every
+channel outside the input modes has the same row (q_N, ..., q_N), so a
+slab holds at most k + 1 distinct rows; the kernels run on those and on
+the ordered row pairs the port pairs read, and one gather each expands the
+results to the N channels and K port pairs.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .transfer import TransferMatrix, ideal_columns, p_coeff, q_coeff
+from .transfer import TransferMatrix, ideal_columns, ideal_rows, p_coeff, q_coeff
 
 # Input-column slab entries per block in correlation_curve (2**16
 # complex128 = 1 MiB): bounds the memory of a sweep at any grid size.
@@ -112,8 +120,12 @@ def _input_columns(modes, n_modes: int) -> list[int]:
 
 def singles(state: InputState, transfer: TransferMatrix) -> np.ndarray:
     """Expected singles counts per channel, shape (..., N), for a matrix or stack."""
-    cols = _input_columns(state.modes, transfer.n_modes)
-    return KINDS[state.kind].singles(state, transfer.entries[..., :, cols])
+    n = transfer.n_modes
+    cols = _input_columns(state.modes, n)
+    kind = KINDS[state.kind]
+    factor = kind.channel_factor and kind.channel_factor(state, n)  # checks the losses first
+    rows = kind.singles(state, transfer.entries[..., :, cols])
+    return rows if factor is None else factor * rows
 
 
 def g2_dual_coherent(phi, n_modes: int = 3):
@@ -155,14 +167,18 @@ def _port_indices(ports):
     raise ValueError(f"ports must be one pair or a (K, 2) array of pairs, not shape {shape}")
 
 
+def _pair_rows(c, a, b):
+    """|c_a0 c_b1 + c_a1 c_b0|^2 on rows a and b of a two-column slab."""
+    return np.abs(_entry(c, a, 0) * _entry(c, b, 1) + _entry(c, a, 1) * _entry(c, b, 0)) ** 2
+
+
 def _pair_coincidence(c, ports):
     """|c_i0 c_j1 + c_i1 c_j0|^2 on a two-column slab (see ``pair_coincidence``)."""
     if c.ndim == 2 and np.ndim(ports) == 2:
         # one matrix keeps numpy's scalar arithmetic, pair by pair
         return np.array([_pair_coincidence(c, pr) for pr in ports])
     i, j = _port_indices(ports)
-    return _float_or_array(np.abs(_entry(c, i, 0) * _entry(c, j, 1)
-                                  + _entry(c, i, 1) * _entry(c, j, 0)) ** 2)
+    return _float_or_array(_pair_rows(c, i, j))
 
 
 def pair_coincidence(transfer: TransferMatrix, in_modes=(1, 3), ports=(1, 3)):
@@ -210,29 +226,48 @@ def g2_multiphoton(phi, zeta: complex, t1_alpha: float = 1.0, t3_alpha: float = 
     return pair + mult
 
 
-def _squeezed_coincidence(state, c, ports):
-    """G2_ij on the two input columns of a squeezed-vacuum state (see ``coincidence_squeezed``)."""
-    if c.ndim == 2 and np.ndim(ports) == 2:
-        # one matrix keeps numpy's scalar arithmetic, pair by pair
-        return np.array([_squeezed_coincidence(state, c, pr) for pr in ports])
-    n = c.shape[-2]
-    i, j = _port_indices(ports)
-    m1, m2 = (m - 1 for m in state.modes)
-    t_pre = state.transmissions("pre_loss", n)
-    t_post = state.transmissions("post_loss", n)
-    t1, t2 = t_pre[m1], t_pre[m2]
+def _losses(state, n_modes: int):
+    """Pre- and post-interaction transmissions per channel, each checked to have N entries."""
+    return state.transmissions("pre_loss", n_modes), state.transmissions("post_loss", n_modes)
+
+
+def _input_transmissions(state):
+    """Pre-interaction transmissions of the input modes (``_losses`` checks their length)."""
+    t = state.pre_loss
+    return np.array([1.0 if t is None else t[m - 1] for m in state.modes])
+
+
+def _squeezed_rows(state, c, s, a, b):
+    """G2 of squeezed vacuum on rows a and b of the slab, before the pair's loss prefactor."""
+    t1, t2 = _input_transmissions(state)
     s2 = math.sinh(abs(state.zeta)) ** 2
-    # squared channel by channel with numpy's scalar power, as for one pair:
-    # an array square rounds differently in rare cases
-    t_post2 = np.array([t**2 for t in t_post])
-    prefac = t_post2[i] * t_post2[j] * t1**2 * t2**2
-    ui1, uj1, ui2, uj2 = (_entry(c, *ix) for ix in ((i, 0), (j, 0), (i, 1), (j, 1)))
+    ui1, uj1, ui2, uj2 = (_entry(c, *ix) for ix in ((a, 0), (b, 0), (a, 1), (b, 1)))
     paired = np.abs(ui1 * uj2 + ui2 * uj1) ** 2 * (s2 + 2.0 * s2**2)
     uncorr = 2.0 * (
         np.abs(ui1) ** 2 * np.abs(uj1) ** 2 * (t1 / t2) ** 2
         + np.abs(ui2) ** 2 * np.abs(uj2) ** 2 * (t2 / t1) ** 2
     ) * s2**2
-    return _float_or_array(prefac * (paired + uncorr))
+    return paired + uncorr
+
+
+def _squeezed_prefactor(state, n_modes, i, j):
+    """Loss prefactor of G2 on output channels i and j: ints, or (K,) arrays."""
+    t_pre, t_post = _losses(state, n_modes)
+    t1, t2 = (t_pre[m - 1] for m in state.modes)
+    # squared channel by channel with numpy's scalar power, as for one pair:
+    # an array square rounds differently in rare cases
+    t_post2 = np.array([t**2 for t in t_post])
+    return t_post2[i] * t_post2[j] * t1**2 * t2**2
+
+
+def _squeezed_coincidence(state, c, ports):
+    """G2_ij on the two input columns of a squeezed-vacuum state (see ``coincidence_squeezed``)."""
+    if c.ndim == 2 and np.ndim(ports) == 2:
+        # one matrix keeps numpy's scalar arithmetic, pair by pair
+        return np.array([_squeezed_coincidence(state, c, pr) for pr in ports])
+    i, j = _port_indices(ports)
+    prefac = _squeezed_prefactor(state, c.shape[-2], i, j)
+    return _float_or_array(prefac * _squeezed_rows(state, c, None, i, j))
 
 
 def coincidence_squeezed(state: InputState, transfer: TransferMatrix, ports=(1, 3)):
@@ -300,18 +335,54 @@ def multiphoton_ratio_model(sinh2) -> np.ndarray:
     return s2 / (2.0 * (1.0 + s2))
 
 
-# n_modes -> (every output port pair i < j, the same pairs as a (K, 2) array)
-_PORT_PAIRS: dict[int, tuple[tuple, np.ndarray]] = {}
+# n_modes -> (every output port pair i < j, their 0-based (K,) channel arrays i and j)
+_PORT_PAIRS: dict[int, tuple[tuple, np.ndarray, np.ndarray]] = {}
+# slab row map -> the row layout that correlation_curve gathers from
+_ROW_PAIRS: dict[tuple[int, ...], tuple] = {}
 
 
-def _port_pairs(n_modes: int) -> tuple[tuple, np.ndarray]:
+def _port_pairs(n_modes: int) -> tuple[tuple, np.ndarray, np.ndarray]:
     cached = _PORT_PAIRS.get(n_modes)
     if cached is None:
         pairs = tuple((i, j) for i in range(1, n_modes + 1) for j in range(i + 1, n_modes + 1))
-        ports = np.array(pairs, dtype=np.intp).reshape(len(pairs), 2)
+        ports = np.array(pairs, dtype=np.intp).reshape(len(pairs), 2) - 1
         ports.flags.writeable = False
-        cached = _PORT_PAIRS[n_modes] = (pairs, ports)
+        cached = _PORT_PAIRS[n_modes] = (pairs, *ports.T)
     return cached
+
+
+def _row_pairs(row_map: tuple[int, ...]):
+    """``(channels, a, b, inverse)`` for a slab whose channel i reads row ``row_map[i]``.
+
+    ``channels`` is ``row_map`` as a (N,) gather index.  The k-th port pair
+    (i, j) reads rows ``a[inverse[k]] = row_map[i]`` and ``b[inverse[k]] =
+    row_map[j]``: each distinct ordered row pair once, in order of its
+    first port pair.  Ordered, because c_a0 c_b1 and c_b1 c_a0 may round
+    differently.  An identity map gives ``channels`` and ``inverse`` None:
+    the rows are the channels and the row pairs the port pairs, so there is
+    nothing to gather.
+    """
+    cached = _ROW_PAIRS.get(row_map)
+    if cached is None:
+        n = len(row_map)
+        found: dict[tuple[int, int], int] = {}
+        inverse = [found.setdefault((row_map[i], row_map[j]), len(found))
+                   for i in range(n) for j in range(i + 1, n)]
+        a, b = (np.array(x, dtype=np.intp) for x in zip(*found))
+        if row_map == tuple(range(n)):
+            cached = (None, a, b, None)
+        else:
+            cached = (np.array(row_map, dtype=np.intp), a, b, np.array(inverse, dtype=np.intp))
+        for arr in cached:
+            if arr is not None:
+                arr.flags.writeable = False
+        cached = _ROW_PAIRS[row_map] = cached
+    return cached
+
+
+def _gather(x, index):
+    """x[..., index], or x itself for no index."""
+    return x if index is None else x[..., index]
 
 
 def _dual_singles(state, c):
@@ -320,25 +391,31 @@ def _dual_singles(state, c):
     return state.amplitude**2 * (np.abs(c) ** 2).sum(axis=-1)
 
 
-def _dual_coincidence(state, c, s, ports):
+def _dual_coincidence(state, c, s, a, b):
     """Phase-averaged dual coherent intensities are independent, so the coincidence factorizes."""
-    i, j = _port_indices(ports)
-    return s[..., i] * s[..., j]
+    return s[..., a] * s[..., b]
 
 
 def _squeezed_singles(state, c):
-    t_pre = state.transmissions("pre_loss", c.shape[-2])
-    t_post = state.transmissions("post_loss", c.shape[-2])
+    return (np.abs(c * _input_transmissions(state)) ** 2).sum(axis=-1)
+
+
+def _squeezed_channel_factor(state, n_modes):
+    _, t_post = _losses(state, n_modes)
     s2 = math.sinh(abs(state.zeta)) ** 2
-    body = (np.abs(c * t_pre[[m - 1 for m in state.modes]]) ** 2).sum(axis=-1)
-    return t_post**2 * s2 * body
+    return t_post**2 * s2
 
 
 class InputKind(NamedTuple):
+    """One input kind.  Its kernels read slab rows only; the factors hold what
+    depends on the output channel itself (the post-interaction losses)."""
+
     modes: tuple[int, ...]       # default input modes; their count is the count the kind takes
     fields: tuple[str, ...]      # the InputState fields the kind reads
-    singles: Callable            # (state, input-column slab) -> (..., N)
-    coincidence: Callable | None  # (state, slab, singles, ports) -> unnormalized
+    singles: Callable            # (state, slab) -> (..., rows), each slab row's singles
+    coincidence: Callable | None  # (state, slab, row singles, a, b) -> rows a, b, unnormalized
+    channel_factor: Callable | None = None  # (state, N) -> (N,), times each channel's singles
+    pair_factor: Callable | None = None     # (state, N, i, j) -> times the coincidence of i, j
 
 
 # Each kind keeps its own arithmetic: one weighted formula for every kind
@@ -351,10 +428,10 @@ KINDS = {
         (1, 3), ("modes", "amplitude", "phase_averaged"), _dual_singles, _dual_coincidence),
     "photon_pair": InputKind(
         (1, 3), ("modes",), lambda state, c: (np.abs(c) ** 2).sum(axis=-1),
-        lambda state, c, s, ports: _pair_coincidence(c, ports)),
+        lambda state, c, s, a, b: _pair_rows(c, a, b)),
     "squeezed_vacuum": InputKind(
         (1, 3), ("modes", "zeta", "pre_loss", "post_loss"), _squeezed_singles,
-        lambda state, c, s, ports: _squeezed_coincidence(state, c, ports)),
+        _squeezed_rows, _squeezed_channel_factor, _squeezed_prefactor),
 }
 INPUT_KINDS = tuple(KINDS)
 
@@ -363,20 +440,23 @@ def correlation_curve(state: InputState, phis, n_modes: int = 3) -> CorrelationR
     """Sweep singles and normalized coincidences over a 1-D nonlinear-phase grid.
 
     The grid is evaluated in blocks of at most ``BLOCK_ENTRIES`` entries of
-    the input-column slab; each block is one ``ideal_columns`` slab and one
-    coincidence call for every port pair.  Row 0 of the first slab is phase
-    0: its coincidence on the input port pair is the reference that
-    normalizes every pair, so the first block holds one phase fewer of
-    ``phis`` and later blocks are shifted by one row.  Each ``g2`` entry is
-    a column of one (len(phis), K) table, NaN throughout for a kind with no
-    coincidence.
+    the input-column slab, ``BLOCK_ENTRIES // (N k)`` phases each.  A block
+    is one ``ideal_rows`` slab, the slab's distinct rows: the kernels run on
+    those rows and on the ordered row pairs that the port pairs read, and
+    one gather each expands the results to the N channels and the K port
+    pairs, whose factors (``channel_factor``, ``pair_factor``) then apply.
+    Row 0 of the first slab is phase 0: its coincidence on the input port
+    pair is the reference that normalizes every pair, so the first block
+    holds one phase fewer of ``phis`` and later blocks are shifted by one
+    row.  Each ``g2`` entry is a column of one (len(phis), K) table, NaN
+    throughout for a kind with no coincidence.
     """
     phis = np.asarray(phis, dtype=float)
     if phis.ndim != 1:
         raise ValueError(f"phis must be a 1-D array of phases, not shape {phis.shape}")
     cols = _input_columns(state.modes, n_modes)
     kind = KINDS[state.kind]
-    pairs, ports = _port_pairs(n_modes)
+    pairs, port_i, port_j = _port_pairs(n_modes)
     # row 0 of every array below is the zero-phase reference, dropped on return
     grid = np.concatenate(([0.0], phis))
     sgl = np.empty((len(grid), n_modes))
@@ -393,14 +473,32 @@ def correlation_curve(state: InputState, phis, n_modes: int = 3) -> CorrelationR
     block = max(1, BLOCK_ENTRIES // (n_modes * len(cols)))
     for start in range(0, len(grid), block):
         rows = slice(start, start + block)
-        c = ideal_columns(n_modes, grid[rows], cols)
-        s = sgl[rows] = kind.singles(state, c)
+        c, row_map = ideal_rows(n_modes, grid[rows], cols)
+        if start == 0:
+            channels, a, b, inverse = _row_pairs(row_map)
+            channel_factor = kind.channel_factor and kind.channel_factor(state, n_modes)
+            pair_factor = kind.pair_factor and kind.pair_factor(state, n_modes, port_i, port_j)
+        s = kind.singles(state, c)
+        if channel_factor is None:
+            sgl[rows] = _gather(s, channels)
+        else:
+            np.multiply(channel_factor, _gather(s, channels), out=sgl[rows])
         if kind.coincidence is not None:
-            raw = kind.coincidence(state, c, s, ports)
+            raw = kind.coincidence(state, c, s, a, b)
+            index = inverse
+            if pair_factor is not None:
+                raw = _gather(raw, index)
+                np.multiply(pair_factor, raw, out=raw)
+                index = None
             if start == 0:
-                ref = raw[0, in_pair]
+                ref = raw[0, in_pair if index is None else index[in_pair]]
                 if ref == 0.0:
                     raise ValueError(f"{state.kind} input carries no light: its zero-phase "
                                      "coincidence vanishes; cannot normalize")
-            table[rows] = raw / ref
+            if index is None:
+                np.divide(raw, ref, out=table[rows])
+            else:
+                # the division commutes with the gather, so it runs on the row pairs
+                raw /= ref
+                table[rows] = raw[..., index]
     return CorrelationResult(phi=phis, singles=sgl[1:], g2=dict(zip(pairs, table[1:].T)))

@@ -4,7 +4,8 @@ Three routes to the same object:
 
 * ``ideal_transfer``   -- closed form for perfect phase matching and equal
   pump powers, entries p_N(phi) on the diagonal and q_N(phi) off it;
-  ``ideal_columns`` builds any subset of its columns.
+  ``ideal_columns`` builds any subset of its columns, and ``ideal_rows``
+  only their distinct rows with a map from output channel to row.
 * ``general_transfer`` -- matrix exponential of the Hermitian coupled-mode
   generator, valid for unequal powers and nonzero mismatch.
 * ``lossy_transfer``   -- analytic solution with fiber attenuation, which
@@ -21,6 +22,7 @@ to global phases either way.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -133,22 +135,59 @@ def ideal_columns(n_modes: int, phi, cols) -> np.ndarray:
     observable of k input modes reads only these k columns, so a sweep
     builds O(N k) entries per phase instead of N^2.  At phi = 0 every entry
     is exactly 0 or 1 (q_N(0) is exactly 0), so a row at phase 0 is the
-    identity's columns bit for bit: ``correlation_curve`` takes its
-    zero-phase reference from such a row.
+    identity's columns bit for bit.
     """
+    cols = list(cols)
+    _check_columns(n_modes, cols)
+    return _column_slab(n_modes, phi, cols, n_modes)
+
+
+def ideal_rows(n_modes: int, phi, cols) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The distinct rows of ``ideal_columns(n_modes, phi, cols)`` and the row map.
+
+    Outside the k input rows every row of the slab is (q_N, ..., q_N), so the
+    slab has at most k + 1 distinct rows: the k input rows and, when N > k,
+    one shared q row.  Returns ``(rows, row_map)``: ``rows`` has shape
+    ``phi.shape + (R, k)`` with the same entries and per-column layout as
+    ``ideal_columns``, and ``row_map[i]`` is the row of ``rows`` that output
+    channel i reads, so ``rows[..., row_map, :]`` equals ``ideal_columns``
+    bit for bit.  The rows are ordered by the first channel that reads them,
+    so a slab whose rows are all distinct (R = N, as for N = 2, or N = 3
+    with two input modes) has the identity map, and ``rows`` then has the
+    bytes and strides of ``ideal_columns``.  At phi = 0 every entry is exactly 0 or 1:
+    ``correlation_curve`` takes its zero-phase reference from such a row.
+    """
+    cols = tuple(cols)
+    row_map = _ideal_row_map(n_modes, cols)
+    return _column_slab(n_modes, phi, [row_map[col] for col in cols], max(row_map) + 1), row_map
+
+
+def _check_columns(n_modes: int, cols) -> None:
     if n_modes < 2:
         raise ValueError("need at least 2 modes")
-    cols = list(cols)
     if not all(0 <= c < n_modes for c in cols):
         raise ValueError(f"column indices must lie in [0, {n_modes})")
+
+
+@functools.lru_cache(maxsize=None)
+def _ideal_row_map(n_modes: int, cols: tuple[int, ...]) -> tuple[int, ...]:
+    """Row of each output channel in ``ideal_rows``: one per input column, one
+    shared by every other channel, numbered in order of first channel."""
+    _check_columns(n_modes, cols)
+    first: dict[int, int] = {}
+    return tuple(first.setdefault(ch if ch in cols else -1, len(first)) for ch in range(n_modes))
+
+
+def _column_slab(n_modes: int, phi, p_rows, n_rows: int) -> np.ndarray:
+    """q_N(phi) in ``n_rows`` rows per column, plus 1.0 in row ``p_rows[r]`` of column r."""
     phi = np.asarray(phi, dtype=float)
-    # each column is one contiguous (..., N) block, so the observables'
+    # each column is one contiguous (..., rows) block, so the observables'
     # sums over input columns add whole blocks instead of reducing an inner
     # axis of length k
-    c = np.empty((len(cols),) + phi.shape + (n_modes,), dtype=complex)
+    c = np.empty((len(p_rows),) + phi.shape + (n_rows,), dtype=complex)
     c[...] = np.asarray(q_coeff(n_modes, phi))[..., np.newaxis]
-    for r, col in enumerate(cols):
-        c[r, ..., col] += 1.0
+    for r, row in enumerate(p_rows):
+        c[r, ..., row] += 1.0
     return c.transpose(tuple(range(1, c.ndim)) + (0,))
 
 

@@ -584,6 +584,26 @@ class TestScanScreen:
         assert len(kept) == 1
         assert repr(fit) == repr(reference_fit_phase_scale(powers, values, 3))
 
+    @pytest.mark.parametrize("case", ["exact", "noisy", "overflow"])
+    def test_fit_screens_twice(self, monkeypatch, case):
+        # the subset screen at every row and the full-point screen at the rows
+        # it leaves; the upper bound between them is the exact objective at one
+        # row, so no one-row screen call
+        calls = []
+        screen = fitting._screen_bounds
+
+        def counted(grid, *args):
+            calls.append(len(grid))
+            return screen(grid, *args)
+
+        monkeypatch.setattr(fitting, "_screen_bounds", counted)
+        powers, values = depletion_data(3, 30, case == "noisy", 11)
+        if case == "overflow":
+            powers[3] = -1e308
+        fit = warned(fit_phase_scale, powers, values, 3)
+        assert len(calls) == 2 and calls[0] == 513
+        assert fit == warned(reference_fit_phase_scale, powers, values, 3)
+
     @pytest.mark.parametrize("array,entries", NON_FINITE_ENTRIES)
     def test_non_finite_entries_match_the_reference(self, array, entries):
         # rejected before the scan, naming the array and warning nothing, as the

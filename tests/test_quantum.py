@@ -22,7 +22,14 @@ from nwaybs.quantum import (
     pair_coincidence,
     singles,
 )
-from nwaybs.transfer import TransferMatrix, ideal_columns, ideal_transfer, p_coeff, q_coeff
+from nwaybs.transfer import (
+    TransferMatrix,
+    ideal_columns,
+    ideal_rows,
+    ideal_transfer,
+    p_coeff,
+    q_coeff,
+)
 
 PHI_GRID = np.linspace(0.0, 2 * math.pi / 3, 97)
 TRITTER = 2 * math.pi / 9
@@ -607,8 +614,10 @@ class TestAllPairs:
         phis = np.linspace(lo, lo + data.draw(st.floats(0.5, 8.0)), data.draw(st.integers(1, 40)))
         for phi in (phis[0], phis):
             c, tm = ideal_columns(n, phi, cols), ideal_transfer(n, phi)
+            # on all N rows, the row parts times the factors are the observables
             s = kind.singles(state, c)
-            assert np.array_equal(s, singles(state, tm))
+            full = s if kind.channel_factor is None else kind.channel_factor(state, n) * s
+            assert np.array_equal(full, singles(state, tm))
             if kind.coincidence is None:
                 continue
             public = {
@@ -616,9 +625,13 @@ class TestAllPairs:
                 "photon_pair": lambda ports: pair_coincidence(tm, state.modes, ports),
                 "squeezed_vacuum": lambda ports: coincidence_squeezed(state, tm, ports),
             }[state.kind]
-            for ports in (port_list[0], np.array(port_list)):
-                got, want = kind.coincidence(state, c, s, ports), public(ports)
-                assert type(got) is type(want)
+            # one matrix takes a ports array pair by pair in the observables
+            for ports in (port_list[0],) + (() if np.ndim(phi) == 0 else (np.array(port_list),)):
+                i, j = quantum._port_indices(ports)
+                got, want = kind.coincidence(state, c, s, i, j), public(ports)
+                if kind.pair_factor is not None:
+                    got = kind.pair_factor(state, n, i, j) * got
+                assert np.shape(got) == np.shape(want)
                 assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("ports", [(1, 2, 3), [[1, 2, 3]], np.ones((2, 2, 2), int)])
@@ -682,9 +695,9 @@ class TestZeroPhaseReferenceRow:
 
         def recorded(n_modes, phi, cols):
             slabs.append(np.array(phi))
-            return ideal_columns(n_modes, phi, cols)
+            return ideal_rows(n_modes, phi, cols)
 
-        monkeypatch.setattr(quantum, "ideal_columns", recorded)
+        monkeypatch.setattr(quantum, "ideal_rows", recorded)
         curve = correlation_curve(state, phis, n_modes=n)
         assert_curve_is_reference(curve, state, phis, n)
         assert [len(s) for s in slabs] == ([block] if offset < 0 else [block, offset + 1])
@@ -734,3 +747,165 @@ class TestZeroPhaseReferenceRow:
         kept = [_ref_coincidence_squeezed(state, u, pr) for pr in pairs]
         assert got.shape == (len(pairs),)
         assert got.tobytes() == np.array(per_pair).tobytes() == np.array(kept).tobytes()
+
+
+# correlation_curve as it was when every kernel ran on all N rows of the slab
+# and on all K port pairs, kept verbatim with its kernels: the byte-for-byte
+# reference for the distinct-row path.
+
+
+def _full_squeezed_coincidence(state, c, ports):
+    n = c.shape[-2]
+    i, j = quantum._port_indices(ports)
+    m1, m2 = (m - 1 for m in state.modes)
+    t_pre = state.transmissions("pre_loss", n)
+    t_post = state.transmissions("post_loss", n)
+    t1, t2 = t_pre[m1], t_pre[m2]
+    s2 = math.sinh(abs(state.zeta)) ** 2
+    t_post2 = np.array([t**2 for t in t_post])
+    prefac = t_post2[i] * t_post2[j] * t1**2 * t2**2
+    ui1, uj1, ui2, uj2 = (c[..., ix[0], ix[1]] for ix in ((i, 0), (j, 0), (i, 1), (j, 1)))
+    paired = np.abs(ui1 * uj2 + ui2 * uj1) ** 2 * (s2 + 2.0 * s2**2)
+    uncorr = 2.0 * (
+        np.abs(ui1) ** 2 * np.abs(uj1) ** 2 * (t1 / t2) ** 2
+        + np.abs(ui2) ** 2 * np.abs(uj2) ** 2 * (t2 / t1) ** 2
+    ) * s2**2
+    return prefac * (paired + uncorr)
+
+
+def _full_squeezed_singles(state, c):
+    t_pre = state.transmissions("pre_loss", c.shape[-2])
+    t_post = state.transmissions("post_loss", c.shape[-2])
+    s2 = math.sinh(abs(state.zeta)) ** 2
+    body = (np.abs(c * t_pre[[m - 1 for m in state.modes]]) ** 2).sum(axis=-1)
+    return t_post**2 * s2 * body
+
+
+def _full_pair_coincidence(c, ports):
+    i, j = quantum._port_indices(ports)
+    return np.abs(c[..., i, 0] * c[..., j, 1] + c[..., i, 1] * c[..., j, 0]) ** 2
+
+
+def _full_dual_singles(state, c):
+    if not state.phase_averaged:
+        return state.amplitude**2 * np.abs(c[..., 0] + c[..., 1]) ** 2
+    return state.amplitude**2 * (np.abs(c) ** 2).sum(axis=-1)
+
+
+def _full_dual_coincidence(state, c, s, ports):
+    i, j = quantum._port_indices(ports)
+    return s[..., i] * s[..., j]
+
+
+FULL_KERNELS = {
+    "single_coherent": (lambda state, c: state.amplitude**2 * np.abs(c[..., 0]) ** 2, None),
+    "dual_coherent": (_full_dual_singles, _full_dual_coincidence),
+    "photon_pair": (lambda state, c: (np.abs(c) ** 2).sum(axis=-1),
+                    lambda state, c, s, ports: _full_pair_coincidence(c, ports)),
+    "squeezed_vacuum": (_full_squeezed_singles,
+                        lambda state, c, s, ports: _full_squeezed_coincidence(state, c, ports)),
+}
+
+
+def full_slab_curve(state, phis, n_modes):
+    phis = np.asarray(phis, dtype=float)
+    if phis.ndim != 1:
+        raise ValueError(f"phis must be a 1-D array of phases, not shape {phis.shape}")
+    cols = quantum._input_columns(state.modes, n_modes)
+    kind_singles, kind_coincidence = FULL_KERNELS[state.kind]
+    pairs = tuple((i, j) for i in range(1, n_modes + 1) for j in range(i + 1, n_modes + 1))
+    ports = np.array(pairs, dtype=np.intp).reshape(len(pairs), 2)
+    grid = np.concatenate(([0.0], phis))
+    sgl = np.empty((len(grid), n_modes))
+    if kind_coincidence is None:
+        table = np.full((len(grid), len(pairs)), np.nan)
+    else:
+        table = np.empty((len(grid), len(pairs)))
+        in_pair = pairs.index((min(state.modes), max(state.modes)))
+    block = max(1, quantum.BLOCK_ENTRIES // (n_modes * len(cols)))
+    for start in range(0, len(grid), block):
+        rows = slice(start, start + block)
+        c = ideal_columns(n_modes, grid[rows], cols)
+        s = sgl[rows] = kind_singles(state, c)
+        if kind_coincidence is not None:
+            raw = kind_coincidence(state, c, s, ports)
+            if start == 0:
+                ref = raw[0, in_pair]
+                if ref == 0.0:
+                    raise ValueError(f"{state.kind} input carries no light: its zero-phase "
+                                     "coincidence vanishes; cannot normalize")
+            table[rows] = raw / ref
+    return quantum.CorrelationResult(phi=phis, singles=sgl[1:], g2=dict(zip(pairs, table[1:].T)))
+
+
+def curve_or_error(curve, state, phis, n):
+    """The curve's bytes and shapes, or its error's type and text."""
+    try:
+        out = curve(state, phis, n)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return (out.phi.tobytes(), out.singles.shape, out.singles.tobytes(),
+            [(pr, col.shape, col.tobytes()) for pr, col in out.g2.items()])
+
+
+class TestDistinctRows:
+    """correlation_curve runs its kernels on the distinct rows of each slab; every
+    output byte and every error stays that of the full-slab curve."""
+
+    @given(st.integers(2, 16), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_curve_is_the_full_slab_curve(self, n, data):
+        state = data.draw(input_states(n))
+        if state.kind == "dual_coherent" and data.draw(st.booleans()):
+            state = InputState(kind="dual_coherent", modes=state.modes, phase_averaged=False,
+                               amplitude=data.draw(st.sampled_from([0.0, 1.3])))
+        if state.kind == "squeezed_vacuum" and data.draw(st.booleans()):
+            # a loss tuple of the wrong length, or no light
+            state = InputState(kind="squeezed_vacuum", modes=state.modes[::-1],
+                               zeta=data.draw(st.sampled_from([0.0, 0.4j])),
+                               pre_loss=state.pre_loss[:data.draw(st.sampled_from([1, n]))],
+                               post_loss=state.post_loss[:data.draw(st.sampled_from([1, n]))])
+        lo = data.draw(st.floats(-1.0, 1.0))
+        phis = np.linspace(lo, lo + data.draw(st.floats(0.5, 8.0)), data.draw(st.integers(0, 80)))
+        # blocks of 1 to 9 phases, so most grids cross block boundaries
+        per_point = n * len(state.modes)
+        entries = per_point * data.draw(st.integers(1, 9)) + data.draw(st.integers(0, per_point - 1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quantum, "BLOCK_ENTRIES", entries)
+            got = curve_or_error(correlation_curve, state, phis, n)
+            want = curve_or_error(full_slab_curve, state, phis, n)
+        assert got == want
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 16])
+    @pytest.mark.parametrize("kind", INPUT_KINDS)
+    def test_block_slabs_hold_the_distinct_rows(self, kind, n, monkeypatch):
+        state = fixed_state(kind, n)
+        k = len(state.modes)
+        block = quantum.BLOCK_ENTRIES // (n * k)
+        phis = np.linspace(-0.3, 2.5, block + 3)
+        slabs = []
+
+        def recorded(n_modes, phi, cols):
+            c, row_map = ideal_rows(n_modes, phi, cols)
+            slabs.append((len(phi), c.shape, row_map))
+            return c, row_map
+
+        monkeypatch.setattr(quantum, "ideal_rows", recorded)
+        assert_curve_is_reference(correlation_curve(state, phis, n_modes=n), state, phis, n)
+        rows = k + 1 if n > k else n
+        assert [points for points, _, _ in slabs] == [block, 4]
+        assert all(shape == (points, rows, k) for points, shape, _ in slabs)
+        assert all(points * n * k <= quantum.BLOCK_ENTRIES for points, _, _ in slabs)
+        row_map = slabs[0][2]
+        assert sorted(set(row_map)) == list(range(rows))
+        assert (row_map == tuple(range(n))) == (rows == n)
+
+    def test_one_mode_is_rejected(self):
+        with pytest.raises(ValueError, match="need at least 2 modes"):
+            correlation_curve(InputState(kind="single_coherent", modes=(1,)), PHI_GRID, n_modes=1)
+
+    @pytest.mark.parametrize("name", ["pre_loss", "post_loss"])
+    def test_loss_of_the_wrong_length_is_rejected(self, name):
+        state = InputState(kind="squeezed_vacuum", modes=(2, 5), zeta=0.5, **{name: (0.9,) * 7})
+        with pytest.raises(ValueError, match=f"{name} must supply one transmission per channel"):
+            correlation_curve(state, PHI_GRID, n_modes=8)

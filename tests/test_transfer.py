@@ -12,6 +12,7 @@ from nwaybs.transfer import (
     TransferMatrix,
     general_transfer,
     ideal_columns,
+    ideal_rows,
     ideal_transfer,
     loss_reduced_phase,
     lossy_transfer,
@@ -153,6 +154,40 @@ class TestIdealColumns:
     def test_needs_two_modes(self):
         with pytest.raises(ValueError):
             ideal_columns(1, 0.2, [0])
+
+
+class TestIdealRows:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_expand_to_the_columns(self, data):
+        n = data.draw(st.integers(2, 16))
+        cols = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        lo = data.draw(st.floats(-1.0, 1.0))
+        phis = np.linspace(lo, lo + data.draw(st.floats(0.5, 8.0)), data.draw(st.integers(1, 40)))
+        for phi in (phis[0], phis):
+            rows, row_map = ideal_rows(n, phi, cols)
+            full = ideal_columns(n, phi, cols)
+            distinct = min(n, len(cols) + 1)
+            assert rows.shape == np.shape(phi) + (distinct, len(cols))
+            assert np.ascontiguousarray(rows[..., row_map, :]).tobytes() == (
+                np.ascontiguousarray(full).tobytes())
+            # numbered in order of first channel; one contiguous block per column
+            assert [row_map.index(r) for r in range(distinct)] == sorted(
+                row_map.index(r) for r in range(distinct))
+            assert all(rows[..., r].flags.c_contiguous for r in range(len(cols)))
+            if distinct == n:
+                assert row_map == tuple(range(n))
+                assert rows.tobytes() == full.tobytes() and rows.strides == full.strides
+
+    def test_shared_row_sits_at_the_first_other_channel(self):
+        rows, row_map = ideal_rows(8, 0.3, [4, 0])
+        assert row_map == (0, 1, 1, 1, 2, 1, 1, 1)
+        assert rows[1].tolist() == [q_coeff(8, 0.3)] * 2
+
+    @pytest.mark.parametrize("n,cols", [(1, [0]), (3, [3]), (3, [0, -1])])
+    def test_invalid_columns(self, n, cols):
+        with pytest.raises(ValueError):
+            ideal_rows(n, 0.2, cols)
 
 
 class TestGeneralTransfer:
