@@ -28,9 +28,11 @@ The public observables (``singles``, ``pair_coincidence``,
 ``coincidence_squeezed``) take a single N x N transfer matrix or a
 (..., N, N) stack of them, slice its input columns (every row, so row i is
 channel i) and call the kernels and factors; a stack gives arrays over its
-leading axes, one matrix gives numpy scalar arithmetic (a ``float`` for the
-coincidences).  The coincidences take ``ports`` as one output pair or as a
-(K, 2) array of pairs; an array adds a trailing axis K, one entry per pair.
+leading axes, and one matrix runs as the same arithmetic with no leading
+axis, so it gives the bits of a stack of one.  The coincidences take
+``ports`` as one output pair or as a (K, 2) array of pairs; an array adds a
+trailing axis K, one entry per pair, and one pair is a port axis of length
+one that they drop on return (a ``float`` for one matrix).
 ``correlation_curve`` never builds a full stack: it evaluates a phase grid
 as ``ideal_rows`` slabs of bounded size.  On the ideal transfer every
 channel outside the input modes has the same row (q_N, ..., q_N), so a
@@ -138,47 +140,48 @@ def g2_dual_coherent(phi, n_modes: int = 3):
     return (1.0 - q2) ** 2
 
 
-def _entry(c: np.ndarray, i, r):
-    """c[i, r], U's entry in row i of input column r: a numpy scalar for one
-    slab, an array over a stack.
+def _port_indices(ports, n_modes: int):
+    """0-based output indices (i, j) as (K,) arrays: K = 1 for one pair, the rows of a (K, 2) array.
 
-    An index array ``i`` adds its axis after the stack axes.
-
-    ``[()]`` turns the 0-d result of indexing one slab into a scalar, so a
-    single matrix keeps numpy's scalar arithmetic and its exact values.
+    Every port must be a channel, 1..N: port 0 or -1 would read a channel
+    from the end through numpy's negative index.
     """
-    return c[..., i, r][()]
-
-
-def _float_or_array(x):
-    """A float for one matrix and one port pair, the array itself otherwise."""
-    return float(x) if np.ndim(x) == 0 else x
-
-
-def _port_indices(ports):
-    """0-based output indices (i, j): ints for one pair, (K,) arrays for a (K, 2) array."""
-    shape = np.shape(ports)
-    if shape == (2,):
-        i, j = ports
-        return i - 1, j - 1
-    if len(shape) == 2 and shape[1] == 2:
-        ports = np.asarray(ports)
-        return ports[:, 0] - 1, ports[:, 1] - 1
-    raise ValueError(f"ports must be one pair or a (K, 2) array of pairs, not shape {shape}")
+    ports = np.asarray(ports)
+    shape = ports.shape
+    if shape != (2,) and not (len(shape) == 2 and shape[1] == 2):
+        raise ValueError(f"ports must be one pair or a (K, 2) array of pairs, not shape {shape}")
+    i, j = index = ports.reshape(-1, 2).T - 1
+    inside = (index >= 0) & (index < n_modes)
+    if not inside.all():
+        raise ValueError(f"output ports {(index[~inside] + 1).tolist()} must lie in 1..{n_modes}, "
+                         "the channels")
+    return i, j
 
 
 def _pair_rows(c, a, b):
     """|c_a0 c_b1 + c_a1 c_b0|^2 on rows a and b of a two-column slab."""
-    return np.abs(_entry(c, a, 0) * _entry(c, b, 1) + _entry(c, a, 1) * _entry(c, b, 0)) ** 2
+    return np.abs(c[..., a, 0] * c[..., b, 1] + c[..., a, 1] * c[..., b, 0]) ** 2
 
 
-def _pair_coincidence(c, ports):
-    """|c_i0 c_j1 + c_i1 c_j0|^2 on a two-column slab (see ``pair_coincidence``)."""
-    if c.ndim == 2 and np.ndim(ports) == 2:
-        # one matrix keeps numpy's scalar arithmetic, pair by pair
-        return np.array([_pair_coincidence(c, pr) for pr in ports])
-    i, j = _port_indices(ports)
-    return _float_or_array(_pair_rows(c, i, j))
+def _coincidence(kind: str, state, c, ports):
+    """Unnormalized coincidences of ``kind`` at ``ports`` on a slab ``c`` of all N rows.
+
+    The kind's row kernel (one that reads no row singles) runs on the port
+    pairs' rows and its ``pair_factor`` multiplies the result.  One pair is
+    a port axis of length one, dropped here: a float for one matrix.
+    """
+    n = c.shape[-2]
+    ports = np.asarray(ports)
+    i, j = _port_indices(ports, n)
+    kernels = KINDS[kind]
+    factor = kernels.pair_factor and kernels.pair_factor(state, n, i, j)  # checks the losses first
+    raw = kernels.coincidence(state, c, None, i, j)
+    if factor is not None:
+        raw = factor * raw
+    if ports.ndim == 2:
+        return raw
+    raw = raw[..., 0]
+    return float(raw) if raw.ndim == 0 else raw
 
 
 def pair_coincidence(transfer: TransferMatrix, in_modes=(1, 3), ports=(1, 3)):
@@ -190,7 +193,7 @@ def pair_coincidence(transfer: TransferMatrix, in_modes=(1, 3), ports=(1, 3)):
     for a stack; a (K, 2) array of ``ports`` adds a trailing axis K.
     """
     cols = _input_columns(in_modes, transfer.n_modes)
-    return _pair_coincidence(transfer.entries[..., :, cols], ports)
+    return _coincidence("photon_pair", None, transfer.entries[..., :, cols], ports)
 
 
 def g2_photon_pair(phi, n_modes: int = 3):
@@ -241,7 +244,7 @@ def _squeezed_rows(state, c, s, a, b):
     """G2 of squeezed vacuum on rows a and b of the slab, before the pair's loss prefactor."""
     t1, t2 = _input_transmissions(state)
     s2 = math.sinh(abs(state.zeta)) ** 2
-    ui1, uj1, ui2, uj2 = (_entry(c, *ix) for ix in ((a, 0), (b, 0), (a, 1), (b, 1)))
+    ui1, uj1, ui2, uj2 = c[..., a, 0], c[..., b, 0], c[..., a, 1], c[..., b, 1]
     paired = np.abs(ui1 * uj2 + ui2 * uj1) ** 2 * (s2 + 2.0 * s2**2)
     uncorr = 2.0 * (
         np.abs(ui1) ** 2 * np.abs(uj1) ** 2 * (t1 / t2) ** 2
@@ -251,23 +254,14 @@ def _squeezed_rows(state, c, s, a, b):
 
 
 def _squeezed_prefactor(state, n_modes, i, j):
-    """Loss prefactor of G2 on output channels i and j: ints, or (K,) arrays."""
+    """Loss prefactor of G2 on output channels i and j, (K,) arrays."""
     t_pre, t_post = _losses(state, n_modes)
     t1, t2 = (t_pre[m - 1] for m in state.modes)
-    # squared channel by channel with numpy's scalar power, as for one pair:
-    # an array square rounds differently in rare cases
+    # squared channel by channel with numpy's scalar power, not as one array
+    # square: the two round differently in rare cases, and the squeezed
+    # sweep and synth outputs carry the scalar power's bits
     t_post2 = np.array([t**2 for t in t_post])
     return t_post2[i] * t_post2[j] * t1**2 * t2**2
-
-
-def _squeezed_coincidence(state, c, ports):
-    """G2_ij on the two input columns of a squeezed-vacuum state (see ``coincidence_squeezed``)."""
-    if c.ndim == 2 and np.ndim(ports) == 2:
-        # one matrix keeps numpy's scalar arithmetic, pair by pair
-        return np.array([_squeezed_coincidence(state, c, pr) for pr in ports])
-    i, j = _port_indices(ports)
-    prefac = _squeezed_prefactor(state, c.shape[-2], i, j)
-    return _float_or_array(prefac * _squeezed_rows(state, c, None, i, j))
 
 
 def coincidence_squeezed(state: InputState, transfer: TransferMatrix, ports=(1, 3)):
@@ -279,7 +273,7 @@ def coincidence_squeezed(state: InputState, transfer: TransferMatrix, ports=(1, 
     if state.kind != "squeezed_vacuum":
         raise ValueError("requires a squeezed_vacuum input state")
     cols = _input_columns(state.modes, transfer.n_modes)
-    return _squeezed_coincidence(state, transfer.entries[..., :, cols], ports)
+    return _coincidence("squeezed_vacuum", state, transfer.entries[..., :, cols], ports)
 
 
 def g2_squeezed_full(state: InputState, transfer: TransferMatrix, ports=(1, 3)) -> float:
@@ -294,7 +288,8 @@ def g2_squeezed_full(state: InputState, transfer: TransferMatrix, ports=(1, 3)) 
         raise ValueError(f"ports must be one output pair (i, j), not shape {np.shape(ports)}")
     raw = coincidence_squeezed(state, transfer, ports)
     n = transfer.n_modes
-    ref = _squeezed_coincidence(state, ideal_columns(n, 0.0, _input_columns(state.modes, n)), ports)
+    cols = _input_columns(state.modes, n)
+    ref = _coincidence("squeezed_vacuum", state, ideal_columns(n, 0.0, cols), ports)
     if ref == 0.0:
         raise ValueError("zero-phase coincidence vanishes; cannot normalize")
     return raw / ref

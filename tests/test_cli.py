@@ -1225,12 +1225,12 @@ PINNED_OUTPUTS = [
                                   "pumps": {"powers_w": [0.5, 0.6, 0.7]}},
                  "646384a4688f17f9", id="phasematch"),
     pytest.param(["oracle", "--check", "quantum"], {"n_modes": 3, "input": PIN_SQUEEZED},
-                 "725a477973b62bc2", id="oracle-quantum"),
+                 "72cbcccd8f81e6ea", id="oracle-quantum"),
     # no n_modes: both checks run at the pump count
     pytest.param(["oracle", "--check", "all"], {"profile": PIN_PROFILE, "grid": PIN_GRID,
                                                 "pumps": {"powers_w": [0.5, 0.6, 0.7]},
                                                 "input": PIN_SQUEEZED},
-                 "7d42edae7c633739", id="oracle-all"),
+                 "6babe537276d8b3b", id="oracle-all"),
     pytest.param(["synth", "--noise", "0.01"], {"n_modes": 3, "input": PIN_SQUEEZED, "seed": 6,
                                                 "sweep": {"powers_w": [0.1, 0.4, 0.7],
                                                           "phase_scale_rad_per_w": 1.3}},

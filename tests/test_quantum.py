@@ -625,12 +625,14 @@ class TestAllPairs:
                 "photon_pair": lambda ports: pair_coincidence(tm, state.modes, ports),
                 "squeezed_vacuum": lambda ports: coincidence_squeezed(state, tm, ports),
             }[state.kind]
-            # one matrix takes a ports array pair by pair in the observables
-            for ports in (port_list[0],) + (() if np.ndim(phi) == 0 else (np.array(port_list),)):
-                i, j = quantum._port_indices(ports)
+            # one pair is a port axis of length one, which the observables drop
+            for ports in (port_list[0], np.array(port_list)):
+                i, j = quantum._port_indices(ports, n)
                 got, want = kind.coincidence(state, c, s, i, j), public(ports)
                 if kind.pair_factor is not None:
                     got = kind.pair_factor(state, n, i, j) * got
+                if np.ndim(ports) == 1:
+                    got = got[..., 0]
                 assert np.shape(got) == np.shape(want)
                 assert np.array_equal(got, want)
 
@@ -733,8 +735,8 @@ class TestZeroPhaseReferenceRow:
     @given(st.integers(2, 16), st.data())
     @settings(max_examples=80, deadline=None)
     def test_one_matrix_port_array_on_general_matrices(self, n, data):
-        # a (K, 2) ports array on one matrix keeps the one-pair scalar arithmetic:
-        # the stack kernels round differently on a general (non-ideal) matrix
+        # a (K, 2) ports array on one general (non-ideal) matrix gives the bits of
+        # its pairs one by one and of a stack of one
         seed = data.draw(st.integers(0, 2**32 - 1))
         rng = np.random.default_rng(seed)
         u = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * rng.uniform(0.1, 3.0)
@@ -744,9 +746,19 @@ class TestZeroPhaseReferenceRow:
         pairs = data.draw(st.lists(st.sampled_from(all_pairs), min_size=1, max_size=20))
         got = coincidence_squeezed(state, tm, np.array(pairs))
         per_pair = [coincidence_squeezed(state, tm, pr) for pr in pairs]
-        kept = [_ref_coincidence_squeezed(state, u, pr) for pr in pairs]
+        stack = TransferMatrix(entries=u[np.newaxis], phi=np.zeros(1))
+        stacked = coincidence_squeezed(state, stack, np.array(pairs))[0]
+        kept = np.array([_ref_coincidence_squeezed(state, u, pr) for pr in pairs])
         assert got.shape == (len(pairs),)
-        assert got.tobytes() == np.array(per_pair).tobytes() == np.array(kept).tobytes()
+        assert got.tobytes() == np.array(per_pair).tobytes() == stacked.tobytes()
+        # The kept reference evaluates the same formula in numpy's scalar
+        # arithmetic, which rounds differently by a few ulps per operation.  Only
+        # cancellation in |ui1 uj2 + ui2 uj1| could amplify that, and the
+        # non-negative uncorrelated term (at least 4 sinh^4|zeta| |ui1 uj2 ui2 uj1|)
+        # caps the amplification near 1 / (2 sinh|zeta|), 10 at the smallest drawn
+        # |zeta| of 0.05.  So 1e-13, about 900 ulps, is a wide bound: 60000 random
+        # pairs differed by at most 10 ulps.
+        assert np.all(np.abs(got - kept) <= 1e-13 * kept)
 
 
 # correlation_curve as it was when every kernel ran on all N rows of the slab
@@ -756,7 +768,7 @@ class TestZeroPhaseReferenceRow:
 
 def _full_squeezed_coincidence(state, c, ports):
     n = c.shape[-2]
-    i, j = quantum._port_indices(ports)
+    i, j = quantum._port_indices(ports, n)
     m1, m2 = (m - 1 for m in state.modes)
     t_pre = state.transmissions("pre_loss", n)
     t_post = state.transmissions("post_loss", n)
@@ -782,7 +794,7 @@ def _full_squeezed_singles(state, c):
 
 
 def _full_pair_coincidence(c, ports):
-    i, j = quantum._port_indices(ports)
+    i, j = quantum._port_indices(ports, c.shape[-2])
     return np.abs(c[..., i, 0] * c[..., j, 1] + c[..., i, 1] * c[..., j, 0]) ** 2
 
 
@@ -793,7 +805,7 @@ def _full_dual_singles(state, c):
 
 
 def _full_dual_coincidence(state, c, s, ports):
-    i, j = quantum._port_indices(ports)
+    i, j = quantum._port_indices(ports, c.shape[-2])
     return s[..., i] * s[..., j]
 
 
@@ -909,3 +921,59 @@ class TestDistinctRows:
         state = InputState(kind="squeezed_vacuum", modes=(2, 5), zeta=0.5, **{name: (0.9,) * 7})
         with pytest.raises(ValueError, match=f"{name} must supply one transmission per channel"):
             correlation_curve(state, PHI_GRID, n_modes=8)
+
+
+class TestOneMatrixIsAStackOfOne:
+    """One matrix runs the kernels of a stack: every observable gives the bits of
+    a stack of one, and one matrix with one pair a float."""
+
+    @given(st.integers(2, 16), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_observables_equal_a_stack_of_one(self, n, data):
+        if data.draw(st.booleans()):
+            u = ideal_transfer(n, data.draw(st.floats(-8.0, 8.0))).entries
+        else:
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            u = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * rng.uniform(0.1, 3.0)
+        one = TransferMatrix(entries=u, phi=0.0)
+        stack = TransferMatrix(entries=u[np.newaxis], phi=np.zeros(1))
+        squeezed = data.draw(input_states(n, kinds=("squeezed_vacuum",)))
+        state = data.draw(input_states(n))
+        channels = st.integers(1, n)
+        pairs = data.draw(st.lists(st.tuples(channels, channels), min_size=1, max_size=20))
+        for observable in (lambda tm, ports: pair_coincidence(tm, squeezed.modes, ports),
+                           lambda tm, ports: coincidence_squeezed(squeezed, tm, ports)):
+            assert type(observable(one, pairs[0])) is float
+            for ports in (pairs[0], np.array(pairs)):
+                got, want = observable(one, ports), observable(stack, ports)[0]
+                assert np.shape(got) == np.shape(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        got, want = singles(state, one), singles(state, stack)[0]
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestOutputPortRange:
+    """Output ports are channels 1..N: port 0 or -1 would read a channel from
+    the end through numpy's negative index, and N + 1 lies past the last one."""
+
+    STATE = InputState(kind="squeezed_vacuum", modes=(1, 3), zeta=0.4,
+                       post_loss=(0.7, 1.0, 0.6, 0.9))
+
+    @pytest.mark.parametrize("form", ["pair", "array"])
+    @pytest.mark.parametrize("matrix", ["one", "stack"])
+    @pytest.mark.parametrize("port", [0, -1, 5])
+    def test_port_outside_the_channels_is_rejected(self, port, matrix, form):
+        tm = ideal_transfer(4, 0.3 if matrix == "one" else np.linspace(0.1, 0.5, 3))
+        ports = (port, 3) if form == "pair" else np.array([[1, 2], [3, port]])
+        text = rf"output ports \[{port}\] must lie in 1\.\.4, the channels"
+        with pytest.raises(ValueError, match=text):
+            pair_coincidence(tm, (1, 3), ports)
+        with pytest.raises(ValueError, match=text):
+            coincidence_squeezed(self.STATE, tm, ports)
+
+    @pytest.mark.parametrize("matrix", ["one", "stack"])
+    @pytest.mark.parametrize("port", [0, -1, 5])
+    def test_g2_squeezed_full_rejects_the_port(self, port, matrix):
+        tm = ideal_transfer(4, 0.3 if matrix == "one" else np.linspace(0.1, 0.5, 3))
+        with pytest.raises(ValueError, match=rf"output ports \[{port}\] must lie in 1\.\.4"):
+            g2_squeezed_full(self.STATE, tm, (port, 3))
