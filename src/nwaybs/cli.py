@@ -36,7 +36,7 @@ import numpy as np
 from . import __version__
 # only the layers the schema needs; each subcommand imports the others it runs
 from .dispersion import DispersionProfile, FrequencyGrid, nonlinear_mismatch
-from .quantum import KINDS, InputState, coincidence_squeezed, correlation_curve
+from .quantum import KINDS, InputState, correlation_curve
 from .transfer import PumpConfig, general_transfer, ideal_transfer, lossy_transfer, to_lab_frame
 
 SPEED_OF_LIGHT = 299792458.0  # m/s, exact
@@ -343,30 +343,24 @@ def _oracle_classical_rows(cfg, tol):
 
 
 def _oracle_quantum_rows(cfg, tol):
+    """The g2 of the input pair that sweep writes against the Wick oracle's, at 25 phases.
+
+    ``correlation_curve`` runs first: it raises for an input with no light.
+    The Wick side runs on one transfer stack whose row 0, phase 0, is its
+    normalization.
+    """
     from .oracle import loss_chain, wick_moments
 
     n_modes = cfg["n_modes"]
     state = cfg.get("input", InputState(kind="squeezed_vacuum", zeta=0.4))
-    t_pre = state.transmissions("pre_loss", n_modes)
-    t_post = state.transmissions("post_loss", n_modes)
-
-    def coincidences(phi):
-        """The unnormalized coincidences at phi: the Wick oracle's and the closed form's."""
-        tm = ideal_transfer(n_modes, phi)
-        chain = loss_chain(n_modes, state.zeta, tm.entries, t_pre, t_post, state.modes)
-        return wick_moments(chain, state.modes)[2], coincidence_squeezed(state, tm, state.modes)
-
-    wick_ref, closed_ref = coincidences(0.0)
-    if wick_ref == 0.0 or closed_ref == 0.0:
-        raise ValueError(f"{state.kind} input carries no light: its zero-phase coincidence "
-                         "vanishes; cannot normalize")
-    rows = []
-    for phi in np.linspace(0.0, 2.0 * math.pi / n_modes, 25):
-        wick_raw, closed_raw = coincidences(phi)
-        wick_g2, closed = wick_raw / wick_ref, closed_raw / closed_ref
-        err = abs(wick_g2 - closed) / max(abs(closed), 1e-300)
-        rows.append([f"quantum_phi_{phi:.6f}", err, err < tol])
-    return rows
+    phis = np.linspace(0.0, 2.0 * math.pi / n_modes, 25)
+    closed = correlation_curve(state, phis, n_modes).g2[min(state.modes), max(state.modes)]
+    t_pre, t_post = (state.transmissions(name, n_modes) for name in ("pre_loss", "post_loss"))
+    chains = (loss_chain(n_modes, state.zeta, u, t_pre, t_post, state.modes)
+              for u in ideal_transfer(n_modes, [0.0, *phis]).entries)
+    wick_ref, *wick = [wick_moments(chain, state.modes)[2] for chain in chains]
+    errs = [abs(w / wick_ref - g2) / max(abs(g2), 1e-300) for w, g2 in zip(wick, closed)]
+    return [[f"quantum_phi_{phi:.6f}", err, err < tol] for phi, err in zip(phis, errs)]
 
 
 def cmd_oracle(args, cfg: dict) -> Table:
@@ -382,13 +376,17 @@ def cmd_oracle(args, cfg: dict) -> Table:
 
 
 def _read_curve_csv(path):
-    """The column names and the rows of a curve CSV: one finite number per name in each row."""
+    """The distinct column names of a curve CSV and its rows, one finite number per name."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(number, line) for number, line in enumerate(map(str.strip, fh), 1)
                  if line and not line.startswith("#")]
     if len(lines) < 2:
         raise ConfigError("empty or malformed curve CSV")
     header = [c.strip() for c in lines[0][1].split(",")]
+    repeated = sorted({name for name in header if header.count(name) > 1})
+    if repeated:
+        raise ConfigError(f"line {lines[0][0]} of {path}: column(s) {repeated} appear more "
+                          "than once in the header")
     rows = []
     for number, line in lines[1:]:
         try:

@@ -60,7 +60,8 @@ BLOCK_ENTRIES = 1 << 16
 class InputState:
     """Weak-field input description.
 
-    ``modes`` are 1-based channel indices, as many as the kind's default
+    ``modes`` are distinct 1-based integer channel indices (a value whose
+    ``int`` differs from it is rejected), as many as the kind's default
     modes in ``KINDS`` (which ``None`` selects).  ``pre_loss``/``post_loss``
     are per-channel amplitude transmissions in (0, 1], applied before and
     after the interaction.
@@ -78,7 +79,10 @@ class InputState:
         if self.kind not in INPUT_KINDS:
             raise ValueError(f"unknown input kind {self.kind!r}")
         defaults = KINDS[self.kind].modes
-        modes = tuple(int(m) for m in (defaults if self.modes is None else self.modes))
+        given = defaults if self.modes is None else tuple(self.modes)
+        modes = tuple(int(m) for m in given)
+        if modes != given:
+            raise ValueError(f"mode indices must be integers, not {given}")
         if len(modes) != len(defaults):
             raise ValueError(f"{self.kind} takes {len(defaults)} mode index(es)")
         if len(set(modes)) != len(modes):
@@ -143,13 +147,15 @@ def g2_dual_coherent(phi, n_modes: int = 3):
 def _port_indices(ports, n_modes: int):
     """0-based output indices (i, j) as (K,) arrays: K = 1 for one pair, the rows of a (K, 2) array.
 
-    Every port must be a channel, 1..N: port 0 or -1 would read a channel
-    from the end through numpy's negative index.
+    Every port must be a channel, an integer in 1..N: port 0 or -1 would
+    read a channel from the end through numpy's negative index.
     """
     ports = np.asarray(ports)
     shape = ports.shape
     if shape != (2,) and not (len(shape) == 2 and shape[1] == 2):
         raise ValueError(f"ports must be one pair or a (K, 2) array of pairs, not shape {shape}")
+    if not np.issubdtype(ports.dtype, np.integer):
+        raise ValueError(f"output ports must be integers, not dtype {ports.dtype}")
     i, j = index = ports.reshape(-1, 2).T - 1
     inside = (index >= 0) & (index < n_modes)
     if not inside.all():
@@ -189,10 +195,14 @@ def pair_coincidence(transfer: TransferMatrix, in_modes=(1, 3), ports=(1, 3)):
 
     The coherent sum of the two routing amplitudes carries the two-photon
     interference; for a balanced two-channel splitter it vanishes (the
-    Hong-Ou-Mandel null).  A float for one matrix and one pair, an array
-    for a stack; a (K, 2) array of ``ports`` adds a trailing axis K.
+    Hong-Ou-Mandel null).  ``in_modes`` must be channels, and a
+    photon-pair ``InputState`` checks their count, distinctness and
+    integrality.  A float for one matrix and one pair, an array for a
+    stack; a (K, 2) array of ``ports`` adds a trailing axis K.
     """
+    # the range first, so that its message names N
     cols = _input_columns(in_modes, transfer.n_modes)
+    InputState(kind="photon_pair", modes=in_modes)
     return _coincidence("photon_pair", None, transfer.entries[..., :, cols], ports)
 
 

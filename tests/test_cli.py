@@ -18,7 +18,7 @@ from nwaybs import cli
 from nwaybs.cli import (_INPUT_KIND_ALIASES, build_parser, check_section, config_hash,
                         input_section, lambda_nm_to_omega, main)
 from nwaybs.quantum import INPUT_KINDS, InputState, correlation_curve
-from nwaybs.transfer import p_coeff, q_coeff
+from nwaybs.transfer import ideal_transfer, p_coeff, q_coeff
 
 W0 = 2 * math.pi * 233e12
 
@@ -514,6 +514,34 @@ class TestOracleCommand:
                    "--tol", "1e-18", "--out", str(tmp_path / "o.csv")])
         assert rc == 2
 
+    def test_quantum_checks_the_g2_that_sweep_writes(self, tmp_path, input_cfg, monkeypatch):
+        # a curve off by 1e-6 fails at 1e-10 only if the oracle reads the curve
+        curves = []
+
+        def scaled_curve(*args, **kwargs):
+            curve = correlation_curve(*args, **kwargs)
+            curve.g2.update({pair: g2 * (1 + 1e-6) for pair, g2 in curve.g2.items()})
+            curves.append(curve)
+            return curve
+
+        monkeypatch.setattr(cli, "correlation_curve", scaled_curve)
+        rc = main(["oracle", "--config", input_cfg, "--check", "quantum",
+                   "--tol", "1e-10", "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert len(curves) == 1 and len(curves[0].phi) == 25
+
+    def test_quantum_builds_one_transfer_stack(self, tmp_path, input_cfg, monkeypatch):
+        phases = []
+
+        def recorded_transfer(n_modes, phi):
+            phases.append(np.shape(phi))
+            return ideal_transfer(n_modes, phi)
+
+        monkeypatch.setattr(cli, "ideal_transfer", recorded_transfer)
+        assert main(["oracle", "--config", input_cfg, "--check", "quantum",
+                     "--out", str(tmp_path / "o.csv")]) == 0
+        assert phases == [(26,)]
+
     @pytest.mark.parametrize("check,unread", [
         ("quantum", "['seed', 'sweep', 'transfer']"),
         ("classical", "['input', 'n_modes', 'seed', 'sweep', 'transfer']"),
@@ -968,6 +996,10 @@ class TestFitCommand:
         pytest.param("pair", "power_w,value\n" + GOOD_ROWS + "0.7,nan\n", 9, id="nan-pair"),
         pytest.param("multiphoton", "singles_rate,ratio\n# a comment\n" + GOOD_ROWS + "nan,0.2\n",
                      10, id="nan-multiphoton"),
+        # a name map of the columns would keep the last one: the fit would read it in silence
+        pytest.param("pair", "power_w,value,value\n"
+                     + "".join(f"{0.1 * k:g},{1 - 0.1 * k:g},{0.5 - 0.05 * k:g}\n"
+                               for k in range(7)), 1, id="repeated-column"),
     ]
 
     @pytest.mark.parametrize("model,text,line", MALFORMED_CURVES)

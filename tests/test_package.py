@@ -1,5 +1,6 @@
 """The package namespace: every public name, loaded from its submodule on first use."""
 
+import ast
 import importlib
 import json
 import os
@@ -84,3 +85,36 @@ def test_import_loads_no_submodule(tmp_path):
     proc = subprocess.run([sys.executable, "-c", FRESH_IMPORT_SCRIPT], cwd=tmp_path, env=env,
                           capture_output=True, text=True, check=True)
     assert json.loads(proc.stdout) == [["nwaybs"], True]
+
+
+PACKAGE_DIR = os.path.dirname(nwaybs.__file__)
+MODULES = sorted(name[:-3] for name in os.listdir(PACKAGE_DIR) if name.endswith(".py"))
+# (module, name) imported but never read: fitting loads scipy with the
+# module, since benchmarks/worker.py reads sys.modules["scipy"].__version__
+UNUSED_IMPORTS_KEPT = {("fitting", "scipy")}
+
+
+def unused_imports(source: str) -> set:
+    """The names a module's import statements bind that no expression of the module reads."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_unused_imports_are_found():
+    source = "from __future__ import annotations\nimport os, numpy.linalg\nfrom . import a as b\n" \
+             "numpy.linalg.norm\n"
+    assert unused_imports(source) == {"os", "b"}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_import_is_used(module):
+    """A simplification that deletes a name's last use deletes its import too."""
+    with open(os.path.join(PACKAGE_DIR, f"{module}.py"), encoding="utf-8") as fh:
+        unused = unused_imports(fh.read())
+    assert unused == {name for mod, name in UNUSED_IMPORTS_KEPT if mod == module}

@@ -54,6 +54,16 @@ class TestInputState:
         with pytest.raises(ValueError):
             InputState(kind="photon_pair", modes=(2, 2))
 
+    @pytest.mark.parametrize("modes", [(1.5, 3), ("1", 3)], ids=["float", "string"])
+    def test_non_integer_mode_rejected(self, modes):
+        # int() would truncate 1.5 and parse "1", both to mode 1
+        with pytest.raises(ValueError, match="mode indices must be integers"):
+            InputState(kind="photon_pair", modes=modes)
+
+    def test_integral_modes_become_ints(self):
+        modes = InputState(kind="photon_pair", modes=(np.int64(1), 3.0)).modes
+        assert modes == (1, 3) and all(type(m) is int for m in modes)
+
     def test_transmission_range(self):
         with pytest.raises(ValueError):
             InputState(kind="squeezed_vacuum", modes=(1, 3), zeta=0.4,
@@ -149,6 +159,18 @@ class TestPairStatistics:
     def test_hom_null_n2(self):
         u = ideal_transfer(2, math.pi / 4)
         assert pair_coincidence(u, in_modes=(1, 2), ports=(1, 2)) < 1e-24
+
+    @pytest.mark.parametrize("in_modes,text", [
+        ((1, 2, 3), "photon_pair takes 2 mode index"),
+        ((1, 1), "mode indices must be distinct"),
+        ((1.5, 3), "mode indices must be integers"),
+    ], ids=["three-modes", "one-mode-twice", "float"])
+    def test_in_modes_checked_as_a_photon_pair(self, in_modes, text):
+        # unchecked, (1, 2, 3) would run on its first two modes and (1, 1) give
+        # twice the coincidence of two photons in one mode
+        tm = ideal_transfer(3, 0.4)
+        with pytest.raises(ValueError, match=text):
+            pair_coincidence(tm, in_modes, (1, 3))
 
     def test_symmetry_g12_equals_g23(self):
         state = InputState(kind="photon_pair", modes=(1, 3))
@@ -977,3 +999,13 @@ class TestOutputPortRange:
         tm = ideal_transfer(4, 0.3 if matrix == "one" else np.linspace(0.1, 0.5, 3))
         with pytest.raises(ValueError, match=rf"output ports \[{port}\] must lie in 1\.\.4"):
             g2_squeezed_full(self.STATE, tm, (port, 3))
+
+    @pytest.mark.parametrize("ports", [(1.5, 3), (1.0, 3.0), [[1, 2], [3.0, 4]]],
+                             ids=["fraction", "integral-floats", "float-array"])
+    def test_non_integer_ports_rejected(self, ports):
+        # numpy would raise IndexError: arrays used as indices must be of integer type
+        tm = ideal_transfer(4, 0.3)
+        with pytest.raises(ValueError, match="output ports must be integers, not dtype float64"):
+            pair_coincidence(tm, (1, 3), ports)
+        with pytest.raises(ValueError, match="output ports must be integers"):
+            coincidence_squeezed(self.STATE, tm, ports)
