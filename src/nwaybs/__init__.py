@@ -26,9 +26,9 @@ _EXPORTS = {
         "symmetric_grid",
     ),
     "transfer": (
-        "NonlinearPhase", "PumpConfig", "TransferMatrix", "general_transfer", "ideal_columns",
-        "ideal_transfer", "loss_reduced_phase", "lossy_transfer", "p_coeff", "pump_evolution",
-        "q_coeff", "sinhc", "to_lab_frame",
+        "NonlinearPhase", "PumpConfig", "TransferMatrix", "general_transfer", "ideal_transfer",
+        "loss_reduced_phase", "lossy_transfer", "p_coeff", "pump_evolution", "q_coeff", "sinhc",
+        "to_lab_frame",
     ),
     "propagation": (
         "IntegratorSettings", "full_fwm_reference", "integrate_pumps", "integrate_weak",

@@ -109,8 +109,12 @@ PUMP_POWERS = NUMBERS._replace(name="a list of at least 2 finite numbers",
                                test=lambda v: NUMBERS.test(v) and len(v) >= 2)
 SWEEP_POWERS = NUMBERS._replace(name="a non-empty list of finite numbers >= 0",
                                 test=lambda v: NUMBERS.test(v) and len(v) > 0 and min(v) >= 0)
-WAVELENGTHS_NM = NUMBERS._replace(convert=lambda v: tuple(lambda_nm_to_omega(float(x))
-                                                          for x in v))
+# 0 nm and a wavelength whose metres underflow to 0 would divide by zero
+WAVELENGTHS_NM = NUMBERS._replace(
+    name="a list of finite numbers > 0 whose frequencies are finite",
+    test=lambda v: NUMBERS.test(v) and all(
+        x * 1e-9 > 0 and 0 < lambda_nm_to_omega(x) < math.inf for x in v),
+    convert=lambda v: tuple(lambda_nm_to_omega(float(x)) for x in v))
 COMPLEX = JsonType("a finite number or a [re, im] pair",
                    lambda v: _finite(v) or _listof(_finite)(v) and len(v) == 2,
                    lambda v: complex(*v) if isinstance(v, list) else float(v))

@@ -46,6 +46,9 @@ class DispersionProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "beta_coeffs", tuple(float(b) for b in self.beta_coeffs))
+        for name in ("omega0", "beta_coeffs", "gamma", "length", "alpha"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         if len(self.beta_coeffs) == 0:
             raise ValueError("beta_coeffs must be non-empty")
         if len(self.beta_coeffs) - 1 > MAX_BETA_ORDER:
@@ -75,7 +78,9 @@ class FrequencyGrid:
             raise ValueError("pump_freqs and weak_freqs must have equal length")
         if len(self.pump_freqs) < 2:
             raise ValueError("need at least 2 channels")
-        for freqs in (self.pump_freqs, self.weak_freqs):
+        for name, freqs in (("pump_freqs", self.pump_freqs), ("weak_freqs", self.weak_freqs)):
+            if not all(map(math.isfinite, freqs)):
+                raise ValueError(f"{name} must be finite")
             if any(f <= 0 for f in freqs):
                 raise ValueError("frequencies must be strictly positive")
             if len(set(freqs)) != len(freqs):

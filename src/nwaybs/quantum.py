@@ -38,7 +38,8 @@ as ``ideal_rows`` slabs of bounded size.  On the ideal transfer every
 channel outside the input modes has the same row (q_N, ..., q_N), so a
 slab holds at most k + 1 distinct rows; the kernels run on those and on
 the ordered row pairs the port pairs read, and one gather each expands the
-results to the N channels and K port pairs.
+results to the N channels and K port pairs.  ``g2_squeezed_full`` normalizes
+by the coincidence on the identity, the ideal transfer at phase 0.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .transfer import TransferMatrix, ideal_columns, ideal_rows, p_coeff, q_coeff
+from .transfer import TransferMatrix, ideal_rows, p_coeff, q_coeff
 
 # Input-column slab entries per block in correlation_curve (2**16
 # complex128 = 1 MiB): bounds the memory of a sweep at any grid size.
@@ -78,19 +79,11 @@ class InputState:
     def __post_init__(self):
         if self.kind not in INPUT_KINDS:
             raise ValueError(f"unknown input kind {self.kind!r}")
-        defaults = KINDS[self.kind].modes
-        given = defaults if self.modes is None else tuple(self.modes)
-        modes = tuple(int(m) for m in given)
-        if modes != given:
-            raise ValueError(f"mode indices must be integers, not {given}")
-        if len(modes) != len(defaults):
-            raise ValueError(f"{self.kind} takes {len(defaults)} mode index(es)")
-        if len(set(modes)) != len(modes):
-            raise ValueError("mode indices must be distinct")
-        if any(m < 1 for m in modes):
-            raise ValueError("mode indices are 1-based")
-        object.__setattr__(self, "modes", modes)
+        object.__setattr__(self, "modes", _mode_indices(self.kind, self.modes))
         object.__setattr__(self, "amplitude", float(self.amplitude))
+        for name in ("amplitude", "zeta"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, not {getattr(self, name)}")
         for name in ("pre_loss", "post_loss"):
             t = getattr(self, name)
             if t is not None:
@@ -115,6 +108,23 @@ class CorrelationResult:
     phi: np.ndarray
     singles: np.ndarray          # shape (len(phi), N)
     g2: dict = field(default_factory=dict)  # (i, j) -> array over phi
+
+
+def _mode_indices(kind: str, modes) -> tuple[int, ...]:
+    """``modes`` (None: the defaults) as ``kind``'s input modes: integers, as many as
+    the defaults, distinct and >= 1; the first rule broken raises."""
+    defaults = KINDS[kind].modes
+    given = defaults if modes is None else tuple(modes)
+    checked = tuple(int(m) for m in given)
+    if checked != given:
+        raise ValueError(f"mode indices must be integers, not {given}")
+    if len(checked) != len(defaults):
+        raise ValueError(f"{kind} takes {len(defaults)} mode index(es)")
+    if len(set(checked)) != len(checked):
+        raise ValueError("mode indices must be distinct")
+    if any(m < 1 for m in checked):
+        raise ValueError("mode indices are 1-based")
+    return checked
 
 
 def _input_columns(modes, n_modes: int) -> list[int]:
@@ -195,14 +205,14 @@ def pair_coincidence(transfer: TransferMatrix, in_modes=(1, 3), ports=(1, 3)):
 
     The coherent sum of the two routing amplitudes carries the two-photon
     interference; for a balanced two-channel splitter it vanishes (the
-    Hong-Ou-Mandel null).  ``in_modes`` must be channels, and a
-    photon-pair ``InputState`` checks their count, distinctness and
-    integrality.  A float for one matrix and one pair, an array for a
-    stack; a (K, 2) array of ``ports`` adds a trailing axis K.
+    Hong-Ou-Mandel null).  ``in_modes`` must be channels, and a photon
+    pair's input modes by the rules of ``InputState``: two distinct
+    integers.  A float for one matrix and one pair, an array for a stack; a
+    (K, 2) array of ``ports`` adds a trailing axis K.
     """
     # the range first, so that its message names N
     cols = _input_columns(in_modes, transfer.n_modes)
-    InputState(kind="photon_pair", modes=in_modes)
+    _mode_indices("photon_pair", in_modes)
     return _coincidence("photon_pair", None, transfer.entries[..., :, cols], ports)
 
 
@@ -297,9 +307,8 @@ def g2_squeezed_full(state: InputState, transfer: TransferMatrix, ports=(1, 3)) 
     if np.shape(ports) != (2,):
         raise ValueError(f"ports must be one output pair (i, j), not shape {np.shape(ports)}")
     raw = coincidence_squeezed(state, transfer, ports)
-    n = transfer.n_modes
-    cols = _input_columns(state.modes, n)
-    ref = _coincidence("squeezed_vacuum", state, ideal_columns(n, 0.0, cols), ports)
+    # the ideal transfer at phase 0 is the identity, whose entries are exactly 0 and 1
+    ref = coincidence_squeezed(state, TransferMatrix(np.eye(transfer.n_modes), 0.0), ports)
     if ref == 0.0:
         raise ValueError("zero-phase coincidence vanishes; cannot normalize")
     return raw / ref

@@ -4,8 +4,9 @@ Three routes to the same object:
 
 * ``ideal_transfer``   -- closed form for perfect phase matching and equal
   pump powers, entries p_N(phi) on the diagonal and q_N(phi) off it;
-  ``ideal_columns`` builds any subset of its columns, and ``ideal_rows``
-  only their distinct rows with a map from output channel to row.
+  ``ideal_rows`` builds any subset of its columns as their distinct rows
+  with a map from output channel to row, and is the one builder of its
+  entries.
 * ``general_transfer`` -- matrix exponential of the Hermitian coupled-mode
   generator, valid for unequal powers and nonzero mismatch.
 * ``lossy_transfer``   -- analytic solution with fiber attenuation, which
@@ -40,12 +41,14 @@ class PumpConfig:
 
     def __post_init__(self):
         powers = tuple(float(p) for p in self.powers)
+        phases = (0.0,) * len(powers) if self.phases is None else self.phases
+        phases = tuple(float(t) for t in phases)
+        for name, values in (("powers", powers), ("phases", phases)):
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"pump {name} must be finite")
         if any(p < 0 for p in powers):
             raise ValueError("pump powers must be >= 0")
-        phases = self.phases
-        if phases is None:
-            phases = (0.0,) * len(powers)
-        phases = tuple(float(t) % (2 * math.pi) for t in phases)
+        phases = tuple(t % (2 * math.pi) for t in phases)
         if len(phases) != len(powers):
             raise ValueError("powers and phases must have equal length")
         object.__setattr__(self, "powers", powers)
@@ -127,68 +130,41 @@ def p_coeff(n_modes: int, phi: float) -> complex:
     return q_coeff(n_modes, phi) + 1.0
 
 
-def ideal_columns(n_modes: int, phi, cols) -> np.ndarray:
-    """Columns ``cols`` of the closed-form transfer, shape ``phi.shape + (N, len(cols))``.
-
-    ``c[..., :, r]`` is column ``cols[r]`` (0-based, any order): q_N(phi)
-    everywhere but p_N(phi) = q_N(phi) + 1 in row ``cols[r]``.  An
-    observable of k input modes reads only these k columns, so a sweep
-    builds O(N k) entries per phase instead of N^2.  At phi = 0 every entry
-    is exactly 0 or 1 (q_N(0) is exactly 0), so a row at phase 0 is the
-    identity's columns bit for bit.
-    """
-    cols = list(cols)
-    _check_columns(n_modes, cols)
-    return _column_slab(n_modes, phi, cols, n_modes)
-
-
 def ideal_rows(n_modes: int, phi, cols) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The distinct rows of ``ideal_columns(n_modes, phi, cols)`` and the row map.
+    """Columns ``cols`` of the closed-form transfer as their distinct rows, and the row map.
 
-    Outside the k input rows every row of the slab is (q_N, ..., q_N), so the
-    slab has at most k + 1 distinct rows: the k input rows and, when N > k,
-    one shared q row.  Returns ``(rows, row_map)``: ``rows`` has shape
-    ``phi.shape + (R, k)`` with the same entries and per-column layout as
-    ``ideal_columns``, and ``row_map[i]`` is the row of ``rows`` that output
-    channel i reads, so ``rows[..., row_map, :]`` equals ``ideal_columns``
-    bit for bit.  The rows are ordered by the first channel that reads them,
-    so a slab whose rows are all distinct (R = N, as for N = 2, or N = 3
-    with two input modes) has the identity map, and ``rows`` then has the
-    bytes and strides of ``ideal_columns``.  At phi = 0 every entry is exactly 0 or 1:
-    ``correlation_curve`` takes its zero-phase reference from such a row.
+    Column ``cols[r]`` (0-based, any order) is q_N(phi) but for p_N(phi) =
+    q_N(phi) + 1 in row ``cols[r]``, so the k columns have at most k + 1
+    distinct rows: the k input rows and, when N > k, one shared q row.
+    ``rows`` has shape ``phi.shape + (R, k)``, and output channel i reads row
+    ``row_map[i]``, so ``rows[..., row_map, :]`` is the (..., N, k) column
+    slab.  Rows are numbered in order of first channel, so when all N rows
+    are distinct (N = 2, N = 3 with two input modes, or every column) the
+    map is the identity.  At phi = 0 every entry is exactly 0 or 1 (q_N(0) is 0).
     """
     cols = tuple(cols)
     row_map = _ideal_row_map(n_modes, cols)
-    return _column_slab(n_modes, phi, [row_map[col] for col in cols], max(row_map) + 1), row_map
-
-
-def _check_columns(n_modes: int, cols) -> None:
-    if n_modes < 2:
-        raise ValueError("need at least 2 modes")
-    if not all(0 <= c < n_modes for c in cols):
-        raise ValueError(f"column indices must lie in [0, {n_modes})")
+    phi = np.asarray(phi, dtype=float)
+    # each column is one contiguous (..., R) block, so the observables' sums
+    # over input columns add whole blocks instead of reducing an inner axis
+    # of length k
+    c = np.empty((len(cols),) + phi.shape + (max(row_map) + 1,), dtype=complex)
+    c[...] = np.asarray(q_coeff(n_modes, phi))[..., np.newaxis]
+    for r, col in enumerate(cols):
+        c[r, ..., row_map[col]] += 1.0
+    return c.transpose(tuple(range(1, c.ndim)) + (0,)), row_map
 
 
 @functools.lru_cache(maxsize=None)
 def _ideal_row_map(n_modes: int, cols: tuple[int, ...]) -> tuple[int, ...]:
     """Row of each output channel in ``ideal_rows``: one per input column, one
     shared by every other channel, numbered in order of first channel."""
-    _check_columns(n_modes, cols)
+    if n_modes < 2:
+        raise ValueError("need at least 2 modes")
+    if not all(0 <= c < n_modes for c in cols):
+        raise ValueError(f"column indices must lie in [0, {n_modes})")
     first: dict[int, int] = {}
     return tuple(first.setdefault(ch if ch in cols else -1, len(first)) for ch in range(n_modes))
-
-
-def _column_slab(n_modes: int, phi, p_rows, n_rows: int) -> np.ndarray:
-    """q_N(phi) in ``n_rows`` rows per column, plus 1.0 in row ``p_rows[r]`` of column r."""
-    phi = np.asarray(phi, dtype=float)
-    # each column is one contiguous (..., rows) block, so the observables'
-    # sums over input columns add whole blocks instead of reducing an inner
-    # axis of length k
-    c = np.empty((len(p_rows),) + phi.shape + (n_rows,), dtype=complex)
-    c[...] = np.asarray(q_coeff(n_modes, phi))[..., np.newaxis]
-    for r, row in enumerate(p_rows):
-        c[r, ..., row] += 1.0
-    return c.transpose(tuple(range(1, c.ndim)) + (0,))
 
 
 def ideal_transfer(n_modes: int, phi) -> TransferMatrix:
@@ -196,10 +172,10 @@ def ideal_transfer(n_modes: int, phi) -> TransferMatrix:
 
     A scalar ``phi`` gives one N x N matrix; an array of phases gives a
     stack of shape ``phi.shape + (N, N)``, in C order.  The entries are
-    ``ideal_columns`` of every column.
+    ``ideal_rows`` of every column, whose row map is the identity.
     """
     phi = np.asarray(phi, dtype=float)
-    u = np.ascontiguousarray(ideal_columns(n_modes, phi, range(n_modes)))
+    u = np.ascontiguousarray(ideal_rows(n_modes, phi, range(n_modes))[0])
     return TransferMatrix(entries=u, phi=float(phi) if phi.ndim == 0 else phi)
 
 

@@ -718,6 +718,9 @@ MALFORMED_BASES = {
     "powers": dict(BASE_CONFIG, sweep=POWER_SWEEP),
     "physics": TestPhasematchCommand.symmetric_cfg(),
     "general": TestTransferCommand.route_cfg("general"),
+    "wavelengths": dict(TestPhasematchCommand.symmetric_cfg(),
+                        grid={"pump_freqs_lambda_nm": [1280.0, 1275.5, 1271.0],
+                              "weak_freqs_lambda_nm": [1293.0, 1297.5, 1302.0]}),
 }
 # (subcommand, base config, path of the mistyped key, its value)
 MALFORMED = [
@@ -746,6 +749,10 @@ MALFORMED = [
     ("phasematch", "physics", ("n_modes",), True),
     # the _rad_s and _lambda_nm forms of one list fill the same field
     ("phasematch", "physics", ("grid", "pump_freqs_lambda_nm"), [1280.0, 1275.5, 1271.0]),
+    # a wavelength whose frequency would divide by zero: 0 nm, and 1e-320 nm, whose metres
+    # underflow to 0
+    ("phasematch", "wavelengths", ("grid", "pump_freqs_lambda_nm"), [0, 1540, 1545]),
+    ("phasematch", "wavelengths", ("grid", "pump_freqs_lambda_nm"), [1e-320, 1540, 1545]),
 ]
 
 

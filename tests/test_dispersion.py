@@ -97,6 +97,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             FrequencyGrid(pump_freqs=(1e15, 2e15), weak_freqs=(3e15,))
 
+    @pytest.mark.parametrize("field,value", [
+        ("gamma", math.nan), ("length", math.inf), ("alpha", math.nan), ("omega0", math.inf),
+        ("beta_coeffs", (math.nan,)), ("beta_coeffs", (0.0, 1e-27, -math.inf)),
+    ])
+    def test_profile_rejects_non_finite_fields(self, field, value):
+        kwargs = dict(omega0=W0, beta_coeffs=(0.0,), gamma=1e-3, length=100.0, alpha=0.0)
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            DispersionProfile(**dict(kwargs, **{field: value}))
+
+    @pytest.mark.parametrize("field", ["pump_freqs", "weak_freqs"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_grid_rejects_non_finite_frequencies(self, field, bad):
+        kwargs = dict(pump_freqs=(1e15, 2e15), weak_freqs=(3e15, 4e15))
+        kwargs[field] = (1e15, bad)
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            FrequencyGrid(**kwargs)
+
 
 class TestDeltaBeta:
     def test_same_channel_is_zero(self):

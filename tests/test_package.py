@@ -17,8 +17,8 @@ PUBLIC_NAMES = {
                    "beta_eval", "delta_beta_pair", "delta_beta_table", "find_zgvd",
                    "nonlinear_mismatch", "symmetric_grid"],
     "transfer": ["NonlinearPhase", "PumpConfig", "TransferMatrix", "general_transfer",
-                 "ideal_columns", "ideal_transfer", "loss_reduced_phase", "lossy_transfer",
-                 "p_coeff", "pump_evolution", "q_coeff", "sinhc", "to_lab_frame"],
+                 "ideal_transfer", "loss_reduced_phase", "lossy_transfer", "p_coeff",
+                 "pump_evolution", "q_coeff", "sinhc", "to_lab_frame"],
     "propagation": ["IntegratorSettings", "full_fwm_reference", "integrate_pumps",
                     "integrate_weak", "rk4_integrate"],
     "quantum": ["CorrelationResult", "InputState", "correlation_curve", "g2_dual_coherent",
@@ -118,3 +118,45 @@ def test_every_import_is_used(module):
     with open(os.path.join(PACKAGE_DIR, f"{module}.py"), encoding="utf-8") as fh:
         unused = unused_imports(fh.read())
     assert unused == {name for mod, name in UNUSED_IMPORTS_KEPT if mod == module}
+
+
+def unread_private_names(sources: dict) -> set:
+    """(module, name) for each module-level private name (``_x``, not a dunder) that no
+    expression of ``sources`` reads: as a name, an attribute or a ``from`` import."""
+    defined, read = set(), set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined.update((module, name) for name in names
+                           if name.startswith("_") and not name.endswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return {(module, name) for module, name in defined if name not in read}
+
+
+def test_unread_private_names_are_found():
+    sources = {"a": "_X = 1\n_Y: int = 2\n__all__ = []\ndef _f(): return _X\n"
+                    "class _C: pass\n",
+               "b": "from .a import _C\nimport a\na._Y\ndef _g(): pass\n_p, _q = 1, 2\n"}
+    assert unread_private_names(sources) == {("a", "_f"), ("b", "_g"), ("b", "_p"), ("b", "_q")}
+
+
+def test_every_private_name_is_read():
+    """A simplification that deletes a private helper's last use deletes the helper too."""
+    sources = {}
+    for module in MODULES:
+        with open(os.path.join(PACKAGE_DIR, f"{module}.py"), encoding="utf-8") as fh:
+            sources[module] = fh.read()
+    assert unread_private_names(sources) == set()

@@ -24,7 +24,6 @@ from nwaybs.quantum import (
 )
 from nwaybs.transfer import (
     TransferMatrix,
-    ideal_columns,
     ideal_rows,
     ideal_transfer,
     p_coeff,
@@ -68,6 +67,30 @@ class TestInputState:
         with pytest.raises(ValueError):
             InputState(kind="squeezed_vacuum", modes=(1, 3), zeta=0.4,
                        pre_loss=(0.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("field,value", [
+        ("amplitude", math.nan), ("amplitude", math.inf), ("zeta", math.nan),
+        ("zeta", complex(0.3, math.inf)),
+    ])
+    def test_rejects_non_finite_fields(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            InputState(kind="squeezed_vacuum", **{field: value})
+
+    # mode 0 fails pair_coincidence's range check, which runs first and names N
+    @pytest.mark.parametrize("modes,text,pair_text", [
+        ((1, 2, 3), "photon_pair takes 2 mode index(es)", None),
+        ((2, 2), "mode indices must be distinct", None),
+        ((1.5, 3), "mode indices must be integers, not (1.5, 3)", None),
+        ((0, 3), "mode indices are 1-based", "input modes (0, 3) must lie in 1..3, the channels"),
+    ], ids=["three", "repeated", "float", "zero"])
+    def test_pair_coincidence_applies_the_same_mode_rules(self, modes, text, pair_text):
+        with pytest.raises(ValueError) as err:
+            InputState(kind="photon_pair", modes=modes)
+        assert str(err.value) == text
+        for tm in (ideal_transfer(3, 0.3), ideal_transfer(3, np.linspace(0.0, 1.0, 4))):
+            with pytest.raises(ValueError) as err:
+                pair_coincidence(tm, modes)
+            assert str(err.value) == (pair_text or text)
 
 
 class TestSingles:
@@ -635,7 +658,8 @@ class TestAllPairs:
         lo = data.draw(st.floats(-1.0, 1.0))
         phis = np.linspace(lo, lo + data.draw(st.floats(0.5, 8.0)), data.draw(st.integers(1, 40)))
         for phi in (phis[0], phis):
-            c, tm = ideal_columns(n, phi, cols), ideal_transfer(n, phi)
+            rows, row_map = ideal_rows(n, phi, cols)
+            c, tm = rows[..., row_map, :], ideal_transfer(n, phi)
             # on all N rows, the row parts times the factors are the observables
             s = kind.singles(state, c)
             full = s if kind.channel_factor is None else kind.channel_factor(state, n) * s
@@ -665,14 +689,16 @@ class TestAllPairs:
             pair_coincidence(stack, (1, 3), ports)
 
 
-def fancy_index_ideal_columns(n_modes, phi, cols):
-    """``ideal_columns`` as one fancy-index add and a ``moveaxis``: the reference
-    for the bytes and strides of the per-column form."""
+def fancy_index_ideal_columns(n_modes, phi, cols, row_map=None):
+    """Columns ``cols`` of the ideal transfer as one fancy-index add and a
+    ``moveaxis``, on the rows of ``row_map`` (every row for None): the
+    reference for the bytes and strides of ``ideal_rows``' per-column form."""
     cols = list(cols)
+    row_map = range(n_modes) if row_map is None else row_map
     phi = np.asarray(phi, dtype=float)
-    c = np.empty((len(cols),) + phi.shape + (n_modes,), dtype=complex)
+    c = np.empty((len(cols),) + phi.shape + (max(row_map) + 1,), dtype=complex)
     c[...] = np.asarray(q_coeff(n_modes, phi))[..., np.newaxis]
-    c[np.arange(len(cols)), ..., cols] += 1.0
+    c[np.arange(len(cols)), ..., [row_map[col] for col in cols]] += 1.0
     return np.moveaxis(c, 0, -1)
 
 
@@ -747,9 +773,12 @@ class TestZeroPhaseReferenceRow:
         shape = data.draw(st.sampled_from([(), (1,), (7,), (3, 4)]))
         phi = np.asarray(data.draw(st.lists(st.floats(-8.0, 8.0), min_size=math.prod(shape),
                                             max_size=math.prod(shape)))).reshape(shape)
-        got, want = ideal_columns(n, phi, cols), fancy_index_ideal_columns(n, phi, cols)
+        got, row_map = ideal_rows(n, phi, cols)
+        want = fancy_index_ideal_columns(n, phi, cols, row_map)
         assert got.shape == want.shape and got.strides == want.strides
         assert got.tobytes() == want.tobytes()
+        assert np.ascontiguousarray(got[..., row_map, :]).tobytes() == np.ascontiguousarray(
+            fancy_index_ideal_columns(n, phi, cols)).tobytes()
         got, want = ideal_transfer(n, phi).entries, np.ascontiguousarray(
             fancy_index_ideal_columns(n, phi, range(n)))
         assert got.strides == want.strides and got.tobytes() == want.tobytes()
@@ -859,7 +888,8 @@ def full_slab_curve(state, phis, n_modes):
     block = max(1, quantum.BLOCK_ENTRIES // (n_modes * len(cols)))
     for start in range(0, len(grid), block):
         rows = slice(start, start + block)
-        c = ideal_columns(n_modes, grid[rows], cols)
+        c, row_map = ideal_rows(n_modes, grid[rows], cols)
+        c = c[..., row_map, :]
         s = sgl[rows] = kind_singles(state, c)
         if kind_coincidence is not None:
             raw = kind_coincidence(state, c, s, ports)

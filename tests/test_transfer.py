@@ -11,7 +11,6 @@ from nwaybs.transfer import (
     PumpConfig,
     TransferMatrix,
     general_transfer,
-    ideal_columns,
     ideal_rows,
     ideal_transfer,
     loss_reduced_phase,
@@ -126,6 +125,8 @@ class TestTransferStack:
 
 
 class TestIdealColumns:
+    """Any subset of the ideal transfer's columns, as ``ideal_rows`` builds them."""
+
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_columns_equal_the_full_matrix(self, data):
@@ -135,25 +136,31 @@ class TestIdealColumns:
         lo = data.draw(st.floats(-1.0, 1.0))
         phis = np.linspace(lo, lo + data.draw(st.floats(0.5, 8.0)), data.draw(st.integers(1, 40)))
         for phi in (phis[0], phis):
-            c = ideal_columns(n, phi, cols)
+            rows, row_map = ideal_rows(n, phi, cols)
+            c = rows[..., row_map, :]
             assert c.shape == np.shape(phi) + (n, len(cols))
             assert np.array_equal(c, ideal_transfer(n, phi).entries[..., :, cols])
+            # p_N in row cols[r] of column r, q_N everywhere else
+            p, q = (np.asarray(f(n, phi))[..., np.newaxis, np.newaxis] for f in (p_coeff, q_coeff))
+            assert np.array_equal(c, np.where(np.equal.outer(np.arange(n), cols), p, q))
 
     def test_all_columns_are_the_transfer(self):
         phis = np.linspace(-1.0, 4 * math.pi, 33)
         for n in (2, 3, 16):
             stack = ideal_transfer(n, phis).entries
             assert stack.flags.c_contiguous
-            assert stack.tobytes() == ideal_columns(n, phis, range(n)).tobytes()
+            rows, row_map = ideal_rows(n, phis, range(n))
+            assert row_map == tuple(range(n))
+            assert stack.tobytes() == rows.tobytes()
 
     @pytest.mark.parametrize("cols", [[3], [0, 3], [-1]])
     def test_column_out_of_range(self, cols):
-        with pytest.raises(ValueError):
-            ideal_columns(3, 0.2, cols)
+        with pytest.raises(ValueError, match=r"column indices must lie in \[0, 3\)"):
+            ideal_rows(3, 0.2, cols)
 
     def test_needs_two_modes(self):
-        with pytest.raises(ValueError):
-            ideal_columns(1, 0.2, [0])
+        with pytest.raises(ValueError, match="need at least 2 modes"):
+            ideal_rows(1, 0.2, [0])
 
 
 class TestIdealRows:
@@ -166,7 +173,7 @@ class TestIdealRows:
         phis = np.linspace(lo, lo + data.draw(st.floats(0.5, 8.0)), data.draw(st.integers(1, 40)))
         for phi in (phis[0], phis):
             rows, row_map = ideal_rows(n, phi, cols)
-            full = ideal_columns(n, phi, cols)
+            full = ideal_transfer(n, phi).entries[..., :, cols]
             distinct = min(n, len(cols) + 1)
             assert rows.shape == np.shape(phi) + (distinct, len(cols))
             assert np.ascontiguousarray(rows[..., row_map, :]).tobytes() == (
@@ -175,9 +182,11 @@ class TestIdealRows:
             assert [row_map.index(r) for r in range(distinct)] == sorted(
                 row_map.index(r) for r in range(distinct))
             assert all(rows[..., r].flags.c_contiguous for r in range(len(cols)))
+            per_column = np.moveaxis(np.empty((len(cols),) + rows.shape[:-1], complex), 0, -1)
+            assert rows.strides == per_column.strides
             if distinct == n:
                 assert row_map == tuple(range(n))
-                assert rows.tobytes() == full.tobytes() and rows.strides == full.strides
+                assert rows.tobytes() == full.tobytes()
 
     def test_shared_row_sits_at_the_first_other_channel(self):
         rows, row_map = ideal_rows(8, 0.3, [4, 0])
@@ -188,6 +197,17 @@ class TestIdealRows:
     def test_invalid_columns(self, n, cols):
         with pytest.raises(ValueError):
             ideal_rows(n, 0.2, cols)
+
+
+class TestPumpConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("powers", (math.nan, 1.0)), ("powers", (math.inf, 1.0)), ("powers", (1.0, -math.inf)),
+        ("phases", (math.nan, 0.0)), ("phases", (0.0, math.inf)),
+    ])
+    def test_rejects_non_finite_fields(self, field, value):
+        kwargs = dict(powers=(1.0, 1.0), phases=(0.0, 0.0))
+        with pytest.raises(ValueError, match=f"^pump {field} must be finite$"):
+            PumpConfig(**dict(kwargs, **{field: value}))
 
 
 class TestGeneralTransfer:
