@@ -15,14 +15,14 @@ Both nonlinear fits run in this module, in numpy and plain Python:
   The scan screens every grid point in real arithmetic, |p_N|^2 = A +
   B cos(theta), with a rigorous rounding-error bound (``SCREEN_DELTA``),
   and evaluates the exact complex objective only at the points that can
-  hold its minimum, so it picks the exact scan's point bit for bit.  The
-  screen has two stages: a lower bound at every grid point from a fixed
-  subset of about six data points (a sum of non-negative squares is at
-  least any of its sub-sums), then the full-point screen at the few grid
-  points whose subset bound can reach the objective's smallest upper bound.
-  ``_bounded_min`` performs the float operations of scipy's
-  ``minimize_scalar(method="bounded")`` in the same order, so its result
-  and evaluation count equal scipy's bit for bit.
+  hold its minimum, so it picks the exact scan's point bit for bit.  One
+  screen step runs twice: first over a fixed subset of about six data
+  points (a sum of non-negative squares is at least any of its sub-sums),
+  then over every data point at the grid points the first run leaves.
+  Each run keeps the grid points whose bound is not above the exact
+  objective at its point of least bound.  ``_bounded_min`` performs the
+  float operations of scipy's ``minimize_scalar(method="bounded")`` in the
+  same order, so its result and evaluation count equal scipy's bit for bit.
 * ``fit_zeta`` is a two-parameter Levenberg-Marquardt fit (Moré, *Lecture
   Notes in Math.* 630, 1978) with the analytic Jacobian of the ratio model.
 
@@ -51,9 +51,9 @@ RESIDUAL_TOL = 1e-12
 # data.  It is sqrt(RESIDUAL_TOL), the relative residual norm the fit
 # resolves, so the data then fix scale * conv but not conv.
 LINEAR_LIMIT = 1e-6
-# (kappa, power) entries per block of the coarse scan and of its screen: their
-# temporaries then stay below glibc's 128 KiB mmap threshold, so each block
-# reuses freed heap memory instead of mapping (and page-faulting) fresh pages
+# (kappa, power) entries per block of the screen: their temporaries then stay
+# below glibc's 128 KiB mmap threshold, so each block reuses freed heap memory
+# instead of mapping (and page-faulting) fresh pages
 SCAN_BLOCK_ENTRIES = 4096
 
 
@@ -126,35 +126,25 @@ def _check_finite(name: str, x) -> None:
         raise ValueError(f"{name} must be finite")
 
 
-def _depletion_model(kappa, powers: np.ndarray, n_modes: int) -> np.ndarray:
-    return np.abs(p_coeff(n_modes, kappa * powers)) ** 2
+def _check_lengths(names: str, x, y) -> None:
+    if len(x) != len(y):
+        raise ValueError(f"{names} must have equal length, got {len(x)} and {len(y)}")
 
 
-def _scan_objective(grid: np.ndarray, powers: np.ndarray, values: np.ndarray,
-                    n_modes: int) -> np.ndarray:
-    """Squared residual at every kappa of ``grid``.
-
-    Evaluated in blocks of at most ``SCAN_BLOCK_ENTRIES`` (kappa, power) entries.
-    Each row's sum of squares is a stacked (1, P) @ (P, 1) product, which
-    equals the scalar ``r @ r`` bit for bit.
-    """
-    obj = np.empty(len(grid))
-    block = max(1, SCAN_BLOCK_ENTRIES // len(powers))
-    for start in range(0, len(grid), block):
-        rows = slice(start, start + block)
-        r = values - _depletion_model(grid[rows, np.newaxis], powers, n_modes)
-        obj[rows] = (r[:, np.newaxis, :] @ r[:, :, np.newaxis])[:, 0, 0]
-    return obj
+def _objective(kappa, powers: np.ndarray, values: np.ndarray, n_modes: int) -> float:
+    """The squared residual of the depletion fit at one kappa, the scan's and the refinement's."""
+    r = values - np.abs(p_coeff(n_modes, kappa * powers)) ** 2
+    return float(r @ r)
 
 
-# Bound on |m - m'|, the gap between the exact path's |p_N(theta)|^2 (complex
-# exp, abs, square) and the screen's A + B cos(theta), both computed in
+# Bound on |m - m'|, the gap between the exact objective's |p_N(theta)|^2
+# (complex exp, abs, square) and the screen's A + B cos(theta), both computed in
 # floating point at the same theta.  Each is within a few ulps of the true
 # value, which lies in [0, 1]; measured, the gap stays below 1e-15 for
 # N = 2..16 and |theta| up to 1e7.  This is an error bound, not a setting.
 #
-# Why ``_screen_bounds`` holds the exact objective: with u = 2^-53 and
-# residuals r = fl(v - m), r' = fl(v - m'), each d = r - r' obeys
+# Why ``_screen_bounds`` stays at or below the exact objective: with u = 2^-53
+# and residuals r = fl(v - m), r' = fl(v - m'), each d = r - r' obeys
 # |d| <= |m - m'| (1 + u) + 2u |r'| / (1 - u).  Then
 #   |sum r^2 - sum r'^2| = |sum d (2 r' + d)| <= 2 sum |d| |r'| + sum d^2
 #                        <= 2 delta sum |r'| + P delta^2 + (4u + O(u^2)) sum r'^2,
@@ -164,7 +154,7 @@ def _scan_objective(grid: np.ndarray, powers: np.ndarray, values: np.ndarray,
 # *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002, ch. 3),
 # once for the exact objective and once for the screen's: together about
 # 2 (P + 2) u obj'.  The slack takes twice that, 4 (P + 2) u obj', so the
-# rounding of the slack itself and of obj' -/+ slack stays inside it.
+# rounding of the slack itself and of obj' - slack stays inside it.
 #
 # Why a subset S of s distinct points bounds the objective over all P from
 # below: the exact objective's squares are non-negative, so its float sum is
@@ -177,7 +167,7 @@ def _scan_objective(grid: np.ndarray, powers: np.ndarray, values: np.ndarray,
 # in its relative term, 4 (P + 2) u obj'_S, again with the factor 2 to spare,
 # keeps obj'_S - slack at or below the exact objective over all P points.
 SCREEN_DELTA = 1e-13
-# Data points of the scan's first screen stage (``_screen_points``).  Measured
+# Data points of the scan's first screen step (``_screen_points``).  Measured
 # on calibrate-shaped 30-point fits (N = 3, exact and 1 % noise, 3000
 # curves), 6 leave at most 8 of the 513 grid points to the full-point screen
 # (4.1 on average); 3 alias and leave up to all 513, 4 up to 12.  From 5 to
@@ -187,17 +177,17 @@ SCREEN_POINTS = 6
 
 
 def _screen_bounds(grid: np.ndarray, powers: np.ndarray, values: np.ndarray,
-                   n_modes: int, points=None) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper bounds on ``_scan_objective`` at every kappa of ``grid``.
+                   n_modes: int, points=None) -> np.ndarray:
+    """A lower bound on ``_objective`` at every kappa of ``grid``.
 
     Real arithmetic: |p_N(theta)|^2 = A + B cos(theta), with theta = N kappa P
-    the bits the exact path passes to ``exp``.  Each row's sum of squares
-    obj' is widened by the slack 2 delta sum|r'| + n delta^2 + 4 (P + 2)
-    2^-53 obj' (``SCREEN_DELTA`` above), over the n points summed.  Blocked
-    like ``_scan_objective``.  A row with a NaN or infinite entry gets a NaN
-    lower bound.  With ``points``, the indices of distinct points, the sum
-    runs over those points only: the lower bound still bounds the objective
-    over all P points, and the upper bound bounds only the subset's.
+    the bits ``_objective`` passes to ``exp``.  Each row's bound is its sum
+    of squares obj' less the slack 2 delta sum|r'| + n delta^2 + 4 (P + 2)
+    2^-53 obj' (``SCREEN_DELTA`` above), over the n points summed.
+    Evaluated in blocks of at most ``SCAN_BLOCK_ENTRIES`` (kappa, power)
+    entries.  A row with a NaN or infinite entry gets a NaN bound.  With ``points``, the indices
+    of distinct points, the sum runs over those points only, and the bound
+    still holds the objective over all P points.
     """
     a = ((n_modes - 1) ** 2 + 1) / n_modes**2
     b = 2 * (n_modes - 1) / n_modes**2
@@ -221,14 +211,14 @@ def _screen_bounds(grid: np.ndarray, powers: np.ndarray, values: np.ndarray,
         abs_sum[rows] = np.abs(r, out=r) @ ones
     slack = (2.0 * SCREEN_DELTA * abs_sum + len(powers) * SCREEN_DELTA**2
              + 4 * (n_all + 2) * 2.0**-53 * obj)
-    return obj - slack, obj + slack
+    return obj - slack
 
 
 def _screen_points(powers: np.ndarray) -> list[int]:
-    """Indices of the first screen stage: ``SCREEN_POINTS`` evenly spaced, and the largest |P|.
+    """Indices of the first screen step: ``SCREEN_POINTS`` evenly spaced, and the largest |P|.
 
     At the largest |P| theta is largest, so any row whose theta overflows
-    somewhere has a NaN subset bound, and the subset stage keeps it.
+    somewhere has a NaN subset bound, and the subset step keeps it.
     """
     last = len(powers) - 1
     picks = {last * k // (SCREEN_POINTS - 1) for k in range(SCREEN_POINTS)}
@@ -319,25 +309,24 @@ def fit_phase_scale(powers, values, n_modes: int = 3) -> FitResult:
     golden-section / parabolic refinement (``_bounded_min``) of the
     squared-residual objective between the best grid point's neighbours,
     to ``PARAM_TOL * max(kappa_max, 1)`` in kappa.  The 513-point scan
-    first bounds the objective from below at every grid point with the
-    cosine screen (``_screen_bounds``) over the subset ``_screen_points``,
-    and takes an upper bound from the exact objective at the grid point
-    with the least subset bound.  The points whose subset bound is at most
-    that go on to the full-point screen, which keeps each point whose lower
-    bound is at most the smallest upper bound (every point in both stages
-    when a bound is NaN).  Only the kept points, usually one, get the exact
-    objective (``_scan_objective``, the same floats as the scalar
-    objective).  Every point where the exact scan reaches its minimum is
-    kept, so the best point is the exact scan's.  All passes run in blocks
-    of at most ``SCAN_BLOCK_ENTRIES`` (kappa, power) entries.  Ties in the
-    coarse scan break toward smaller kappa.  ``iterations`` counts
-    objective evaluations: the 513 scan points, however many the screen
-    leaves exact, plus the refinement's.  Not converged when the refinement
-    reaches ``ITERATION_CAP`` evaluations or meets a NaN.  A non-finite
-    power or value is a ``ValueError``.
+    runs one screen step twice, first over the data subset
+    ``_screen_points``, then over every data point.  A step bounds the
+    objective from below at the remaining grid points with the cosine
+    screen (``_screen_bounds``), takes the exact objective (``_objective``)
+    at the point of least bound as an upper bound on the minimum, and keeps
+    each point whose bound is not above it (every point when that is NaN).
+    The kept points, usually one, get the exact objective.  Every point
+    where the exact scan reaches its minimum is kept, so the best point is
+    the exact scan's.  Ties in the coarse scan break toward smaller kappa.
+    ``iterations`` counts objective evaluations: the 513 scan points,
+    however few the screen leaves exact, plus the refinement's.  Not
+    converged when the refinement reaches ``ITERATION_CAP`` evaluations or
+    meets a NaN.  Unequal lengths or a non-finite power or value are a
+    ``ValueError``.
     """
     powers = np.asarray(powers, dtype=float)
     values = np.asarray(values, dtype=float)
+    _check_lengths("powers and values", powers, values)
     if len(powers) < 5:
         raise ValueError("need at least 5 points")
     _check_finite("powers", powers)
@@ -349,33 +338,26 @@ def fit_phase_scale(powers, values, n_modes: int = 3) -> FitResult:
         raise ValueError("need nonzero pump powers")
     kappa_max = 2.0 * (2.0 * math.pi / n_modes) / pmax * 2.0
 
-    def objective(kappa):
-        r = values - _depletion_model(kappa, powers, n_modes)
-        return float(r @ r)
-
     grid = np.linspace(0.0, kappa_max, 513)
-    # a non-finite screen keeps every row, whose exact scan then warns as before
+    rows = np.arange(len(grid))
+    # silent for the screen only: a non-finite screen keeps every row, and the
+    # kept rows' exact objective below gives the warnings
     with np.errstate(all="ignore"):
-        # subset bounds at every row, and the exact objective at the row with
-        # the least of them, which bounds the exact minimum from above: only
-        # rows that can reach it go on
-        sub_lower, _ = _screen_bounds(grid, powers, values, n_modes, _screen_points(powers))
-        first = int(np.argmin(sub_lower))  # a NaN row when there is one
-        bound = objective(grid[first])
-        rows = np.flatnonzero(~(sub_lower > bound))
-        lower, upper = _screen_bounds(grid[rows], powers, values, n_modes)
-    # every row that can reach the exact minimum; a NaN minimum keeps all
-    kept = rows[~(lower > upper.min())]
-    obj = _scan_objective(grid[kept], powers, values, n_modes)
-    best = int(kept[np.argmin(obj)])  # argmin takes the first (smallest kappa) on ties
+        for points in (_screen_points(powers), None):
+            lower = _screen_bounds(grid[rows], powers, values, n_modes, points)
+            # argmin takes a NaN row when there is one, whose NaN bound keeps every row
+            bound = _objective(grid[rows[np.argmin(lower)]], powers, values, n_modes)
+            rows = rows[~(lower > bound)]
+    obj = [_objective(k, powers, values, n_modes) for k in grid[rows]]
+    best = int(rows[np.argmin(obj)])  # argmin takes the first (smallest kappa) on ties
     lo = grid[max(0, best - 1)]
     hi = grid[min(len(grid) - 1, best + 1)]
-    kappa, nfev, converged = _bounded_min(objective, lo, hi, PARAM_TOL * max(kappa_max, 1.0),
-                                          ITERATION_CAP)
+    kappa, nfev, converged = _bounded_min(lambda k: _objective(k, powers, values, n_modes),
+                                          lo, hi, PARAM_TOL * max(kappa_max, 1.0), ITERATION_CAP)
     kappa = float(kappa)
     return FitResult(
         phase_scale=kappa,
-        residual_norm=math.sqrt(objective(kappa)),
+        residual_norm=math.sqrt(_objective(kappa, powers, values, n_modes)),
         converged=converged,
         iterations=nfev + len(grid),
     )
@@ -386,13 +368,15 @@ def fit_channel_scales(generation_curves, phase_scale: float, n_modes: int = 3):
 
     Linear least squares has the closed form scale = <data, model> /
     <model, model> per channel.  A channel with all-zero data gets scale 0.
-    A non-finite phase scale, power or value is a ``ValueError``.
+    Unequal lengths in a curve, or a non-finite phase scale, power or value,
+    are a ``ValueError``.
     """
     _check_finite("phase_scale", phase_scale)
     scales = []
     for k, (powers, values) in enumerate(generation_curves):
         powers = np.asarray(powers, dtype=float)
         values = np.asarray(values, dtype=float)
+        _check_lengths(f"generation_curves[{k}] powers and values", powers, values)
         _check_finite(f"generation_curves[{k}] powers", powers)
         _check_finite(f"generation_curves[{k}] values", values)
         model = np.abs(q_coeff(n_modes, phase_scale * powers)) ** 2
@@ -432,6 +416,7 @@ def fit_zeta(singles_rates, ratios) -> FitResult:
     """
     s_rates = np.asarray(singles_rates, dtype=float)
     ratios = np.asarray(ratios, dtype=float)
+    _check_lengths("singles_rates and ratios", s_rates, ratios)
     if len(s_rates) < 3:
         raise ValueError("need at least 3 points")
     if np.any(ratios > 1.0):
@@ -541,11 +526,14 @@ def generate_synthetic(
     per-channel scale factors (``channel_scales``, one per channel) and
     multiplicative Gaussian noise of relative width ``noise``; deterministic
     for a fixed seed.  The returned list always starts with a zero-power
-    record usable for normalization.
+    record usable for normalization.  A non-finite phase scale or power is
+    a ``ValueError``.
     """
     if not noise >= 0:
         raise ValueError("noise must be >= 0")
+    _check_finite("phase_scale", phase_scale)
     powers = np.asarray(powers, dtype=float)
+    _check_finite("powers", powers)
     if powers[0] != 0.0:
         powers = np.concatenate([[0.0], powers])
     scales = np.ones(n_modes) if channel_scales is None else np.asarray(channel_scales)

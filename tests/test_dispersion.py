@@ -97,6 +97,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             FrequencyGrid(pump_freqs=(1e15, 2e15), weak_freqs=(3e15,))
 
+    def test_negative_alpha(self):
+        with pytest.raises(ValueError, match="^alpha must be >= 0$"):
+            make_profile((0.0,), alpha=-1e-4)
+
+    def test_grid_needs_two_channels(self):
+        with pytest.raises(ValueError, match="^need at least 2 channels$"):
+            FrequencyGrid(pump_freqs=(1e15,), weak_freqs=(2e15,))
+
+    @pytest.mark.parametrize("field", ["pump_freqs", "weak_freqs"])
+    @pytest.mark.parametrize("bad", [0.0, -1e15])
+    def test_grid_needs_positive_frequencies(self, field, bad):
+        kwargs = dict(pump_freqs=(1e15, 2e15), weak_freqs=(3e15, 4e15))
+        kwargs[field] = (bad, 1e15)
+        with pytest.raises(ValueError, match="^frequencies must be strictly positive$"):
+            FrequencyGrid(**kwargs)
+
     @pytest.mark.parametrize("field,value", [
         ("gamma", math.nan), ("length", math.inf), ("alpha", math.nan), ("omega0", math.inf),
         ("beta_coeffs", (math.nan,)), ("beta_coeffs", (0.0, 1e-27, -math.inf)),
@@ -266,6 +282,12 @@ class TestNonlinearMismatch:
         grid = symmetric_grid(W0, [1e12, 2e12])
         with pytest.raises(ValueError):
             nonlinear_mismatch(prof, grid, (1.0,))
+
+    def test_negative_power_raises(self):
+        prof = make_profile((0.0,))
+        grid = symmetric_grid(W0, [1e12, 2e12])
+        with pytest.raises(ValueError, match="^pump powers must be >= 0$"):
+            nonlinear_mismatch(prof, grid, (1.0, -0.5))
 
 
 class TestFindZgvd:

@@ -92,6 +92,13 @@ def reference_objective(kappa, powers, values, n_modes):
     return float(r @ r)
 
 
+def stacked_objective(grid, powers, values, n_modes):
+    """``reference_objective`` at every kappa of ``grid``, each row's sum of squares a
+    stacked (1, P) @ (P, 1) product."""
+    r = values - np.abs(p_coeff(n_modes, grid[:, np.newaxis] * powers)) ** 2
+    return (r[:, np.newaxis, :] @ r[:, :, np.newaxis])[:, 0, 0]
+
+
 def reference_fit_phase_scale(powers, values, n_modes):
     """fit_phase_scale with its coarse scan as one scalar objective call per kappa."""
     for name, x in (("powers", powers), ("values", values)):
@@ -338,6 +345,27 @@ class TestNormalizeCoincidences:
         with pytest.raises(ValueError, match="accidental"):
             normalize_coincidences([bad] + recs[1:])
 
+    def test_short_accidentals_error(self):
+        recs = make_records(1.0, [0.0, 0.5])
+        short = CountRecord(pump_peak_power=0.5, singles=(1.0, 0.0, 1.0),
+                            coincidences={(1, 3): 1.0}, accidental_singles=(2.0, 2.0))
+        with pytest.raises(ValueError, match="^record lacks accidental singles for the "
+                                             "requested ports$"):
+            normalize_coincidences([recs[0], short])
+
+    def test_missing_port_pair_error(self):
+        recs = make_records(1.0, [0.0, 0.5])
+        with pytest.raises(ValueError, match=r"^record lacks coincidences for ports \(1, 2\)$"):
+            normalize_coincidences(recs, ports=(2, 1))
+
+    def test_vanishing_zero_power_coincidence_error(self):
+        recs = make_records(1.0, [0.0, 0.5])
+        zero = CountRecord(pump_peak_power=0.0, singles=(1.0, 0.0, 1.0),
+                           coincidences={(1, 3): 0.0}, accidental_singles=(2.0, 2.0, 2.0))
+        with pytest.raises(ValueError, match="^zero-power coincidence vanishes; "
+                                             "cannot normalize$"):
+            normalize_coincidences([zero, recs[1]])
+
 
 class TestFitPhaseScale:
     def test_noiseless_recovery(self):
@@ -377,6 +405,16 @@ class TestFitPhaseScale:
         with pytest.raises(ValueError):
             fit_phase_scale([0, 1, 2], [1, 0.9, 0.8])
 
+    def test_unequal_lengths_rejected(self):
+        # both lengths named, where an IndexError once came from the screen's points
+        with pytest.raises(ValueError, match="^powers and values must have equal length, "
+                                             "got 30 and 2$"):
+            fit_phase_scale(np.linspace(0, 2, 30), np.linspace(0, 1, 2))
+
+    def test_no_positive_power_rejected(self):
+        with pytest.raises(ValueError, match="^need nonzero pump powers$"):
+            fit_phase_scale(-np.linspace(0, 2, 10), np.linspace(0, 1, 10))
+
     def test_noisy_median_within_one_percent(self):
         kappa = 0.7
         powers = np.linspace(0, 2 * math.pi / 3 / kappa, 30)
@@ -393,10 +431,10 @@ class TestFitPhaseScale:
     @settings(max_examples=40, deadline=None)
     def test_scan_matches_per_kappa_loop(self, n, n_points, noisy, seed):
         powers, values = depletion_data(n, n_points, noisy, seed)
-        # the scan itself, bit for bit: a last-ulp change rarely moves the fit
+        # the stacked objective the screen tests hold the bounds against, bit for bit
         grid = np.linspace(0.0, 8.0 * math.pi / n / powers.max(), 513)
         scan = [reference_objective(k, powers, values, n) for k in grid]
-        assert fitting._scan_objective(grid, powers, values, n).tolist() == scan
+        assert stacked_objective(grid, powers, values, n).tolist() == scan
         fit = fit_phase_scale(powers, values, n_modes=n)
         ref = reference_fit_phase_scale(powers, values, n)
         assert fit.phase_scale == ref.phase_scale
@@ -408,15 +446,19 @@ class TestFitPhaseScale:
     def test_scan_blocks_do_not_change_result(self, monkeypatch, rows):
         powers, values = depletion_data(3, 30, True, 11)
         grid = np.linspace(0.0, 5.0, 513)
-        whole = fitting._scan_objective(grid, powers, values, 3)
-        assert whole.tolist() == [reference_objective(k, powers, values, 3) for k in grid]
+        subsets = (fitting._screen_points(powers), None)
+
+        def bounds():
+            return [fitting._screen_bounds(grid, powers, values, 3, points) for points in subsets]
+
+        whole = bounds()
         fit = fit_phase_scale(powers, values)
         monkeypatch.setattr(fitting, "SCAN_BLOCK_ENTRIES", rows * len(powers))
-        assert np.array_equal(fitting._scan_objective(grid, powers, values, 3), whole)
+        assert all(map(np.array_equal, bounds(), whole))
         assert fit_phase_scale(powers, values) == fit
         # below one row per block: still one kappa at a time
         monkeypatch.setattr(fitting, "SCAN_BLOCK_ENTRIES", 1)
-        assert np.array_equal(fitting._scan_objective(grid, powers, values, 3), whole)
+        assert all(map(np.array_equal, bounds(), whole))
 
 
 def screen_data(n_modes, n_points, powers_kind, values_kind, seed):
@@ -446,16 +488,22 @@ def screen_data(n_modes, n_points, powers_kind, values_kind, seed):
 
 
 def recorded_scan_rows(monkeypatch):
-    """The kappas of every _scan_objective call, as fit_phase_scale makes them."""
+    """The kappas of every _objective call, in the order fit_phase_scale makes them."""
     rows = []
-    scan = fitting._scan_objective
+    objective = fitting._objective
 
-    def wrapped(grid, *args):
-        rows.extend(grid.tolist())
-        return scan(grid, *args)
+    def wrapped(kappa, *args):
+        rows.append(float(kappa))
+        return objective(kappa, *args)
 
-    monkeypatch.setattr(fitting, "_scan_objective", wrapped)
+    monkeypatch.setattr(fitting, "_objective", wrapped)
     return rows
+
+
+def scan_share(rows, fit):
+    """The scan's kappas among ``recorded_scan_rows``: all but the refinement's
+    (``iterations`` - 513) and the final residual's."""
+    return rows[:len(rows) - (fit.iterations - 513) - 1]
 
 
 def recorded_screen_rows(monkeypatch):
@@ -502,9 +550,9 @@ class TestScanScreen:
     def test_bounds_hold_the_exact_objective(self, n, n_points, powers_kind, values_kind, seed):
         powers, values = screen_data(n, n_points, powers_kind, values_kind, seed)
         grid = np.linspace(0.0, 8.0 * math.pi / n / powers.max(), 513)
-        lower, upper = fitting._screen_bounds(grid, powers, values, n)
-        exact = fitting._scan_objective(grid, powers, values, n)
-        assert np.all(lower <= exact) and np.all(exact <= upper)
+        exact = stacked_objective(grid, powers, values, n)
+        for points in (fitting._screen_points(powers), None):
+            assert np.all(fitting._screen_bounds(grid, powers, values, n, points) <= exact)
         assert repr(fit_phase_scale(powers, values, n)) == repr(
             reference_fit_phase_scale(powers, values, n))
 
@@ -516,9 +564,9 @@ class TestScanScreen:
         powers = ((0.5 + np.arange(3))[:, np.newaxis] * math.pi / (2.0 * grid[1::7])).ravel()
         powers = np.append(1.0, powers[powers <= 1.0])
         values = np.full(len(powers), 2.0**52 + 2.0)
-        lower, upper = fitting._screen_bounds(grid, powers, values, 2)
-        exact = fitting._scan_objective(grid, powers, values, 2)
-        assert np.all(lower <= exact) and np.all(exact <= upper)
+        exact = stacked_objective(grid, powers, values, 2)
+        for points in (fitting._screen_points(powers), None):
+            assert np.all(fitting._screen_bounds(grid, powers, values, 2, points) <= exact)
 
     @pytest.mark.parametrize("row", [1, 100, 255, 256])
     @pytest.mark.parametrize("between", [False, True], ids=["at-row", "between-rows"])
@@ -537,14 +585,14 @@ class TestScanScreen:
         ref = reference_fit_phase_scale(powers, values, 3)
         assert repr(fit) == repr(ref)
         best = int(np.argmin([reference_objective(k, powers, values, 3) for k in grid]))
-        assert {grid[best], grid[512 - best]} <= set(kept)
+        assert {grid[best], grid[512 - best]} <= set(scan_share(kept, fit))
 
     @given(st.integers(2, 16), st.integers(5, 600),
            st.sampled_from(["sorted", "unsorted", "duplicates"]), st.floats(0.0, 0.3),
            st.integers(0, 2**31 - 1))
     @settings(max_examples=100, deadline=None)
     def test_fit_matches_the_reference(self, n, n_points, order, noise, seed):
-        # the subset stage only drops rows: every FitResult bit is the reference's
+        # the subset step only drops rows: every FitResult bit is the reference's
         rng = np.random.default_rng(seed)
         powers = rng.uniform(0.0, 2.0, n_points)
         if order == "sorted":
@@ -559,9 +607,10 @@ class TestScanScreen:
             reference_fit_phase_scale(powers, values, n))
 
     def test_calibrate_fits_screen_few_rows_on_all_points(self, monkeypatch):
-        # calibrate-shaped 30-point curves, exact and 1 % noisy: the subset stage
+        # calibrate-shaped 30-point curves, exact and 1 % noisy: the subset step
         # leaves at most 8 of 513 rows (the row of its least bound included) to the
-        # full-point screen, which leaves one exact row
+        # full-point step, which leaves one row: three exact evaluations, one per
+        # step's bound and the row left
         rows = recorded_screen_rows(monkeypatch)
         kept = recorded_scan_rows(monkeypatch)
         for seed in range(60):
@@ -573,15 +622,16 @@ class TestScanScreen:
             rows.clear()
             kept.clear()
             fit = fit_phase_scale(powers, values)
-            assert sum(rows) <= 8 and len(kept) == 1, seed
+            assert sum(rows) <= 8 and len(scan_share(kept, fit)) == 3, seed
             assert repr(fit) == repr(reference_fit_phase_scale(powers, values, 3)), seed
 
     def test_calibrate_fit_checks_one_row(self, monkeypatch):
-        # a noisy 30-point curve, as the calibration loop fits: one exact row
+        # a noisy 30-point curve, as the calibration loop fits: one row left, so
+        # three exact evaluations with the two steps' bounds
         powers, values = depletion_data(3, 30, True, 7)
         kept = recorded_scan_rows(monkeypatch)
         fit = fit_phase_scale(powers, values)
-        assert len(kept) == 1
+        assert len(scan_share(kept, fit)) == 3
         assert repr(fit) == repr(reference_fit_phase_scale(powers, values, 3))
 
     @pytest.mark.parametrize("case", ["exact", "noisy", "overflow"])
@@ -703,6 +753,13 @@ class TestFitChannelScales:
             curves[1][0 if bad == "powers" else 1][4] = entry
         with pytest.raises(ValueError, match=rf"^{name} must be finite$"):
             fit_channel_scales(curves, kappa)
+
+    def test_unequal_lengths_rejected(self):
+        powers = np.linspace(0, 1.5, 20)
+        curves = [(powers, np.ones(20)), (powers, np.ones(19))]
+        with pytest.raises(ValueError, match=r"^generation_curves\[1\] powers and values must "
+                                             "have equal length, got 20 and 19$"):
+            fit_channel_scales(curves, 1.2)
 
 
 class TestFitZeta:
@@ -837,6 +894,12 @@ class TestFitZeta:
         with pytest.raises(ValueError):
             fit_zeta([1.0, 2.0], [0.1, 0.2])
 
+    def test_unequal_lengths_rejected(self):
+        # one ratio against five rates once broadcast to a fit, not converged
+        with pytest.raises(ValueError, match="^singles_rates and ratios must have equal length, "
+                                             "got 5 and 1$"):
+            fit_zeta([0.1, 0.2, 0.3, 0.4, 0.5], [0.04])
+
 
 class TestGenerateSynthetic:
     def test_zero_noise_exact(self):
@@ -912,6 +975,15 @@ class TestGenerateSynthetic:
     def test_noise_must_be_a_non_negative_number(self, noise):
         with pytest.raises(ValueError, match="noise must be >= 0"):
             generate_synthetic(1.0, [0.5], noise=noise)
+
+    @pytest.mark.parametrize("phase_scale,powers,name", [
+        (math.nan, [0.5, 1.0], "phase_scale"), (math.inf, [0.5, 1.0], "phase_scale"),
+        (1.0, [0.5, math.inf], "powers"), (1.0, [math.nan, 1.0], "powers"),
+    ])
+    def test_non_finite_phase_scale_or_power_rejected(self, phase_scale, powers, name):
+        # once NaN singles, and an inf power record, with no error
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            generate_synthetic(phase_scale, powers)
 
     @given(
         st.sampled_from(["single_coherent", "dual_coherent", "photon_pair", "squeezed_vacuum"]),

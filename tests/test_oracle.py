@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nwaybs.oracle import (
+    BogoliubovMap,
+    FockState,
     compose,
     fock_basis_state,
     fock_evolve,
@@ -57,6 +59,19 @@ class TestBogoliubovAlgebra:
     def test_loss_transmission_validated(self):
         with pytest.raises(ValueError):
             loss_map(3, mode=1, transmission=1.5, ancilla=2)
+
+    def test_loss_ancilla_must_differ(self):
+        with pytest.raises(ValueError, match="^ancilla must differ from the lossy mode$"):
+            loss_map(3, mode=2, transmission=0.5, ancilla=2)
+
+    @pytest.mark.parametrize("shape", [(6,), (6, 4), (3, 3)])
+    def test_map_shape_validated(self, shape):
+        with pytest.raises(ValueError, match="^matrix must be square with even dimension$"):
+            BogoliubovMap(np.eye(*shape) if len(shape) == 2 else np.ones(shape))
+
+    def test_compose_needs_a_map(self):
+        with pytest.raises(ValueError, match="^need at least one map$"):
+            compose([])
 
     @given(st.floats(0.05, 1.5, allow_nan=False), st.floats(0.3, 1.0, allow_nan=False),
            st.floats(0, 2 * math.pi / 3, allow_nan=False))
@@ -137,6 +152,20 @@ class TestFockRoute:
     def test_cutoff_overflow(self):
         with pytest.raises(ValueError):
             fock_basis_state((4, 4, 0), 3, cutoff=6)
+
+    def test_occupation_length_validated(self):
+        with pytest.raises(ValueError, match="^occupation length must equal n_modes$"):
+            fock_basis_state((1, 0), 3)
+
+    def test_unitary_dimension_validated(self):
+        with pytest.raises(ValueError, match="^unitary dimension must match the state's mode "
+                                             "count$"):
+            fock_evolve(fock_basis_state((1, 0, 1), 3), np.eye(2))
+
+    def test_support_beyond_cutoff_rejected(self):
+        state = FockState({(3, 1, 0): 1.0 + 0.0j}, n_modes=3, cutoff=3)
+        with pytest.raises(ValueError, match="^state support exceeds cutoff$"):
+            fock_evolve(state, np.eye(3))
 
     def test_squeezed_expansion_tail(self):
         st_sq = two_mode_squeezed_fock(0.4, cutoff=6)

@@ -160,3 +160,41 @@ def test_every_private_name_is_read():
         with open(os.path.join(PACKAGE_DIR, f"{module}.py"), encoding="utf-8") as fh:
             sources[module] = fh.read()
     assert unread_private_names(sources) == set()
+
+
+def twice_bound_names(source: str) -> set:
+    """(body, name) for each function or class name that one module or class body binds
+    twice; the later definition replaces the earlier one in silence."""
+    twice = set()
+
+    def visit(body, scope):
+        seen = set()
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name in seen:
+                    twice.add((scope, node.name))
+                seen.add(node.name)
+                if isinstance(node, ast.ClassDef):
+                    visit(node.body, f"{scope}.{node.name}".lstrip("."))
+
+    visit(ast.parse(source).body, "")
+    return twice
+
+
+def test_twice_bound_names_are_found():
+    source = ("def f(): pass\nclass C:\n    def m(self): pass\n    class D:\n        def m(self): "
+              "pass\n    async def m(self): pass\nclass f: pass\ndef g():\n    def h(): pass\n"
+              "    def h(): pass\n")
+    assert twice_bound_names(source) == {("", "f"), ("C", "m")}
+
+
+def test_no_name_is_bound_twice():
+    """A test class or function defined twice in one body never runs its first definition."""
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    twice = set()
+    for folder in (os.path.join(repo, "tests"), PACKAGE_DIR, os.path.join(repo, "scripts")):
+        for name in sorted(os.listdir(folder)):
+            if name.endswith(".py"):
+                with open(os.path.join(folder, name), encoding="utf-8") as fh:
+                    twice.update((name, *found) for found in twice_bound_names(fh.read()))
+    assert twice == set()

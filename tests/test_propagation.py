@@ -612,6 +612,12 @@ class TestFullFwmReference:
             full_fwm_reference(prof, np.linspace(1e15, 2e15, 9),
                                np.ones(9, dtype=complex), settings_for(prof))
 
+    def test_amplitude_count_must_match(self):
+        prof = flat_profile()
+        with pytest.raises(ValueError, match="^freqs and initial_amps must have equal length$"):
+            full_fwm_reference(prof, [1e15, 1.37e15], np.array([0.1], dtype=complex),
+                               settings_for(prof))
+
     def test_no_closure_raises(self):
         prof = flat_profile()
         # irrational-ratio frequencies: the only closures are trivial ones,

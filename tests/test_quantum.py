@@ -286,6 +286,11 @@ class TestSqueezedFull:
         with pytest.raises(ValueError, match="ports"):
             g2_squeezed_full(state, ideal_transfer(3, 0.5), ports)
 
+    @pytest.mark.parametrize("kind", ["photon_pair", "single_coherent"])
+    def test_needs_a_squeezed_vacuum_state(self, kind):
+        with pytest.raises(ValueError, match="^requires a squeezed_vacuum input state$"):
+            coincidence_squeezed(InputState(kind=kind), ideal_transfer(3, 0.5))
+
 
     @given(st.integers(2, 8), st.floats(0.05, 1.5), st.booleans(), st.booleans(),
            st.sampled_from(["one", "stack"]), st.integers(0, 2**31 - 1))

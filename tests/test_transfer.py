@@ -199,17 +199,6 @@ class TestIdealRows:
             ideal_rows(n, 0.2, cols)
 
 
-class TestPumpConfig:
-    @pytest.mark.parametrize("field,value", [
-        ("powers", (math.nan, 1.0)), ("powers", (math.inf, 1.0)), ("powers", (1.0, -math.inf)),
-        ("phases", (math.nan, 0.0)), ("phases", (0.0, math.inf)),
-    ])
-    def test_rejects_non_finite_fields(self, field, value):
-        kwargs = dict(powers=(1.0, 1.0), phases=(0.0, 0.0))
-        with pytest.raises(ValueError, match=f"^pump {field} must be finite$"):
-            PumpConfig(**dict(kwargs, **{field: value}))
-
-
 class TestGeneralTransfer:
     def test_reduces_to_ideal(self):
         prof = flat_profile()
@@ -384,11 +373,29 @@ class TestPumpEvolution:
             math.sqrt(P) * math.exp(-prof.alpha * prof.length), rel=1e-12
         )
 
+    def test_lossy_unequal_powers_rejected(self):
+        prof = flat_profile(alpha=2e-4)
+        with pytest.raises(ValueError, match="^lossy pump closed form requires equal powers$"):
+            pump_evolution(PumpConfig(powers=(0.5, 0.4, 0.5)), prof, prof.length)
+
 
 class TestPumpConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("powers", (math.nan, 1.0)), ("powers", (math.inf, 1.0)), ("powers", (1.0, -math.inf)),
+        ("phases", (math.nan, 0.0)), ("phases", (0.0, math.inf)),
+    ])
+    def test_rejects_non_finite_fields(self, field, value):
+        kwargs = dict(powers=(1.0, 1.0), phases=(0.0, 0.0))
+        with pytest.raises(ValueError, match=f"^pump {field} must be finite$"):
+            PumpConfig(**dict(kwargs, **{field: value}))
+
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             PumpConfig(powers=(-0.1, 0.5))
+
+    def test_phase_count_must_match(self):
+        with pytest.raises(ValueError, match="^powers and phases must have equal length$"):
+            PumpConfig(powers=(0.5, 0.5), phases=(0.0,))
 
     def test_phases_wrapped(self):
         cfg = PumpConfig(powers=(1.0,), phases=(2 * math.pi + 0.5,))
