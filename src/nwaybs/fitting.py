@@ -16,13 +16,15 @@ Both nonlinear fits run in this module, in numpy and plain Python:
   B cos(theta), with a rigorous rounding-error bound (``SCREEN_DELTA``),
   and evaluates the exact complex objective only at the points that can
   hold its minimum, so it picks the exact scan's point bit for bit.  One
-  screen step runs twice: first over a fixed subset of about six data
-  points (a sum of non-negative squares is at least any of its sub-sums),
-  then over every data point at the grid points the first run leaves.
-  Each run keeps the grid points whose bound is not above the exact
-  objective at its point of least bound.  ``_bounded_min`` performs the
-  float operations of scipy's ``minimize_scalar(method="bounded")`` in the
-  same order, so its result and evaluation count equal scipy's bit for bit.
+  screen step runs twice: first over a fixed subset of at most seven
+  nonzero-power data points (a sum of non-negative squares is at least any
+  of its sub-sums), then over every data point at the grid points the
+  first run leaves.  Each run keeps the grid points whose bound is not
+  above the exact objective at its point of least bound, and no grid point
+  is evaluated twice.  ``_bounded_min`` performs the float operations of
+  scipy's ``minimize_scalar(method="bounded")`` in the same order, so its
+  result, evaluation count and value at the result equal scipy's bit for
+  bit; that value is the fit's squared residual.
 * ``fit_zeta`` is a two-parameter Levenberg-Marquardt fit (Moré, *Lecture
   Notes in Math.* 630, 1978) with the analytic Jacobian of the ratio model.
 
@@ -34,7 +36,9 @@ are deterministic: identical inputs (and seeds) give bit-identical results.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 # top level, not in the fits: benchmarks/worker.py reads sys.modules["scipy"].__version__
@@ -57,7 +61,7 @@ LINEAR_LIMIT = 1e-6
 SCAN_BLOCK_ENTRIES = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CountRecord:
     """One acquisition: rates at a given pump peak power (counts/s)."""
 
@@ -66,18 +70,24 @@ class CountRecord:
     coincidences: dict = field(default_factory=dict)  # (i, j) -> rate
     accidental_singles: tuple[float, ...] = ()
 
-    def __post_init__(self):
-        singles = tuple(map(float, self.singles))
-        accidental = tuple(map(float, self.accidental_singles))
-        object.__setattr__(self, "singles", singles)
-        object.__setattr__(self, "accidental_singles", accidental)
-        if self.pump_peak_power < 0:
+    def __init__(self, pump_peak_power, singles, coincidences=None, accidental_singles=()):
+        """Each field converted, checked and set once; ``coincidences`` None is a new empty dict."""
+        singles = tuple(map(float, singles))
+        accidental_singles = tuple(map(float, accidental_singles))
+        if coincidences is None:
+            coincidences = {}
+        if pump_peak_power < 0:
             raise ValueError("pump power must be >= 0")
         # NaN compares false, so a NaN rate is accepted
-        for rates in (singles, accidental, self.coincidences.values()):
+        for rates in (singles, accidental_singles, coincidences.values()):
             for r in rates:
                 if r < 0:
                     raise ValueError("rates must be >= 0")
+        set_field = object.__setattr__
+        set_field(self, "pump_peak_power", pump_peak_power)
+        set_field(self, "singles", singles)
+        set_field(self, "coincidences", coincidences)
+        set_field(self, "accidental_singles", accidental_singles)
 
 
 @dataclass(frozen=True)
@@ -87,6 +97,8 @@ class FitResult:
     zeta: float = math.nan
     residual_norm: float = math.nan
     converged: bool = False
+    # the fit's count of objective evaluations; fit_phase_scale counts all 513
+    # scan points, however few of them it evaluates, plus Brent's evaluations
     iterations: int = 0
 
 
@@ -126,9 +138,18 @@ def _check_finite(name: str, x) -> None:
         raise ValueError(f"{name} must be finite")
 
 
-def _check_lengths(names: str, x, y) -> None:
+def _check_curve(names: str, x: np.ndarray, y: np.ndarray) -> None:
+    """Both arrays 1-D and of equal length."""
+    if x.ndim != 1 or y.ndim != 1:
+        raise ValueError(f"{names} must be 1-D, got shapes {x.shape} and {y.shape}")
     if len(x) != len(y):
         raise ValueError(f"{names} must have equal length, got {len(x)} and {len(y)}")
+
+
+def _check_modes(n_modes) -> None:
+    """An integer ``n_modes`` of at least 2, as ``transfer.ideal_rows`` needs."""
+    if not isinstance(n_modes, numbers.Integral) or n_modes < 2:
+        raise ValueError(f"n_modes must be an integer >= 2, got {n_modes!r}")
 
 
 def _objective(kappa, powers: np.ndarray, values: np.ndarray, n_modes: int) -> float:
@@ -167,12 +188,14 @@ def _objective(kappa, powers: np.ndarray, values: np.ndarray, n_modes: int) -> f
 # in its relative term, 4 (P + 2) u obj'_S, again with the factor 2 to spare,
 # keeps obj'_S - slack at or below the exact objective over all P points.
 SCREEN_DELTA = 1e-13
-# Data points of the scan's first screen step (``_screen_points``).  Measured
-# on calibrate-shaped 30-point fits (N = 3, exact and 1 % noise, 3000
-# curves), 6 leave at most 8 of the 513 grid points to the full-point screen
-# (4.1 on average); 3 alias and leave up to all 513, 4 up to 12.  From 5 to
-# 10 points a fit takes the same time within timing noise, and 3 or 4 are
-# slower at 600 points.
+# Data points of the scan's first screen step (``_screen_points``), which
+# then drops any at zero power.  Measured on calibrate-shaped 30-point fits
+# (N = 3, powers from 0, exact and 1 % noise, 3000 curves), 6 less the one
+# at P = 0 leave at most 8 of the 513 grid points to the full-point screen
+# (2.34 on average; 7 and 2.27 with the zero-power point in the subset);
+# 3 alias and leave up to all 513, 4 up to 12.  From 5 to 10 points a fit
+# takes the same time within timing noise, and 3 or 4 are slower at 600
+# points.
 SCREEN_POINTS = 6
 
 
@@ -215,15 +238,21 @@ def _screen_bounds(grid: np.ndarray, powers: np.ndarray, values: np.ndarray,
 
 
 def _screen_points(powers: np.ndarray) -> list[int]:
-    """Indices of the first screen step: ``SCREEN_POINTS`` evenly spaced, and the largest |P|.
+    """Indices of the first screen step: ``SCREEN_POINTS`` evenly spaced, and the largest |P|,
+    less those at zero power.
 
     At the largest |P| theta is largest, so any row whose theta overflows
-    somewhere has a NaN subset bound, and the subset step keeps it.
+    somewhere has a NaN subset bound, and the subset step keeps it.  At
+    P = 0 theta is 0 at every kappa, so such a point adds the same term to
+    every row's bound and cannot separate rows.  The largest |P| is not 0
+    (``fit_phase_scale`` needs a positive power), so the subset is never
+    empty, and any subset of distinct points bounds the objective from
+    below (``SCREEN_DELTA``).
     """
     last = len(powers) - 1
     picks = {last * k // (SCREEN_POINTS - 1) for k in range(SCREEN_POINTS)}
     picks.add(int(np.abs(powers).argmax()))
-    return sorted(picks)
+    return sorted(i for i in picks if powers[i] != 0.0)
 
 
 _SQRT_EPS = math.sqrt(2.2e-16)
@@ -233,9 +262,10 @@ _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 def _bounded_min(func, lo: float, hi: float, xatol: float, maxiter: int):
     """Minimize ``func`` on ``[lo, hi]`` by Brent's bounded method.
 
-    Returns ``(x, nfev, converged)``.  The float operations are scipy's
-    ``minimize_scalar(method="bounded")`` in the same order, so ``x``,
-    ``nfev`` and ``converged`` (scipy's ``success``) are equal bit for bit.
+    Returns ``(x, fx, nfev, converged)``, with ``fx = func(x)`` as evaluated.
+    The float operations are scipy's ``minimize_scalar(method="bounded")``
+    in the same order, so ``x``, ``fx``, ``nfev`` and ``converged`` (scipy's
+    ``x``, ``fun``, ``nfev`` and ``success``) are equal bit for bit.
     Not converged: ``nfev`` reached ``maxiter``, or a NaN was met.
     """
     a, b = lo, hi
@@ -297,8 +327,8 @@ def _bounded_min(func, lo: float, hi: float, xatol: float, maxiter: int):
         tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
         tol2 = 2.0 * tol1
         if nfev >= maxiter:
-            return xf, nfev, False
-    return xf, nfev, not (math.isnan(xf) or math.isnan(fx) or math.isnan(fu))
+            return xf, fx, nfev, False
+    return xf, fx, nfev, not (math.isnan(xf) or math.isnan(fx) or math.isnan(fu))
 
 
 def fit_phase_scale(powers, values, n_modes: int = 3) -> FitResult:
@@ -315,18 +345,23 @@ def fit_phase_scale(powers, values, n_modes: int = 3) -> FitResult:
     screen (``_screen_bounds``), takes the exact objective (``_objective``)
     at the point of least bound as an upper bound on the minimum, and keeps
     each point whose bound is not above it (every point when that is NaN).
-    The kept points, usually one, get the exact objective.  Every point
+    The kept points, usually one, get the exact objective, which a step
+    has already computed for its point of least bound.  Every point
     where the exact scan reaches its minimum is kept, so the best point is
     the exact scan's.  Ties in the coarse scan break toward smaller kappa.
-    ``iterations`` counts objective evaluations: the 513 scan points,
-    however few the screen leaves exact, plus the refinement's.  Not
-    converged when the refinement reaches ``ITERATION_CAP`` evaluations or
-    meets a NaN.  Unequal lengths or a non-finite power or value are a
-    ``ValueError``.
+    ``residual_norm`` is the root of the refinement's value at the fitted
+    kappa.  A 30-point calibration curve usually takes two exact scan
+    evaluations besides the refinement's.  ``iterations`` counts objective
+    evaluations: the 513 scan points, however few the screen leaves exact,
+    plus the refinement's.  Not converged when the refinement reaches
+    ``ITERATION_CAP`` evaluations or meets a NaN.  Inputs that are not
+    1-D, unequal lengths, a non-finite power or value, or an ``n_modes``
+    that is not an integer >= 2 are a ``ValueError``.
     """
+    _check_modes(n_modes)
     powers = np.asarray(powers, dtype=float)
     values = np.asarray(values, dtype=float)
-    _check_lengths("powers and values", powers, values)
+    _check_curve("powers and values", powers, values)
     if len(powers) < 5:
         raise ValueError("need at least 5 points")
     _check_finite("powers", powers)
@@ -340,24 +375,31 @@ def fit_phase_scale(powers, values, n_modes: int = 3) -> FitResult:
 
     grid = np.linspace(0.0, kappa_max, 513)
     rows = np.arange(len(grid))
+    # the exact objective of the rows the screen steps evaluated, when finite:
+    # evaluating it again would give the same bits and no warning
+    known = {}
     # silent for the screen only: a non-finite screen keeps every row, and the
     # kept rows' exact objective below gives the warnings
     with np.errstate(all="ignore"):
         for points in (_screen_points(powers), None):
             lower = _screen_bounds(grid[rows], powers, values, n_modes, points)
             # argmin takes a NaN row when there is one, whose NaN bound keeps every row
-            bound = _objective(grid[rows[np.argmin(lower)]], powers, values, n_modes)
+            row = int(rows[np.argmin(lower)])
+            bound = _objective(grid[row], powers, values, n_modes)
+            if math.isfinite(bound):
+                known[row] = bound
             rows = rows[~(lower > bound)]
-    obj = [_objective(k, powers, values, n_modes) for k in grid[rows]]
+    obj = [known[r] if r in known else _objective(grid[r], powers, values, n_modes)
+           for r in rows.tolist()]
     best = int(rows[np.argmin(obj)])  # argmin takes the first (smallest kappa) on ties
     lo = grid[max(0, best - 1)]
     hi = grid[min(len(grid) - 1, best + 1)]
-    kappa, nfev, converged = _bounded_min(lambda k: _objective(k, powers, values, n_modes),
-                                          lo, hi, PARAM_TOL * max(kappa_max, 1.0), ITERATION_CAP)
-    kappa = float(kappa)
+    kappa, fx, nfev, converged = _bounded_min(lambda k: _objective(k, powers, values, n_modes),
+                                              lo, hi, PARAM_TOL * max(kappa_max, 1.0),
+                                              ITERATION_CAP)
     return FitResult(
-        phase_scale=kappa,
-        residual_norm=math.sqrt(_objective(kappa, powers, values, n_modes)),
+        phase_scale=float(kappa),
+        residual_norm=math.sqrt(fx),
         converged=converged,
         iterations=nfev + len(grid),
     )
@@ -368,15 +410,17 @@ def fit_channel_scales(generation_curves, phase_scale: float, n_modes: int = 3):
 
     Linear least squares has the closed form scale = <data, model> /
     <model, model> per channel.  A channel with all-zero data gets scale 0.
-    Unequal lengths in a curve, or a non-finite phase scale, power or value,
+    A curve that is not 1-D or has unequal lengths, a non-finite phase
+    scale, power or value, or an ``n_modes`` that is not an integer >= 2
     are a ``ValueError``.
     """
+    _check_modes(n_modes)
     _check_finite("phase_scale", phase_scale)
     scales = []
     for k, (powers, values) in enumerate(generation_curves):
         powers = np.asarray(powers, dtype=float)
         values = np.asarray(values, dtype=float)
-        _check_lengths(f"generation_curves[{k}] powers and values", powers, values)
+        _check_curve(f"generation_curves[{k}] powers and values", powers, values)
         _check_finite(f"generation_curves[{k}] powers", powers)
         _check_finite(f"generation_curves[{k}] values", values)
         model = np.abs(q_coeff(n_modes, phase_scale * powers)) ** 2
@@ -416,7 +460,7 @@ def fit_zeta(singles_rates, ratios) -> FitResult:
     """
     s_rates = np.asarray(singles_rates, dtype=float)
     ratios = np.asarray(ratios, dtype=float)
-    _check_lengths("singles_rates and ratios", s_rates, ratios)
+    _check_curve("singles_rates and ratios", s_rates, ratios)
     if len(s_rates) < 3:
         raise ValueError("need at least 3 points")
     if np.any(ratios > 1.0):
@@ -540,7 +584,6 @@ def generate_synthetic(
     if scales.shape != (n_modes,):
         raise ValueError(f"channel_scales has {scales.size} entries, but n_modes is {n_modes}: "
                          "give one scale per channel")
-    rng = np.random.default_rng(seed)
     state = state or InputState(kind=input_kind)
     curve = correlation_curve(state, phase_scale * powers, n_modes=n_modes)
     pairs = list(curve.g2)
@@ -552,6 +595,7 @@ def generate_synthetic(
     kept = np.hstack([np.ones(curve.singles.shape, dtype=bool), ~np.isnan(g2)])
     if noise:
         # one draw per kept entry, record by record: singles, then pairs
+        rng = np.random.default_rng(seed)
         table[kept] *= 1.0 + noise * rng.standard_normal(np.count_nonzero(kept))
         # the noise factor has no floor, so a wide noise can flip a rate's sign
         negative = (table < 0).any(axis=1)
@@ -560,8 +604,8 @@ def generate_synthetic(
                              f"{powers[negative.argmax()]:g} W; use a smaller noise")
     acc = (accidental_rate,) * n_modes
     records = []
-    for power, row, keep in zip(powers, table.tolist(), kept.tolist()):
-        coinc = {pr: v for pr, v, k in zip(pairs, row[n_modes:], keep[n_modes:]) if k}
+    for power, row, keep in zip(powers, table.tolist(), kept[:, n_modes:].tolist()):
+        coinc = dict(compress(zip(pairs, row[n_modes:]), keep))
         records.append(
             CountRecord(pump_peak_power=power, singles=row[:n_modes], coincidences=coinc,
                         accidental_singles=acc)

@@ -125,8 +125,9 @@ def _run_with_richardson(solve, settings: IntegratorSettings):
             # which must also be reported as a step failure
             if not np.isfinite(err) or err > settings.richardson_tol * scale:
                 raise RuntimeError(
-                    f"step-halving discrepancy {err:.3e} exceeds tolerance; "
-                    "reduce step"
+                    f"step-halving discrepancy {err:.3e} exceeds tolerance "
+                    f"{settings.richardson_tol:g} × scale {scale:.3g} at step "
+                    f"{settings.step:g} m; reduce step"
                 )
     return result
 

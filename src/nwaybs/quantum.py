@@ -44,6 +44,7 @@ by the coincidence on the identity, the ideal transfer at phase 0.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -82,7 +83,7 @@ class InputState:
         object.__setattr__(self, "modes", _mode_indices(self.kind, self.modes))
         object.__setattr__(self, "amplitude", float(self.amplitude))
         for name in ("amplitude", "zeta"):
-            if not np.isfinite(getattr(self, name)):
+            if not cmath.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, not {getattr(self, name)}")
         for name in ("pre_loss", "post_loss"):
             t = getattr(self, name)

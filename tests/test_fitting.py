@@ -1,8 +1,11 @@
 """Fitting-pipeline tests: normalization, calibration fits, closed loops."""
 
+import copy
+import dataclasses
 import itertools
 import math
 import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -84,6 +87,39 @@ class TestCountRecord:
         assert all(type(v) is float for v in rec.singles + rec.accidental_singles)
         assert repr(rec) == ("CountRecord(pump_peak_power=np.float64(0.25), singles=(nan, 1.0), "
                              "coincidences={(1, 2): nan}, accidental_singles=(2.0, 3.0))")
+
+    def test_fields_defaults_repr_and_equality(self):
+        assert [f.name for f in dataclasses.fields(CountRecord)] == [
+            "pump_peak_power", "singles", "coincidences", "accidental_singles"]
+        rec = CountRecord(0.5, [1, 2.0])
+        assert repr(rec) == ("CountRecord(pump_peak_power=0.5, singles=(1.0, 2.0), "
+                             "coincidences={}, accidental_singles=())")
+        # each record gets its own empty coincidence dict
+        assert rec.coincidences is not CountRecord(0.5, [1, 2.0]).coincidences
+        assert rec == CountRecord(pump_peak_power=0.5, singles=(1.0, 2.0), coincidences={},
+                                  accidental_singles=())
+        assert rec != CountRecord(0.5, (1.0, 2.0), {(1, 2): 0.1})
+        assert rec != CountRecord(0.5, (1.0, 2.0), accidental_singles=(1.0,))
+
+    def test_frozen_with_slots(self):
+        rec = CountRecord(0.5, (1.0, 2.0), {(1, 2): 0.1}, (3.0, 4.0))
+        for name in ("pump_peak_power", "singles", "coincidences", "accidental_singles"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(rec, name, 1.0)
+        assert not hasattr(rec, "__dict__")
+
+    def test_replace_copy_and_pickle(self):
+        rec = CountRecord(0.5, (1.0, 2.0), {(1, 2): 0.1}, (3.0, 4.0))
+        for other in (copy.copy(rec), copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
+            assert other == rec and repr(other) == repr(rec) and other is not rec
+        assert copy.deepcopy(rec).coincidences is not rec.coincidences
+        moved = dataclasses.replace(rec, pump_peak_power=0.75, singles=[5, 6])
+        assert moved == CountRecord(0.75, (5.0, 6.0), {(1, 2): 0.1}, (3.0, 4.0))
+        # replace runs the constructor's checks
+        with pytest.raises(ValueError, match=r"^pump power must be >= 0$"):
+            dataclasses.replace(rec, pump_peak_power=-1.0)
+        with pytest.raises(ValueError, match=r"^rates must be >= 0$"):
+            dataclasses.replace(rec, coincidences={(1, 2): -0.1})
 
 
 def reference_objective(kappa, powers, values, n_modes):
@@ -256,10 +292,11 @@ def recorded(func):
 def assert_brent_port_matches(func, lo, hi, xatol, maxiter):
     ours, ours_calls = recorded(func)
     theirs, their_calls = recorded(func)
-    x, nfev, converged = fitting._bounded_min(ours, lo, hi, xatol, maxiter)
+    x, fx, nfev, converged = fitting._bounded_min(ours, lo, hi, xatol, maxiter)
     res = scipy.optimize.minimize_scalar(theirs, bounds=(lo, hi), method="bounded",
                                          options={"xatol": xatol, "maxiter": maxiter})
     assert x == float(res.x) and math.copysign(1.0, x) == math.copysign(1.0, float(res.x))
+    assert float(fx).hex() == float(res.fun).hex()
     assert nfev == res.nfev
     assert converged is bool(res.success)
     # every evaluation point, bit for bit and in order
@@ -411,6 +448,27 @@ class TestFitPhaseScale:
                                              "got 30 and 2$"):
             fit_phase_scale(np.linspace(0, 2, 30), np.linspace(0, 1, 2))
 
+    def test_two_dimensional_curve_rejected(self):
+        # an IndexError once came from the screen
+        powers = np.tile(np.linspace(0, 2, 10)[:, np.newaxis], 3)
+        with pytest.raises(ValueError, match=r"^powers and values must be 1-D, "
+                                             r"got shapes \(10, 3\) and \(10, 3\)$"):
+            fit_phase_scale(powers, np.cos(powers))
+        with pytest.raises(ValueError, match=r"got shapes \(10, 3\) and \(10,\)$"):
+            fit_phase_scale(powers, np.linspace(1, 0, 10))
+
+    @pytest.mark.parametrize("n_modes", [1, -3, 2.5, 0])
+    def test_n_modes_below_two_or_not_integral_rejected(self, n_modes):
+        # 1 and -3 once "converged", 2.5 fitted, and 0 raised ZeroDivisionError
+        powers, values = depletion_data(3, 30, True, 5)
+        with pytest.raises(ValueError, match=rf"^n_modes must be an integer >= 2, got {n_modes}$"):
+            fit_phase_scale(powers, values, n_modes=n_modes)
+
+    def test_numpy_integer_n_modes_accepted(self):
+        powers, values = depletion_data(4, 30, True, 5)
+        assert repr(fit_phase_scale(powers, values, n_modes=np.int64(4))) == repr(
+            fit_phase_scale(powers, values, n_modes=4))
+
     def test_no_positive_power_rejected(self):
         with pytest.raises(ValueError, match="^need nonzero pump powers$"):
             fit_phase_scale(-np.linspace(0, 2, 10), np.linspace(0, 1, 10))
@@ -502,8 +560,8 @@ def recorded_scan_rows(monkeypatch):
 
 def scan_share(rows, fit):
     """The scan's kappas among ``recorded_scan_rows``: all but the refinement's
-    (``iterations`` - 513) and the final residual's."""
-    return rows[:len(rows) - (fit.iterations - 513) - 1]
+    (``iterations`` - 513), whose last value is the residual."""
+    return rows[:len(rows) - (fit.iterations - 513)]
 
 
 def recorded_screen_rows(monkeypatch):
@@ -609,8 +667,8 @@ class TestScanScreen:
     def test_calibrate_fits_screen_few_rows_on_all_points(self, monkeypatch):
         # calibrate-shaped 30-point curves, exact and 1 % noisy: the subset step
         # leaves at most 8 of 513 rows (the row of its least bound included) to the
-        # full-point step, which leaves one row: three exact evaluations, one per
-        # step's bound and the row left
+        # full-point step, which leaves one row, the row of its bound: two exact
+        # evaluations, one per step's bound
         rows = recorded_screen_rows(monkeypatch)
         kept = recorded_scan_rows(monkeypatch)
         for seed in range(60):
@@ -622,17 +680,38 @@ class TestScanScreen:
             rows.clear()
             kept.clear()
             fit = fit_phase_scale(powers, values)
-            assert sum(rows) <= 8 and len(scan_share(kept, fit)) == 3, seed
+            assert sum(rows) <= 8 and len(scan_share(kept, fit)) == 2, seed
             assert repr(fit) == repr(reference_fit_phase_scale(powers, values, 3)), seed
 
     def test_calibrate_fit_checks_one_row(self, monkeypatch):
-        # a noisy 30-point curve, as the calibration loop fits: one row left, so
-        # three exact evaluations with the two steps' bounds
+        # a noisy 30-point curve, as the calibration loop fits: one row left, whose
+        # objective the full-point step's bound already holds, so two exact
+        # evaluations in all
         powers, values = depletion_data(3, 30, True, 7)
         kept = recorded_scan_rows(monkeypatch)
         fit = fit_phase_scale(powers, values)
-        assert len(scan_share(kept, fit)) == 3
+        assert len(scan_share(kept, fit)) == 2
         assert repr(fit) == repr(reference_fit_phase_scale(powers, values, 3))
+
+    def test_calibrate_fit_evaluates_two_rows_beyond_brent(self, monkeypatch):
+        # the refinement's last value is the residual, and the row left after the
+        # scan reuses the full-point step's bound: nfev + 2 _objective calls
+        powers, values = depletion_data(3, 30, True, 7)
+        powers[0] = 0.0
+        kept = recorded_scan_rows(monkeypatch)
+        fit = fit_phase_scale(powers, values)
+        assert len(kept) == fit.iterations - 513 + 2
+
+    @pytest.mark.parametrize("powers", [
+        np.linspace(0.0, 2.0, 30), np.linspace(2.0, 0.0, 30), np.append(np.zeros(29), 1.0),
+        np.array([0.0, 0.0, -3.0, 0.0, 0.0, 1.0, 0.0]), np.arange(-4.0, 5.0)],
+        ids=["rising", "falling", "one-nonzero", "signed", "zero-in-the-middle"])
+    def test_screen_points_skip_zero_power(self, powers):
+        # at P = 0 every row's term is the same, so it cannot separate rows
+        points = fitting._screen_points(powers)
+        assert points and all(powers[i] != 0.0 for i in points)
+        assert int(np.abs(powers).argmax()) in points
+        assert points == sorted(set(points))
 
     @pytest.mark.parametrize("case", ["exact", "noisy", "overflow"])
     def test_fit_screens_twice(self, monkeypatch, case):
@@ -760,6 +839,20 @@ class TestFitChannelScales:
         with pytest.raises(ValueError, match=r"^generation_curves\[1\] powers and values must "
                                              "have equal length, got 20 and 19$"):
             fit_channel_scales(curves, 1.2)
+
+    def test_two_dimensional_curve_rejected(self):
+        # the matmul's shape message once came instead
+        powers = np.linspace(0, 1.5, 20)
+        curves = [(powers, np.ones(20)), (powers, np.ones((20, 2)))]
+        with pytest.raises(ValueError, match=r"^generation_curves\[1\] powers and values must "
+                                             r"be 1-D, got shapes \(20,\) and \(20, 2\)$"):
+            fit_channel_scales(curves, 1.2)
+
+    @pytest.mark.parametrize("n_modes", [1, -3, 2.5, 0])
+    def test_n_modes_below_two_or_not_integral_rejected(self, n_modes):
+        powers = np.linspace(0, 1.5, 20)
+        with pytest.raises(ValueError, match=rf"^n_modes must be an integer >= 2, got {n_modes}$"):
+            fit_channel_scales([(powers, np.ones(20))], 1.2, n_modes=n_modes)
 
 
 class TestFitZeta:
@@ -899,6 +992,12 @@ class TestFitZeta:
         with pytest.raises(ValueError, match="^singles_rates and ratios must have equal length, "
                                              "got 5 and 1$"):
             fit_zeta([0.1, 0.2, 0.3, 0.4, 0.5], [0.04])
+
+    def test_two_dimensional_input_rejected(self):
+        # numpy's "truth value ... is ambiguous" once came from the initial slope
+        with pytest.raises(ValueError, match=r"^singles_rates and ratios must be 1-D, "
+                                             r"got shapes \(3, 2\) and \(3, 2\)$"):
+            fit_zeta(np.full((3, 2), 0.2), np.full((3, 2), 0.05))
 
 
 class TestGenerateSynthetic:

@@ -252,6 +252,16 @@ class TestRK4:
         with pytest.raises(RuntimeError, match="discrepancy"):
             integrate_pumps(prof, pumps, coarse)
 
+    def test_failure_names_tolerance_scale_and_step(self):
+        # the half step moves the final state by 3e-7 against 1e-8 x max(1, 3)
+        def solve(step):
+            return None, np.array([3.0 + (3e-7 if step < 0.2 else 0.0), -1.0])
+
+        with pytest.raises(RuntimeError) as err:
+            _run_with_richardson(solve, IntegratorSettings(step=0.2))
+        assert str(err.value) == ("step-halving discrepancy 3.000e-07 exceeds tolerance 1e-08 "
+                                  "× scale 3 at step 0.2 m; reduce step")
+
 
 class TestIntegratePumps:
     def test_free_propagation(self):

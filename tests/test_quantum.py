@@ -76,6 +76,18 @@ class TestInputState:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             InputState(kind="squeezed_vacuum", **{field: value})
 
+    @pytest.mark.parametrize("field,value,shown", [
+        ("amplitude", np.float64(math.nan), "nan"),
+        ("amplitude", np.float64(-math.inf), "-inf"),
+        ("zeta", np.float64(math.inf), "inf"),
+        ("zeta", np.complex128(complex(math.nan, 0.2)), "(nan+0.2j)"),
+        ("zeta", np.complex128(complex(0.3, -math.inf)), "(0.3-infj)"),
+    ])
+    def test_rejects_non_finite_numpy_scalars(self, field, value, shown):
+        with pytest.raises(ValueError) as err:
+            InputState(kind="squeezed_vacuum", **{field: value})
+        assert str(err.value) == f"{field} must be finite, not {shown}"
+
     # mode 0 fails pair_coincidence's range check, which runs first and names N
     @pytest.mark.parametrize("modes,text,pair_text", [
         ((1, 2, 3), "photon_pair takes 2 mode index(es)", None),
