@@ -38,11 +38,11 @@ def main():
         with path.open("w", newline="") as fh:
             w = csv.writer(fh)
             header = ["phi"] + [f"singles_{k}" for k in (1, 2, 3)]
-            header += [f"g2_{i}{j}" for (i, j) in sorted(curve.g2)]
+            header += [f"g2_{i}{j}" for (i, j) in curve.g2]
             w.writerow(header)
             for k, phi in enumerate(phis):
                 row = [phi, *curve.singles[k]]
-                row += [curve.g2[pr][k] for pr in sorted(curve.g2)]
+                row += [g2[k] for g2 in curve.g2.values()]
                 w.writerow([f"{x:.12g}" for x in row])
         print(f"wrote {path}")
 

@@ -305,9 +305,8 @@ def cmd_sweep(args, cfg: dict) -> Table:
         phis = np.linspace(phi_min, phi_max, sweep.get("steps", 101))
     curve = correlation_curve(cfg["input"], phis, n_modes=n_modes)
     columns = ["phi"] + [f"g1_{i}" for i in range(1, n_modes + 1)]
-    pairs = sorted(curve.g2)
-    columns += [f"g2_{i}{j}" for i, j in pairs]
-    return Table(columns, np.column_stack([phis, curve.singles] + [curve.g2[pr] for pr in pairs]))
+    columns += [f"g2_{i}{j}" for i, j in curve.g2]
+    return Table(columns, np.column_stack([phis, curve.singles, *curve.g2.values()]))
 
 
 def cmd_phasematch(args, cfg: dict) -> Table:
@@ -439,10 +438,10 @@ def cmd_synth(args, cfg: dict) -> Table:
     n_modes = cfg["n_modes"]
     records = generate_synthetic(sweep["phase_scale_rad_per_w"], sweep["powers_w"], n_modes=n_modes,
                                  state=cfg["input"], noise=args.noise, seed=cfg.get("seed", 0))
-    columns = ["power_w"] + [f"singles_{i}" for i in range(1, n_modes + 1)]
-    pairs = sorted(records[-1].coincidences)
-    columns += [f"coinc_{i}{j}" for i, j in pairs] + [f"acc_{i}" for i in range(1, n_modes + 1)]
-    rows = [[rec.pump_peak_power, *rec.singles, *(rec.coincidences.get(pr, 0.0) for pr in pairs),
+    columns = ["power_w", *(f"singles_{i}" for i in range(1, n_modes + 1)),
+               *(f"coinc_{i}{j}" for i, j in records[0].coincidences),
+               *(f"acc_{i}" for i in range(1, n_modes + 1))]
+    rows = [[rec.pump_peak_power, *rec.singles, *rec.coincidences.values(),
              *rec.accidental_singles] for rec in records]
     return Table(columns, rows)
 

@@ -36,16 +36,14 @@ are deterministic: identical inputs (and seeds) give bit-identical results.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
-from itertools import compress
 
 import numpy as np
 # top level, not in the fits: benchmarks/worker.py reads sys.modules["scipy"].__version__
 import scipy
 
-from .quantum import InputState, correlation_curve, multiphoton_ratio_model
-from .transfer import p_coeff, q_coeff
+from .quantum import KINDS, InputState, correlation_curve, multiphoton_ratio_model
+from .transfer import _check_modes, p_coeff, q_coeff
 
 ITERATION_CAP = 10_000
 PARAM_TOL = 1e-10
@@ -61,6 +59,13 @@ LINEAR_LIMIT = 1e-6
 SCAN_BLOCK_ENTRIES = 4096
 
 
+def _rates(name: str, rates) -> tuple[float, ...]:
+    """``rates`` as a tuple of floats, rejecting a string, which would split into characters."""
+    if isinstance(rates, (str, bytes)):
+        raise ValueError(f"{name} must be a sequence of rates, not the string {rates!r}")
+    return tuple(map(float, rates))
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class CountRecord:
     """One acquisition: rates at a given pump peak power (counts/s)."""
@@ -72,11 +77,11 @@ class CountRecord:
 
     def __init__(self, pump_peak_power, singles, coincidences=None, accidental_singles=()):
         """Each field converted, checked and set once; ``coincidences`` None is a new empty dict."""
-        singles = tuple(map(float, singles))
-        accidental_singles = tuple(map(float, accidental_singles))
+        singles = _rates("singles", singles)
+        accidental_singles = _rates("accidental_singles", accidental_singles)
         if coincidences is None:
             coincidences = {}
-        if pump_peak_power < 0:
+        if not pump_peak_power >= 0:
             raise ValueError("pump power must be >= 0")
         # NaN compares false, so a NaN rate is accepted
         for rates in (singles, accidental_singles, coincidences.values()):
@@ -144,12 +149,6 @@ def _check_curve(names: str, x: np.ndarray, y: np.ndarray) -> None:
         raise ValueError(f"{names} must be 1-D, got shapes {x.shape} and {y.shape}")
     if len(x) != len(y):
         raise ValueError(f"{names} must have equal length, got {len(x)} and {len(y)}")
-
-
-def _check_modes(n_modes) -> None:
-    """An integer ``n_modes`` of at least 2, as ``transfer.ideal_rows`` needs."""
-    if not isinstance(n_modes, numbers.Integral) or n_modes < 2:
-        raise ValueError(f"n_modes must be an integer >= 2, got {n_modes!r}")
 
 
 def _objective(kappa, powers: np.ndarray, values: np.ndarray, n_modes: int) -> float:
@@ -570,9 +569,13 @@ def generate_synthetic(
     per-channel scale factors (``channel_scales``, one per channel) and
     multiplicative Gaussian noise of relative width ``noise``; deterministic
     for a fixed seed.  The returned list always starts with a zero-power
-    record usable for normalization.  A non-finite phase scale or power is
-    a ``ValueError``.
+    record usable for normalization.  Each record is a row of one table: the
+    singles, then the coincidences of the curve's port pairs, none for a kind
+    without a coincidence in ``KINDS``.  A non-finite phase scale, power or
+    model rate (an overflow), or an ``n_modes`` that is not an integer >= 2,
+    is a ``ValueError``.
     """
+    _check_modes(n_modes)
     if not noise >= 0:
         raise ValueError("noise must be >= 0")
     _check_finite("phase_scale", phase_scale)
@@ -586,28 +589,25 @@ def generate_synthetic(
                          "give one scale per channel")
     state = state or InputState(kind=input_kind)
     curve = correlation_curve(state, phase_scale * powers, n_modes=n_modes)
-    pairs = list(curve.g2)
-    g2 = np.column_stack([curve.g2[pr] for pr in pairs])
-    pair_scales = np.array([scales[i - 1] * scales[j - 1] * accidental_rate**2 for i, j in pairs])
-    # one (P, N + pairs) table: scaled singles, then the scaled coincidences;
-    # every single is kept, a pair only where its coincidence is defined
-    table = np.hstack([scales * curve.singles, pair_scales * g2])
-    kept = np.hstack([np.ones(curve.singles.shape, dtype=bool), ~np.isnan(g2)])
+    # the kind's coincidence columns, in the curve's port-pair order
+    pairs = list(curve.g2) if KINDS[state.kind].coincidence else []
+    # one (P, N + K) table: the scaled singles, then the scaled coincidences
+    table = np.column_stack([scales * curve.singles, *(
+        scales[i - 1] * scales[j - 1] * accidental_rate**2 * curve.g2[i, j] for i, j in pairs)])
+    overflow = ~np.isfinite(table).all(axis=1)
+    if overflow.any():
+        raise ValueError(f"the model rates at pump power {powers[overflow.argmax()]:g} W are "
+                         "not finite: the phase, the input or a scale overflows")
     if noise:
-        # one draw per kept entry, record by record: singles, then pairs
+        # one draw per entry, record by record: singles, then pairs
         rng = np.random.default_rng(seed)
-        table[kept] *= 1.0 + noise * rng.standard_normal(np.count_nonzero(kept))
+        table *= 1.0 + noise * rng.standard_normal(table.shape)
         # the noise factor has no floor, so a wide noise can flip a rate's sign
         negative = (table < 0).any(axis=1)
         if negative.any():
             raise ValueError(f"noise {noise:g} drew a negative rate at pump power "
                              f"{powers[negative.argmax()]:g} W; use a smaller noise")
     acc = (accidental_rate,) * n_modes
-    records = []
-    for power, row, keep in zip(powers, table.tolist(), kept[:, n_modes:].tolist()):
-        coinc = dict(compress(zip(pairs, row[n_modes:]), keep))
-        records.append(
-            CountRecord(pump_peak_power=power, singles=row[:n_modes], coincidences=coinc,
-                        accidental_singles=acc)
-        )
-    return records
+    return [CountRecord(pump_peak_power=power, singles=row[:n_modes],
+                        coincidences=dict(zip(pairs, row[n_modes:])), accidental_singles=acc)
+            for power, row in zip(powers, table.tolist())]

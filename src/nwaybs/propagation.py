@@ -132,14 +132,6 @@ def _run_with_richardson(solve, settings: IntegratorSettings):
     return result
 
 
-def _trajectory(rhs, y0, z_end):
-    def solve(step):
-        traj = rk4_integrate(rhs, y0, z_end, step)
-        return traj, traj[-1]
-
-    return solve
-
-
 # The pump pass for N pumps, written once for pump {i}.  A run of lines that
 # name {i} is repeated for every pump in turn; {x}, {p} and {stages} are tuple
 # displays of all the pumps' amplitudes, powers and four stage amplitudes.
@@ -385,4 +377,8 @@ def full_fwm_reference(
         acc = np.bincount(n_idx, terms.real, nf) + 1j * np.bincount(n_idx, terms.imag, nf)
         return 1j * gamma * acc - alpha * a
 
-    return _run_with_richardson(_trajectory(rhs, a0, profile.length), settings)[-1]
+    def solve(step):
+        final = rk4_integrate(rhs, a0, profile.length, step)[-1]
+        return final, final
+
+    return _run_with_richardson(solve, settings)

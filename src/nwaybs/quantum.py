@@ -51,7 +51,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .transfer import TransferMatrix, ideal_rows, p_coeff, q_coeff
+from .transfer import TransferMatrix, _check_modes, ideal_rows, p_coeff, q_coeff
 
 # Input-column slab entries per block in correlation_curve (2**16
 # complex128 = 1 MiB): bounds the memory of a sweep at any grid size.
@@ -104,7 +104,11 @@ class InputState:
 
 @dataclass(frozen=True)
 class CorrelationResult:
-    """Sampled singles and normalized coincidences versus nonlinear phase."""
+    """Sampled singles and normalized coincidences versus nonlinear phase.
+
+    ``g2`` runs over the port pairs in order, (1, 2), (1, 3), ..., (N - 1, N):
+    the column order of every table written from it.
+    """
 
     phi: np.ndarray
     singles: np.ndarray          # shape (len(phi), N)
@@ -350,48 +354,41 @@ def multiphoton_ratio_model(sinh2) -> np.ndarray:
     return s2 / (2.0 * (1.0 + s2))
 
 
-# n_modes -> (every output port pair i < j, their 0-based (K,) channel arrays i and j)
-_PORT_PAIRS: dict[int, tuple[tuple, np.ndarray, np.ndarray]] = {}
-# slab row map -> the row layout that correlation_curve gathers from
-_ROW_PAIRS: dict[tuple[int, ...], tuple] = {}
-
-
-def _port_pairs(n_modes: int) -> tuple[tuple, np.ndarray, np.ndarray]:
-    cached = _PORT_PAIRS.get(n_modes)
-    if cached is None:
-        pairs = tuple((i, j) for i in range(1, n_modes + 1) for j in range(i + 1, n_modes + 1))
-        ports = np.array(pairs, dtype=np.intp).reshape(len(pairs), 2) - 1
-        ports.flags.writeable = False
-        cached = _PORT_PAIRS[n_modes] = (pairs, *ports.T)
-    return cached
+_ROW_PAIRS: dict[tuple[int, ...], tuple] = {}  # slab row map -> its _row_pairs layout
 
 
 def _row_pairs(row_map: tuple[int, ...]):
-    """``(channels, a, b, inverse)`` for a slab whose channel i reads row ``row_map[i]``.
+    """``(pairs, i, j, channels, a, b, inverse)`` for a slab whose channel i reads ``row_map[i]``.
 
-    ``channels`` is ``row_map`` as a (N,) gather index.  The k-th port pair
-    (i, j) reads rows ``a[inverse[k]] = row_map[i]`` and ``b[inverse[k]] =
-    row_map[j]``: each distinct ordered row pair once, in order of its
-    first port pair.  Ordered, because c_a0 c_b1 and c_b1 c_a0 may round
-    differently.  An identity map gives ``channels`` and ``inverse`` None:
-    the rows are the channels and the row pairs the port pairs, so there is
-    nothing to gather.
+    ``pairs`` lists the port pairs (i, j), i < j, in ``CorrelationResult.g2``
+    order, and ``i`` and ``j`` are their 0-based (K,) channel arrays.
+    ``channels`` is ``row_map`` as a (N,) gather index.  Port pair k reads rows
+    ``a[inverse[k]] = row_map[i[k]]`` and ``b[inverse[k]] = row_map[j[k]]``:
+    each distinct ordered row pair once, in order of its first port pair
+    (ordered, because c_a0 c_b1 and c_b1 c_a0 may round differently).  The
+    identity map has no ``channels`` or ``inverse``: its row pairs are the port pairs.
     """
     cached = _ROW_PAIRS.get(row_map)
     if cached is None:
         n = len(row_map)
-        found: dict[tuple[int, int], int] = {}
-        inverse = [found.setdefault((row_map[i], row_map[j]), len(found))
-                   for i in range(n) for j in range(i + 1, n)]
-        a, b = (np.array(x, dtype=np.intp) for x in zip(*found))
-        if row_map == tuple(range(n)):
-            cached = (None, a, b, None)
+        identity = tuple(range(n))
+        if row_map == identity:
+            pairs = tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
+            port_i, port_j = (np.array(x, dtype=np.intp) - 1 for x in zip(*pairs))
+            cached = (pairs, port_i, port_j, None, port_i, port_j, None)
         else:
-            cached = (np.array(row_map, dtype=np.intp), a, b, np.array(inverse, dtype=np.intp))
-        for arr in cached:
+            # every map of N channels shares the identity's pairs: one copy, kept warm
+            pairs, port_i, port_j = _row_pairs(identity)[:3]
+            found: dict[tuple[int, int], int] = {}
+            inverse = [found.setdefault((row_map[i], row_map[j]), len(found))
+                       for i, j in zip(port_i.tolist(), port_j.tolist())]
+            a, b, channels, inverse = (np.array(x, dtype=np.intp)
+                                       for x in (*zip(*found), row_map, inverse))
+            cached = (pairs, port_i, port_j, channels, a, b, inverse)
+        for arr in cached[1:]:
             if arr is not None:
                 arr.flags.writeable = False
-        cached = _ROW_PAIRS[row_map] = cached
+        _ROW_PAIRS[row_map] = cached
     return cached
 
 
@@ -466,33 +463,32 @@ def correlation_curve(state: InputState, phis, n_modes: int = 3) -> CorrelationR
     row.  Each ``g2`` entry is a column of one (len(phis), K) table, NaN
     throughout for a kind with no coincidence.
     """
+    _check_modes(n_modes)
     phis = np.asarray(phis, dtype=float)
     if phis.ndim != 1:
         raise ValueError(f"phis must be a 1-D array of phases, not shape {phis.shape}")
     cols = _input_columns(state.modes, n_modes)
     kind = KINDS[state.kind]
-    pairs, port_i, port_j = _port_pairs(n_modes)
     # row 0 of every array below is the zero-phase reference, dropped on return
     grid = np.concatenate(([0.0], phis))
     sgl = np.empty((len(grid), n_modes))
-    if kind.coincidence is None:
-        table = np.full((len(grid), len(pairs)), np.nan)
-    else:
-        table = np.empty((len(grid), len(pairs)))
-        # one common normalization: the zero-phase coincidence on the input
-        # port pair.  Cross-port pairs start at exactly zero, so normalizing
-        # each pair by its own zero-phase value would be 0/0 for them.  At
-        # phase 0 every slab entry is exactly 0 or 1, so this row gives the
-        # one-matrix observables' reference bit for bit.
-        in_pair = pairs.index((min(state.modes), max(state.modes)))
     block = max(1, BLOCK_ENTRIES // (n_modes * len(cols)))
     for start in range(0, len(grid), block):
         rows = slice(start, start + block)
         c, row_map = ideal_rows(n_modes, grid[rows], cols)
         if start == 0:
-            channels, a, b, inverse = _row_pairs(row_map)
+            pairs, port_i, port_j, channels, a, b, inverse = _row_pairs(row_map)
             channel_factor = kind.channel_factor and kind.channel_factor(state, n_modes)
             pair_factor = kind.pair_factor and kind.pair_factor(state, n_modes, port_i, port_j)
+            if kind.coincidence is None:
+                table = np.full((len(grid), len(pairs)), np.nan)
+            else:
+                table = np.empty((len(grid), len(pairs)))
+                # one common normalization: the zero-phase coincidence on the input port pair.
+                # Cross-port pairs start at exactly zero, so normalizing each pair by its own
+                # zero-phase value would be 0/0 for them.  At phase 0 every slab entry is exactly
+                # 0 or 1, so this row gives the one-matrix observables' reference bit for bit.
+                in_pair = pairs.index((min(state.modes), max(state.modes)))
         s = kind.singles(state, c)
         if channel_factor is None:
             sgl[rows] = _gather(s, channels)

@@ -1189,6 +1189,23 @@ class TestSynthCommand:
         assert "noise 0.5" in err and "pump power" in err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("input_section,powers,kappa,power", [
+        ({"kind": "photon_pair"}, [0.1, 1e200, 0.5], 1e200, "1e+200"),
+        ({"kind": "photon_pair"}, [0.1, 1e200], 1e200, "1e+200"),
+        ({"kind": "dual_coherent", "amplitude": 1e150}, [0.1, 0.5], 1.0, "0"),
+    ], ids=["phase-inf-inside", "phase-inf-last", "dual-coincidence-inf"])
+    def test_overflowing_model_is_exit_1(self, tmp_path, capsys, input_section, powers, kappa,
+                                         power):
+        # no record drops a coincidence or reads 0 in its place: the model's overflow is an error
+        cfg = {"n_modes": 3, "input": input_section,
+               "sweep": {"powers_w": powers, "phase_scale_rad_per_w": kappa}}
+        out = tmp_path / "synth.csv"
+        assert main(["synth", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+        assert (f"input error: the model rates at pump power {power} W are not finite"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def _synth(self, tmp_path, input_section, powers=(0.1, 0.4, 0.7, 1.0), kappa=1.3):
         cfg = {"n_modes": 3, "input": input_section,
                "sweep": {"powers_w": list(powers), "phase_scale_rad_per_w": kappa}}

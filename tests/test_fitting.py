@@ -65,6 +65,21 @@ class TestCountRecord:
         with pytest.raises(ValueError):
             CountRecord(pump_peak_power=-1.0, singles=(1.0,))
 
+    @pytest.mark.parametrize("field", ["singles", "accidental_singles"])
+    @pytest.mark.parametrize("text", ["12", b"12"], ids=["str", "bytes"])
+    def test_a_string_of_rates_is_rejected(self, field, text):
+        # tuple() would split a string into its characters, "12" into (1.0, 2.0)
+        kwargs = dict(pump_peak_power=0.0, singles=(1.0, 2.0), coincidences={(1, 3): 1.0},
+                      accidental_singles=(2.0, 2.0))
+        with pytest.raises(ValueError, match=rf"^{field} must be a sequence of rates, not the "
+                                             rf"string {text!r}$"):
+            CountRecord(**dict(kwargs, **{field: text}))
+
+    def test_nan_power_is_rejected(self):
+        # normalize_coincidences sorts records by power, and NaN has no place in that order
+        with pytest.raises(ValueError, match=r"^pump power must be >= 0$"):
+            CountRecord(pump_peak_power=math.nan, singles=(1.0,))
+
     @pytest.mark.parametrize("field,rates", [
         ("singles", (1.0, -0.5)), ("accidental_singles", (2.0, -1e-300)),
         ("coincidences", {(1, 2): 0.5, (1, 3): -2.0}),
@@ -1083,6 +1098,24 @@ class TestGenerateSynthetic:
         # once NaN singles, and an inf power record, with no error
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             generate_synthetic(phase_scale, powers)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    @pytest.mark.parametrize("phase_scale,powers,state,power", [
+        (1e200, [0.1, 1e200, 0.5], None, r"1e\+200"),
+        (1e200, [0.1, 1e200], None, r"1e\+200"),
+        (1.0, [0.1, 0.5], InputState(kind="dual_coherent", amplitude=1e150), "0"),
+    ], ids=["phase-inf-inside", "phase-inf-last", "dual-coincidence-inf"])
+    def test_non_finite_model_rate_rejected(self, phase_scale, powers, state, power, noise):
+        # a record may neither drop nor fill in a rate, so an overflow raises before the noise
+        with pytest.raises(ValueError, match=rf"^the model rates at pump power {power} W are "
+                                             "not finite"):
+            generate_synthetic(phase_scale, powers, state=state, noise=noise, seed=1)
+
+    @pytest.mark.parametrize("n_modes", [3.0, True, 1])
+    def test_n_modes_must_be_an_integer_of_at_least_2(self, n_modes):
+        with pytest.raises(ValueError, match=rf"^n_modes must be an integer >= 2, got {n_modes}$"):
+            generate_synthetic(1.0, [0.5], n_modes=n_modes)
 
     @given(
         st.sampled_from(["single_coherent", "dual_coherent", "photon_pair", "squeezed_vacuum"]),

@@ -4,6 +4,7 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -88,6 +89,7 @@ def test_import_loads_no_submodule(tmp_path):
 
 
 PACKAGE_DIR = os.path.dirname(nwaybs.__file__)
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MODULES = sorted(name[:-3] for name in os.listdir(PACKAGE_DIR) if name.endswith(".py"))
 # (module, name) imported but never read: fitting loads scipy with the
 # module, since benchmarks/worker.py reads sys.modules["scipy"].__version__
@@ -190,11 +192,35 @@ def test_twice_bound_names_are_found():
 
 def test_no_name_is_bound_twice():
     """A test class or function defined twice in one body never runs its first definition."""
-    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     twice = set()
-    for folder in (os.path.join(repo, "tests"), PACKAGE_DIR, os.path.join(repo, "scripts")):
+    for folder in (os.path.join(REPO, "tests"), PACKAGE_DIR, os.path.join(REPO, "scripts")):
         for name in sorted(os.listdir(folder)):
             if name.endswith(".py"):
                 with open(os.path.join(folder, name), encoding="utf-8") as fh:
                     twice.update((name, *found) for found in twice_bound_names(fh.read()))
     assert twice == set()
+
+
+SOURCES = [os.path.join(folder, name)
+           for folder in (PACKAGE_DIR, os.path.join(REPO, "scripts"))
+           for name in sorted(os.listdir(folder)) if name.endswith(".py")]
+
+
+def python_floor() -> tuple[int, int]:
+    """The oldest Python that ``pyproject.toml`` declares, as (3, minor)."""
+    with open(os.path.join(REPO, "pyproject.toml"), encoding="utf-8") as fh:
+        (minor,) = re.findall(r'^requires-python = ">=3\.(\d+)"$', fh.read(), re.MULTILINE)
+    return 3, int(minor)
+
+
+def test_the_floor_parse_rejects_newer_syntax():
+    assert python_floor() == (3, 10)
+    with pytest.raises(SyntaxError, match="only supported in Python 3.11"):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: os.path.relpath(path, REPO))
+def test_source_parses_at_the_python_floor(path):
+    """The suite runs on a newer Python, which would accept syntax the declared floor rejects."""
+    with open(path, encoding="utf-8") as fh:
+        ast.parse(fh.read(), filename=path, feature_version=python_floor())

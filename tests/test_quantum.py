@@ -982,8 +982,13 @@ class TestDistinctRows:
         assert (row_map == tuple(range(n))) == (rows == n)
 
     def test_one_mode_is_rejected(self):
-        with pytest.raises(ValueError, match="need at least 2 modes"):
+        with pytest.raises(ValueError, match=r"^n_modes must be an integer >= 2, got 1$"):
             correlation_curve(InputState(kind="single_coherent", modes=(1,)), PHI_GRID, n_modes=1)
+
+    @pytest.mark.parametrize("n_modes", [3.0, True])
+    def test_n_modes_must_be_an_integer(self, n_modes):
+        with pytest.raises(ValueError, match=rf"^n_modes must be an integer >= 2, got {n_modes}$"):
+            correlation_curve(InputState(kind="photon_pair"), PHI_GRID, n_modes=n_modes)
 
     @pytest.mark.parametrize("name", ["pre_loss", "post_loss"])
     def test_loss_of_the_wrong_length_is_rejected(self, name):

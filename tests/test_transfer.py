@@ -1,6 +1,9 @@
 """Transfer-matrix tests: closed forms, matrix exponential, and loss."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from nwaybs.transfer import (
 )
 
 W0 = 2 * math.pi * 233e12
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def flat_profile(gamma=2e-3, length=100.0, alpha=0.0):
@@ -159,8 +163,27 @@ class TestIdealColumns:
             ideal_rows(3, 0.2, cols)
 
     def test_needs_two_modes(self):
-        with pytest.raises(ValueError, match="need at least 2 modes"):
+        with pytest.raises(ValueError, match=r"^n_modes must be an integer >= 2, got 1$"):
             ideal_rows(1, 0.2, [0])
+
+    @pytest.mark.parametrize("n_modes", [3.0, True])
+    def test_ideal_transfer_takes_an_integer_n_modes(self, n_modes):
+        with pytest.raises(ValueError, match=rf"^n_modes must be an integer >= 2, got {n_modes}$"):
+            ideal_transfer(n_modes, 0.2)
+
+    def test_a_float_n_modes_is_rejected_after_an_integer_call(self):
+        # 3.0 == 3, so the row-map cache alone would return the entry of 3
+        ideal_rows(3, 0.1, (0,))
+        with pytest.raises(ValueError, match=r"^n_modes must be an integer >= 2, got 3\.0$"):
+            ideal_rows(3.0, 0.1, (0,))
+
+    def test_a_float_n_modes_is_rejected_in_a_fresh_process(self):
+        script = ("from nwaybs.transfer import ideal_rows\n"
+                  "try:\n    ideal_rows(3.0, 0.1, (0,))\n"
+                  "except Exception as exc:\n    print(type(exc).__name__, exc)\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              check=True, env=dict(os.environ, PYTHONPATH=SRC))
+        assert proc.stdout == "ValueError n_modes must be an integer >= 2, got 3.0\n"
 
 
 class TestIdealRows:
@@ -340,7 +363,7 @@ class TestLossyTransfer:
                               lossy_transfer(prof, pumps).entries)
 
     def test_one_pump_rejected(self):
-        with pytest.raises(ValueError, match="at least 2 modes"):
+        with pytest.raises(ValueError, match=r"^n_modes must be an integer >= 2, got 1$"):
             lossy_transfer(flat_profile(alpha=1e-4), PumpConfig(powers=(0.5,)))
 
     def test_z_out_of_range(self):
