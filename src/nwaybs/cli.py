@@ -306,7 +306,15 @@ def cmd_sweep(args, cfg: dict) -> Table:
     curve = correlation_curve(cfg["input"], phis, n_modes=n_modes)
     columns = ["phi"] + [f"g1_{i}" for i in range(1, n_modes + 1)]
     columns += [f"g2_{i}{j}" for i, j in curve.g2]
-    return Table(columns, np.column_stack([phis, curve.singles, *curve.g2.values()]))
+    rows = np.column_stack([phis, curve.singles, *curve.g2.values()])
+    # a kind without a coincidence writes NaN g2 columns by design
+    modelled = rows if KINDS[cfg["input"].kind].coincidence else rows[:, :1 + n_modes]
+    overflow = ~np.isfinite(modelled).all(axis=1)
+    if overflow.any():
+        k = overflow.argmax()
+        at = f"pump power {sweep['powers_w'][k]:g} W" if "powers_w" in sweep else f"phi {phis[k]:g}"
+        raise ValueError(f"the model at {at} is not finite: the phase or the input overflows")
+    return Table(columns, rows)
 
 
 def cmd_phasematch(args, cfg: dict) -> Table:

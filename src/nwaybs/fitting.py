@@ -580,6 +580,8 @@ def generate_synthetic(
         raise ValueError("noise must be >= 0")
     _check_finite("phase_scale", phase_scale)
     powers = np.asarray(powers, dtype=float)
+    if powers.ndim != 1 or not len(powers):
+        raise ValueError(f"powers must be a non-empty 1-D array, not shape {powers.shape}")
     _check_finite("powers", powers)
     if powers[0] != 0.0:
         powers = np.concatenate([[0.0], powers])

@@ -36,7 +36,9 @@ at only three positions: z, z + h/2 (stages 2 and 3) and z + h.  On the
 uniform step grid h = z_next - z is exact (Sterbenz lemma), so z + h is the
 next grid point bit for bit, and stage 4 of one step shares its phasors with
 stage 1 of the next.  A block of S steps therefore needs the phasors at its
-S + 1 grid points and S midpoints, 2S + 1 evaluations instead of 4S.
+S + 1 grid points and S midpoints, 2S + 1 evaluations instead of 4S.  On a
+phase-matched grid (a flat profile, where every dbeta is 0) each phasor is
+1 + 0j, and the maps skip both the phasors and their products.
 """
 
 from __future__ import annotations
@@ -260,19 +262,20 @@ def _weak_increments(z, h, a, dbeta, gamma, alpha):
     shape (S, N, N).  The phasors are evaluated once per distinct stage
     position: at the S + 1 grid points, which serve stage 1 of a step and
     stage 4 of the step before it, and at the S midpoints z + h/2 of stages
-    2 and 3.
+    2 and 3.  With every ``dbeta`` 0 there are none to evaluate.
     """
     n = a.shape[-1]
     # m[..., n, l] = 2 i gamma e^{i dbeta_ln z} A_l A_n^*: channel l into n
-    rot = 1j * dbeta.T
-    on_grid = np.exp(rot * z[:, None, None])
-    mid = np.exp(rot * (z[:-1] + h / 2)[:, None, None])
     m = a[..., None, :] * a.conj()[..., :, None]
-    # phasor as the left operand: numpy's complex product may use fused
-    # multiply-adds, so a * b and b * a can differ in the last bit
-    np.multiply(on_grid[:-1], m[:, 0], out=m[:, 0])
-    np.multiply(mid[:, None], m[:, 1:3], out=m[:, 1:3])
-    np.multiply(on_grid[1:], m[:, 3], out=m[:, 3])
+    if dbeta.any():
+        rot = 1j * dbeta.T
+        on_grid = np.exp(rot * z[:, None, None])
+        mid = np.exp(rot * (z[:-1] + h / 2)[:, None, None])
+        # phasor as the left operand: numpy's complex product may use fused
+        # multiply-adds, so a * b and b * a can differ in the last bit
+        np.multiply(on_grid[:-1], m[:, 0], out=m[:, 0])
+        np.multiply(mid[:, None], m[:, 1:3], out=m[:, 1:3])
+        np.multiply(on_grid[1:], m[:, 3], out=m[:, 3])
     m *= 2j * gamma
     xpm = 2.0 * np.sum(np.abs(a) ** 2, axis=-1)
     diag = np.arange(n)

@@ -47,6 +47,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -301,19 +302,33 @@ def coincidence_squeezed(state: InputState, transfer: TransferMatrix, ports=(1, 
     return _coincidence("squeezed_vacuum", state, transfer.entries[..., :, cols], ports)
 
 
+@lru_cache(maxsize=64)
+def _squeezed_reference(state: InputState, n_modes: int, ports: tuple[int, int]) -> float:
+    """The squeezed-vacuum coincidence at zero phase, where the ideal transfer
+    is the identity, whose entries are exactly 0 and 1."""
+    return coincidence_squeezed(state, TransferMatrix(np.eye(n_modes), 0.0), ports)
+
+
 def g2_squeezed_full(state: InputState, transfer: TransferMatrix, ports=(1, 3)) -> float:
     """Squeezed-vacuum coincidence normalized to its zero-phase value.
 
     Post-interaction losses cancel in the ratio; pre-interaction loss
     asymmetry survives through the multiphoton term.  ``ports`` is one
     output pair: a cross pair's zero-phase coincidence is exactly 0, so the
-    (K, 2) form of ``coincidence_squeezed`` could not be normalized.
+    (K, 2) form of ``coincidence_squeezed`` could not be normalized.  The
+    zero-phase value is computed once per state, N and ports.
     """
     if np.shape(ports) != (2,):
         raise ValueError(f"ports must be one output pair (i, j), not shape {np.shape(ports)}")
     raw = coincidence_squeezed(state, transfer, ports)
-    # the ideal transfer at phase 0 is the identity, whose entries are exactly 0 and 1
-    ref = coincidence_squeezed(state, TransferMatrix(np.eye(transfer.n_modes), 0.0), ports)
+    # raw has checked the ports: two integer channels
+    key = (state, transfer.n_modes, tuple(int(p) for p in np.asarray(ports)))
+    try:
+        hash(key)
+    except TypeError:  # a field given as a numpy array leaves the state unhashable
+        ref = _squeezed_reference.__wrapped__(*key)
+    else:
+        ref = _squeezed_reference(*key)
     if ref == 0.0:
         raise ValueError("zero-phase coincidence vanishes; cannot normalize")
     return raw / ref

@@ -236,6 +236,25 @@ class TestSweepCommand:
         header, rows = read_rows(out)
         assert np.isnan(rows[:, header.index("g2_13")]).all()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("input_section,sweep,at", [
+        ({"kind": "photon_pair"}, {"powers_w": [0.1, 1e200], "phase_scale_rad_per_w": 1e200},
+         "pump power 1e+200 W"),
+        ({"kind": "single_coherent"}, {"powers_w": [0.1, 1e200, 0.5],
+                                       "phase_scale_rad_per_w": 1e200}, "pump power 1e+200 W"),
+        ({"kind": "dual_coherent", "amplitude": 1e150}, {"powers_w": [0.1, 0.5],
+                                                         "phase_scale_rad_per_w": 1.0},
+         "pump power 0.1 W"),
+        ({"kind": "dual_coherent", "amplitude": 1e150}, {"steps": 5}, "phi 0"),
+    ], ids=["phase-inf", "single-phase-inf", "dual-coincidence-inf", "dual-phi-grid"])
+    def test_overflowing_model_is_exit_1(self, tmp_path, capsys, input_section, sweep, at):
+        cfg = {"n_modes": 3, "input": input_section, "sweep": sweep}
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+        assert (f"input error: the model at {at} is not finite: the phase or the input "
+                "overflows" in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_input_override_flag(self, tmp_path):
         out = tmp_path / "s.csv"
         assert main(["sweep", "--config", write_config(tmp_path, BASE_CONFIG),

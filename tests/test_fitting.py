@@ -6,6 +6,7 @@ import itertools
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 import warnings
@@ -1025,6 +1026,13 @@ class TestGenerateSynthetic:
         curve = correlation_curve(state, kappa * powers)
         for rec, k in zip(recs, range(len(powers))):
             assert np.allclose(rec.singles, curve.singles[k], atol=1e-12)
+
+    @pytest.mark.parametrize("powers, shape", [([], "(0,)"), ([[0.1, 0.2]], "(1, 2)"),
+                                               (0.5, "()")], ids=["empty", "2-d", "scalar"])
+    def test_powers_must_be_a_non_empty_1d_array(self, powers, shape):
+        with pytest.raises(ValueError, match=re.escape(
+                f"powers must be a non-empty 1-D array, not shape {shape}")):
+            generate_synthetic(1.0, powers)
 
     def test_seed_determinism(self):
         a = generate_synthetic(1.0, [0.2, 0.5, 1.0], noise=0.03, seed=12)

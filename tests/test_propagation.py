@@ -486,6 +486,43 @@ class TestBitIdenticalToUnsharedPass:
             assert out.shape == b0.shape
             assert out.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("powers, alpha", [
+        ((0.0, 0.7, 0.7), 0.0),
+        ((0.0, 0.7, 0.7), 4.950556e-5),
+        ((0.0, 0.0, 0.0), 0.0),
+        ((0.0, 0.0, 0.0, 0.0), 2e-4),
+    ], ids=["one-off", "one-off-lossy", "all-off", "all-off-lossy"])
+    def test_integrate_weak_with_pumps_off(self, powers, alpha):
+        # a flat profile takes no unit phasors; a pump at zero power leaves
+        # exact zeros in the stage matrices, and the seeds carry signed zeros
+        n = len(powers)
+        prof = flat_profile(alpha=alpha)
+        grid = symmetric_grid(W0, (1 + np.arange(n)) * 1e12)
+        pumps = PumpConfig(powers=powers, phases=tuple(np.linspace(0.5, 4.0, n)))
+        rng = np.random.default_rng(300 + n)
+        block = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+        block *= math.sqrt(1e-7 * 0.7) / np.max(np.abs(block))
+        block[1, 0] = complex(-0.0, -0.0)
+        block[2, 1] = complex(0.0, -0.0)
+        for b0, step, richardson in ((block[:, 0], prof.length / 200, True),
+                                     (block, prof.length / 107.3, False)):
+            settings = IntegratorSettings(step=step, richardson_check=richardson)
+            out = integrate_weak(prof, grid, pumps, b0, settings)
+            ref = unshared_integrate_weak(prof, grid, pumps, b0, settings)
+            assert out.tobytes() == ref.tobytes()
+
+    def test_diverging_flat_pass_raises_the_same_message(self):
+        prof = flat_profile(gamma=50.0, length=100.0)
+        grid = symmetric_grid(W0, [1e12, 2e12, 3e12])
+        pumps = PumpConfig(powers=(1.0, 1.0, 1.0), phases=(0.0, 1.0, 2.0))
+        b0 = np.array([1e-4, 0.0, 0.0], dtype=complex)
+        settings = IntegratorSettings(step=1.0)
+        with pytest.raises(RuntimeError, match="discrepancy nan") as got:
+            integrate_weak(prof, grid, pumps, b0, settings)
+        with pytest.raises(RuntimeError) as ref:
+            unshared_integrate_weak(prof, grid, pumps, b0, settings)
+        assert str(got.value) == str(ref.value)
+
     @pytest.mark.parametrize("richardson", [True, False])
     @pytest.mark.parametrize("case", list(PUMP_CASES))
     def test_integrate_pumps(self, case, richardson):

@@ -329,6 +329,34 @@ class TestSqueezedFull:
 
         assert outcome(g2_squeezed_full) == outcome(whole_matrix_g2_squeezed_full)
 
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_reference_once_per_state_keeps_the_bits(self, n):
+        # repeated calls, equal states built apart and every spelling of the
+        # ports carry the bits of the formula that builds its reference each time
+        rng = np.random.default_rng(40 + n)
+        fields = dict(kind="squeezed_vacuum", modes=(1, 3),
+                      pre_loss=tuple(rng.uniform(0.3, 1.0, n)),
+                      post_loss=tuple(rng.uniform(0.3, 1.0, n)))
+        tm = ideal_transfer(n, rng.uniform(0.0, 2 * math.pi, 7))
+        want = whole_matrix_g2_squeezed_full(InputState(zeta=0.4, **fields), tm, (1, 3))
+        for zeta in (0.4, 0.4 + 0j, np.float64(0.4), np.array(0.4)):
+            for ports in ((1, 3), [1, 3], np.array([1, 3], dtype=np.int8)):
+                for _ in range(2):
+                    got = g2_squeezed_full(InputState(zeta=zeta, **fields), tm, ports)
+                    assert got.tobytes() == want.tobytes()
+        one = ideal_transfer(n, 0.7)
+        want = whole_matrix_g2_squeezed_full(InputState(zeta=0.4, **fields), one, (3, 3))
+        for _ in range(2):
+            got = g2_squeezed_full(InputState(zeta=0.4, **fields), one, (3, 3))
+            assert type(got) is float and got == want
+
+    def test_cross_pair_raises_on_every_call(self):
+        state = InputState(kind="squeezed_vacuum", modes=(1, 3), zeta=0.4)
+        tm = ideal_transfer(3, 0.5)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="^zero-phase coincidence vanishes"):
+                g2_squeezed_full(state, tm, (1, 2))
+
 
 def whole_matrix_g2_squeezed_full(state, transfer, ports):
     """g2_squeezed_full with its reference from the whole ideal_transfer(n, 0.0)."""

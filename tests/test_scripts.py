@@ -1,5 +1,6 @@
 """Smoke tests for the demo scripts: each runs, prints its landmark and leaves no files."""
 
+import json
 import os
 import pathlib
 import subprocess
@@ -52,3 +53,15 @@ def test_phase_matching(workdir):
     out = run_script("run_phase_matching.py", workdir)
     assert "zero-GVD angular frequency: 1.463982e+15 rad/s (233.000 THz)" in out
     assert "max |U|^2 deviation from the matched splitter:" in out
+
+
+def test_time_oracles(workdir):
+    out = run_script("time_oracles.py", workdir, "--repeats", "1", "--n-modes", "2",
+                     "--divisions", "100", "--samples", "100")
+    report = json.loads(out)
+    assert report["settings"]["repeats"] == 1
+    names = [f"integrate_weak.{v}.N2" for v in ("matched", "mismatched", "unequal", "lossy")]
+    names += ["full_fwm_reference", "loss_chain_wick.N3", "loss_chain_wick.N4",
+              "fock_evolve.N4", "mc_phase_average.N5"]
+    assert list(report["ms"]) == names
+    assert all(ms > 0 for ms in report["ms"].values())
