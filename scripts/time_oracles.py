@@ -6,17 +6,17 @@ of one oracle at fixed parameters shaped like the benchmark's ``verify``
 tasks:
 
 * ``integrate_weak.<variant>.N<n>``: one seed through the RK4 weak-field
-  integration at step L / ``--divisions`` with the Richardson check, for a
-  matched, mismatched (beta3/beta4 profile off the zero-GVD point),
-  unequal-power and lossy configuration of n pumps;
+  integration at step L / 500 with the Richardson check, for a matched,
+  mismatched (beta3/beta4 profile off the zero-GVD point), unequal-power
+  and lossy configuration of n = 3, 5 and 8 pumps;
 * ``full_fwm_reference``: three pumps and three weak fields (six fields) at
-  step L / ``--fwm-divisions``, no Richardson check;
+  step L / 100, no Richardson check;
 * ``loss_chain_wick.N<n>``: the squeezer, loss and transfer chain with
   explicit ancillas, then its Wick moments on the input ports;
 * ``fock_evolve.N4``: a truncated two-mode squeezed state (cutoff 6)
   through the ideal splitter;
-* ``mc_phase_average.N5``: the dual-coherent phase average over
-  ``--samples`` draws.
+* ``mc_phase_average.N5``: the dual-coherent phase average over 20000
+  draws.
 
 Usage: ``PYTHONPATH=src python scripts/time_oracles.py [--repeats K]``.
 """
@@ -42,6 +42,10 @@ from nwaybs.transfer import PumpConfig, ideal_transfer
 
 W0 = 2 * math.pi * 233e12  # carrier, rad/s
 VARIANTS = ("matched", "mismatched", "unequal", "lossy")
+N_MODES = (3, 5, 8)    # pump counts of the integrate_weak entries
+DIVISIONS = 500        # RK4 steps per length, as in verify
+FWM_DIVISIONS = 100    # RK4 steps per length of the full-FWM reference
+SAMPLES = 20000        # Monte Carlo draws
 
 
 def min_ms(call, repeats: int) -> float:
@@ -93,34 +97,32 @@ def wick_call(n: int):
     return lambda: wick_moments(loss_chain(n, 0.4, u, t_pre, t_post), ports=(1, 3))
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--repeats", type=int, default=12, help="calls per oracle; the min is kept")
-    ap.add_argument("--n-modes", type=int, nargs="+", default=[3, 5, 8],
-                    help="pump counts of the integrate_weak entries")
-    ap.add_argument("--divisions", type=int, default=500, help="RK4 steps per length")
-    ap.add_argument("--fwm-divisions", type=int, default=100,
-                    help="RK4 steps per length of the full-FWM reference")
-    ap.add_argument("--samples", type=int, default=20000, help="Monte Carlo draws")
-    args = ap.parse_args()
-    if args.repeats < 1:
-        ap.error("--repeats must be >= 1")
-
-    calls = {f"integrate_weak.{variant}.N{n}": weak_call(variant, n, args.divisions)
-             for variant in VARIANTS for n in args.n_modes}
-    calls["full_fwm_reference"] = fwm_call(args.fwm_divisions)
+def oracle_calls(n_modes=N_MODES, divisions=DIVISIONS, fwm_divisions=FWM_DIVISIONS,
+                 samples=SAMPLES) -> dict:
+    """One zero-argument call per timed entry, by name."""
+    calls = {f"integrate_weak.{variant}.N{n}": weak_call(variant, n, divisions)
+             for variant in VARIANTS for n in n_modes}
+    calls["full_fwm_reference"] = fwm_call(fwm_divisions)
     calls.update({f"loss_chain_wick.N{n}": wick_call(n) for n in (3, 4)})
     squeezed, u4 = two_mode_squeezed_fock(0.3, n_modes=4, cutoff=6), ideal_transfer(4, 0.9)
     calls["fock_evolve.N4"] = lambda: fock_evolve(squeezed, u4.entries)
     u5 = ideal_transfer(5, 0.8)
-    calls["mc_phase_average.N5"] = lambda: mc_phase_average(0.2, u5, samples=args.samples,
-                                                             seed=1)
+    calls["mc_phase_average.N5"] = lambda: mc_phase_average(0.2, u5, samples=samples, seed=1)
+    return calls
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--repeats", type=int, default=12, help="calls per oracle; the min is kept")
+    args = ap.parse_args()
+    if args.repeats < 1:
+        ap.error("--repeats must be >= 1")
     report = {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "settings": vars(args),
-        "ms": {name: min_ms(call, args.repeats) for name, call in calls.items()},
+        "repeats": args.repeats,
+        "ms": {name: min_ms(call, args.repeats) for name, call in oracle_calls().items()},
     }
     print(json.dumps(report, indent=1))
 

@@ -36,7 +36,7 @@ import numpy as np
 from . import __version__
 # only the layers the schema needs; each subcommand imports the others it runs
 from .dispersion import DispersionProfile, FrequencyGrid, nonlinear_mismatch
-from .quantum import KINDS, InputState, correlation_curve
+from .quantum import KINDS, InputState, _check_model_finite, correlation_curve
 from .transfer import PumpConfig, general_transfer, ideal_transfer, lossy_transfer, to_lab_frame
 
 SPEED_OF_LIGHT = 299792458.0  # m/s, exact
@@ -307,13 +307,9 @@ def cmd_sweep(args, cfg: dict) -> Table:
     columns = ["phi"] + [f"g1_{i}" for i in range(1, n_modes + 1)]
     columns += [f"g2_{i}{j}" for i, j in curve.g2]
     rows = np.column_stack([phis, curve.singles, *curve.g2.values()])
-    # a kind without a coincidence writes NaN g2 columns by design
-    modelled = rows if KINDS[cfg["input"].kind].coincidence else rows[:, :1 + n_modes]
-    overflow = ~np.isfinite(modelled).all(axis=1)
-    if overflow.any():
-        k = overflow.argmax()
-        at = f"pump power {sweep['powers_w'][k]:g} W" if "powers_w" in sweep else f"phi {phis[k]:g}"
-        raise ValueError(f"the model at {at} is not finite: the phase or the input overflows")
+    at = ((lambda k: f"pump power {sweep['powers_w'][k]:g} W") if "powers_w" in sweep
+          else (lambda k: f"phi {phis[k]:g}"))
+    _check_model_finite(cfg["input"].kind, rows[:, 1:], n_modes, at)
     return Table(columns, rows)
 
 

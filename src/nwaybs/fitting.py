@@ -42,7 +42,8 @@ import numpy as np
 # top level, not in the fits: benchmarks/worker.py reads sys.modules["scipy"].__version__
 import scipy
 
-from .quantum import KINDS, InputState, correlation_curve, multiphoton_ratio_model
+from .quantum import (KINDS, InputState, _check_model_finite, correlation_curve,
+                      multiphoton_ratio_model)
 from .transfer import _check_modes, p_coeff, q_coeff
 
 ITERATION_CAP = 10_000
@@ -596,10 +597,7 @@ def generate_synthetic(
     # one (P, N + K) table: the scaled singles, then the scaled coincidences
     table = np.column_stack([scales * curve.singles, *(
         scales[i - 1] * scales[j - 1] * accidental_rate**2 * curve.g2[i, j] for i, j in pairs)])
-    overflow = ~np.isfinite(table).all(axis=1)
-    if overflow.any():
-        raise ValueError(f"the model rates at pump power {powers[overflow.argmax()]:g} W are "
-                         "not finite: the phase, the input or a scale overflows")
+    _check_model_finite(state.kind, table, n_modes, lambda k: f"pump power {powers[k]:g} W")
     if noise:
         # one draw per entry, record by record: singles, then pairs
         rng = np.random.default_rng(seed)

@@ -83,6 +83,9 @@ class InputState:
             raise ValueError(f"unknown input kind {self.kind!r}")
         object.__setattr__(self, "modes", _mode_indices(self.kind, self.modes))
         object.__setattr__(self, "amplitude", float(self.amplitude))
+        # a Python number, so every state hashes; a real zeta stays real
+        zeta = complex(self.zeta) if np.iscomplexobj(self.zeta) else float(self.zeta)
+        object.__setattr__(self, "zeta", zeta)
         for name in ("amplitude", "zeta"):
             if not cmath.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, not {getattr(self, name)}")
@@ -302,7 +305,9 @@ def coincidence_squeezed(state: InputState, transfer: TransferMatrix, ports=(1, 
     return _coincidence("squeezed_vacuum", state, transfer.entries[..., :, cols], ports)
 
 
-@lru_cache(maxsize=64)
+# one entry serves a phase sweep of one state; a few more serve callers that
+# alternate between states or port pairs
+@lru_cache(maxsize=8)
 def _squeezed_reference(state: InputState, n_modes: int, ports: tuple[int, int]) -> float:
     """The squeezed-vacuum coincidence at zero phase, where the ideal transfer
     is the identity, whose entries are exactly 0 and 1."""
@@ -322,13 +327,7 @@ def g2_squeezed_full(state: InputState, transfer: TransferMatrix, ports=(1, 3)) 
         raise ValueError(f"ports must be one output pair (i, j), not shape {np.shape(ports)}")
     raw = coincidence_squeezed(state, transfer, ports)
     # raw has checked the ports: two integer channels
-    key = (state, transfer.n_modes, tuple(int(p) for p in np.asarray(ports)))
-    try:
-        hash(key)
-    except TypeError:  # a field given as a numpy array leaves the state unhashable
-        ref = _squeezed_reference.__wrapped__(*key)
-    else:
-        ref = _squeezed_reference(*key)
+    ref = _squeezed_reference(state, transfer.n_modes, tuple(int(p) for p in np.asarray(ports)))
     if ref == 0.0:
         raise ValueError("zero-phase coincidence vanishes; cannot normalize")
     return raw / ref
@@ -461,6 +460,20 @@ KINDS = {
         _squeezed_rows, _squeezed_channel_factor, _squeezed_prefactor),
 }
 INPUT_KINDS = tuple(KINDS)
+
+
+def _check_model_finite(kind: str, table: np.ndarray, n_modes: int,
+                        at: Callable[[int], str]) -> None:
+    """Raise ``ValueError`` at the first point whose model rates are not finite:
+    the phase, the input or a scale overflowed.  ``table`` has one row per
+    point, its N singles first, then any coincidence columns, which a kind
+    with no coincidence in ``KINDS`` leaves NaN by design and which then go
+    unchecked.  ``at(k)`` names point k, as in ``"pump power 0.1 W"``."""
+    checked = table if KINDS[kind].coincidence else table[:, :n_modes]
+    overflow = ~np.isfinite(checked).all(axis=1)
+    if overflow.any():
+        raise ValueError(f"the model rates at {at(overflow.argmax())} are not finite: "
+                         "the phase, the input or a scale overflows")
 
 
 def correlation_curve(state: InputState, phis, n_modes: int = 3) -> CorrelationResult:

@@ -251,8 +251,8 @@ class TestSweepCommand:
         cfg = {"n_modes": 3, "input": input_section, "sweep": sweep}
         out = tmp_path / "s.csv"
         assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
-        assert (f"input error: the model at {at} is not finite: the phase or the input "
-                "overflows" in capsys.readouterr().err)
+        assert (f"input error: the model rates at {at} are not finite: the phase, the input or "
+                "a scale overflows" in capsys.readouterr().err)
         assert not out.exists()
 
     def test_input_override_flag(self, tmp_path):

@@ -63,6 +63,15 @@ class TestInputState:
         modes = InputState(kind="photon_pair", modes=(np.int64(1), 3.0)).modes
         assert modes == (1, 3) and all(type(m) is int for m in modes)
 
+    @pytest.mark.parametrize("zeta, number", [
+        (np.array(0.4), float), (np.float64(0.4), float), (1, float),
+        (np.complex128(0.4j), complex), (0.4 + 0j, complex)])
+    def test_zeta_becomes_a_python_number(self, zeta, number):
+        # a Python number keeps every state hashable, and a real zeta real
+        state = InputState(kind="squeezed_vacuum", zeta=zeta)
+        assert type(state.zeta) is number and state.zeta == zeta
+        assert hash(state) == hash(InputState(kind="squeezed_vacuum", zeta=complex(zeta)))
+
     def test_transmission_range(self):
         with pytest.raises(ValueError):
             InputState(kind="squeezed_vacuum", modes=(1, 3), zeta=0.4,

@@ -1,6 +1,6 @@
 """Smoke tests for the demo scripts: each runs, prints its landmark and leaves no files."""
 
-import json
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -55,13 +55,17 @@ def test_phase_matching(workdir):
     assert "max |U|^2 deviation from the matched splitter:" in out
 
 
-def test_time_oracles(workdir):
-    out = run_script("time_oracles.py", workdir, "--repeats", "1", "--n-modes", "2",
-                     "--divisions", "100", "--samples", "100")
-    report = json.loads(out)
-    assert report["settings"]["repeats"] == 1
+def test_time_oracles(monkeypatch):
+    # the script's own sizes take about half a second; the same calls at tiny sizes
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("time_oracles", SCRIPTS / "time_oracles.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    calls = script.oracle_calls(n_modes=(2,), divisions=100, fwm_divisions=100, samples=100)
     names = [f"integrate_weak.{v}.N2" for v in ("matched", "mismatched", "unequal", "lossy")]
     names += ["full_fwm_reference", "loss_chain_wick.N3", "loss_chain_wick.N4",
               "fock_evolve.N4", "mc_phase_average.N5"]
-    assert list(report["ms"]) == names
-    assert all(ms > 0 for ms in report["ms"].values())
+    assert list(calls) == names
+    assert all(script.min_ms(call, 1) > 0 for call in calls.values())
+    assert list(script.oracle_calls()) == [
+        f"integrate_weak.{v}.N{n}" for v in script.VARIANTS for n in (3, 5, 8)] + names[4:]
