@@ -97,17 +97,16 @@ def wick_call(n: int):
     return lambda: wick_moments(loss_chain(n, 0.4, u, t_pre, t_post), ports=(1, 3))
 
 
-def oracle_calls(n_modes=N_MODES, divisions=DIVISIONS, fwm_divisions=FWM_DIVISIONS,
-                 samples=SAMPLES) -> dict:
+def oracle_calls() -> dict:
     """One zero-argument call per timed entry, by name."""
-    calls = {f"integrate_weak.{variant}.N{n}": weak_call(variant, n, divisions)
-             for variant in VARIANTS for n in n_modes}
-    calls["full_fwm_reference"] = fwm_call(fwm_divisions)
+    calls = {f"integrate_weak.{variant}.N{n}": weak_call(variant, n, DIVISIONS)
+             for variant in VARIANTS for n in N_MODES}
+    calls["full_fwm_reference"] = fwm_call(FWM_DIVISIONS)
     calls.update({f"loss_chain_wick.N{n}": wick_call(n) for n in (3, 4)})
     squeezed, u4 = two_mode_squeezed_fock(0.3, n_modes=4, cutoff=6), ideal_transfer(4, 0.9)
     calls["fock_evolve.N4"] = lambda: fock_evolve(squeezed, u4.entries)
     u5 = ideal_transfer(5, 0.8)
-    calls["mc_phase_average.N5"] = lambda: mc_phase_average(0.2, u5, samples=samples, seed=1)
+    calls["mc_phase_average.N5"] = lambda: mc_phase_average(0.2, u5, samples=SAMPLES, seed=1)
     return calls
 
 
