@@ -10,7 +10,9 @@ tasks:
   mismatched (beta3/beta4 profile off the zero-GVD point), unequal-power
   and lossy configuration of n = 3, 5 and 8 pumps;
 * ``full_fwm_reference``: three pumps and three weak fields (six fields) at
-  step L / 100, no Richardson check;
+  step L / 100, no Richardson check, on a flat profile, which takes no
+  phasors; ``full_fwm_reference.dispersive``: the same on a profile with
+  beta2 and beta3 terms, which takes one phasor per field and evaluation;
 * ``loss_chain_wick.N<n>``: the squeezer, loss and transfer chain with
   explicit ancillas, then its Wick moments on the input ports;
 * ``fock_evolve.N4``: a truncated two-mode squeezed state (cutoff 6)
@@ -45,6 +47,7 @@ VARIANTS = ("matched", "mismatched", "unequal", "lossy")
 N_MODES = (3, 5, 8)    # pump counts of the integrate_weak entries
 DIVISIONS = 500        # RK4 steps per length, as in verify
 FWM_DIVISIONS = 100    # RK4 steps per length of the full-FWM reference
+FWM_DISPERSIVE = (0.0, 0.0, 1e-27, 1e-40)  # beta coefficients of the dispersive entry
 SAMPLES = 20000        # Monte Carlo draws
 
 
@@ -79,9 +82,9 @@ def weak_call(variant: str, n: int, divisions: int):
     return lambda: integrate_weak(profile, grid, pumps, b0, settings)
 
 
-def fwm_call(divisions: int):
+def fwm_call(divisions: int, beta_coeffs=(0.0,)):
     """full_fwm_reference on three pumps and three weak fields, one of them seeded."""
-    profile = DispersionProfile(omega0=W0, beta_coeffs=(0.0,), gamma=2e-3, length=100.0)
+    profile = DispersionProfile(omega0=W0, beta_coeffs=beta_coeffs, gamma=2e-3, length=100.0)
     grid = symmetric_grid(W0, (1.3e12, 2.9e12, 4.1e12))
     pumps = PumpConfig(powers=(0.4,) * 3)
     freqs = list(grid.pump_freqs) + list(grid.weak_freqs)
@@ -102,6 +105,7 @@ def oracle_calls() -> dict:
     calls = {f"integrate_weak.{variant}.N{n}": weak_call(variant, n, DIVISIONS)
              for variant in VARIANTS for n in N_MODES}
     calls["full_fwm_reference"] = fwm_call(FWM_DIVISIONS)
+    calls["full_fwm_reference.dispersive"] = fwm_call(FWM_DIVISIONS, FWM_DISPERSIVE)
     calls.update({f"loss_chain_wick.N{n}": wick_call(n) for n in (3, 4)})
     squeezed, u4 = two_mode_squeezed_fock(0.3, n_modes=4, cutoff=6), ideal_transfer(4, 0.9)
     calls["fock_evolve.N4"] = lambda: fock_evolve(squeezed, u4.entries)

@@ -294,16 +294,18 @@ def cmd_transfer(args, cfg: dict) -> Table:
 def cmd_sweep(args, cfg: dict) -> Table:
     n_modes = cfg["n_modes"]
     sweep = cfg.get("sweep", {})
-    if "powers_w" in sweep:
-        phis = sweep["phase_scale_rad_per_w"] * np.asarray(sweep["powers_w"])
-    else:
-        # the default phi_max depends on n_modes, so this rule is not in the schema
-        phi_min = sweep.get("phi_min", 0.0)
-        phi_max = sweep.get("phi_max", 2.0 * math.pi / n_modes)
-        if not phi_min < phi_max:
-            raise ConfigError("sweep: need phi_min < phi_max")
-        phis = np.linspace(phi_min, phi_max, sweep.get("steps", 101))
-    curve = correlation_curve(cfg["input"], phis, n_modes=n_modes)
+    # _check_model_finite reports an overflow as the one error, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if "powers_w" in sweep:
+            phis = sweep["phase_scale_rad_per_w"] * np.asarray(sweep["powers_w"])
+        else:
+            # the default phi_max depends on n_modes, so this rule is not in the schema
+            phi_min = sweep.get("phi_min", 0.0)
+            phi_max = sweep.get("phi_max", 2.0 * math.pi / n_modes)
+            if not phi_min < phi_max:
+                raise ConfigError("sweep: need phi_min < phi_max")
+            phis = np.linspace(phi_min, phi_max, sweep.get("steps", 101))
+        curve = correlation_curve(cfg["input"], phis, n_modes=n_modes)
     columns = ["phi"] + [f"g1_{i}" for i in range(1, n_modes + 1)]
     columns += [f"g2_{i}{j}" for i, j in curve.g2]
     rows = np.column_stack([phis, curve.singles, *curve.g2.values()])

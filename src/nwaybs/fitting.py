@@ -591,12 +591,15 @@ def generate_synthetic(
         raise ValueError(f"channel_scales has {scales.size} entries, but n_modes is {n_modes}: "
                          "give one scale per channel")
     state = state or InputState(kind=input_kind)
-    curve = correlation_curve(state, phase_scale * powers, n_modes=n_modes)
-    # the kind's coincidence columns, in the curve's port-pair order
-    pairs = list(curve.g2) if KINDS[state.kind].coincidence else []
-    # one (P, N + K) table: the scaled singles, then the scaled coincidences
-    table = np.column_stack([scales * curve.singles, *(
-        scales[i - 1] * scales[j - 1] * accidental_rate**2 * curve.g2[i, j] for i, j in pairs)])
+    # _check_model_finite reports an overflow as the one error, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        curve = correlation_curve(state, phase_scale * powers, n_modes=n_modes)
+        # the kind's coincidence columns, in the curve's port-pair order
+        pairs = list(curve.g2) if KINDS[state.kind].coincidence else []
+        # one (P, N + K) table: the scaled singles, then the scaled coincidences
+        table = np.column_stack([scales * curve.singles, *(
+            scales[i - 1] * scales[j - 1] * accidental_rate**2 * curve.g2[i, j]
+            for i, j in pairs)])
     _check_model_finite(state.kind, table, n_modes, lambda k: f"pump power {powers[k]:g} W")
     if noise:
         # one draw per entry, record by record: singles, then pairs

@@ -20,8 +20,19 @@ RK4 sum runs in the left-to-right order Python gives the written sum, and
 the totals are ``sum`` of the powers, so the code performs the float
 operations of the plain per-step loop in the same order and keeps its
 bits.  Scalar and vector complex products round differently, so the pass
-agrees with the vector form to about 1e-16 relative, not bit for bit.  The
-weak-field equations are linear, dB/dz = M(z, A) B, so the weak part of
+agrees with the vector form to about 1e-16 relative, not bit for bit.
+
+Every operation of the pass that mixes a complex with a float or an int is
+written complex first, as ``k * half`` or ``i_gamma * (t - p) + loss``.
+With the float on the left, CPython first tries the float's slot, gets
+NotImplemented and dispatches a second time.  The order changes no bit.
+Up to Python 3.13 the real operand is widened to a complex with imaginary
+part 0 on either side, and each component of the product or sum is then
+formed by IEEE ``*`` and ``+``, which commute bit for bit.  Later versions
+combine a complex with a real without widening it, by the same arithmetic
+in either order.
+
+The weak-field equations are linear, dB/dz = M(z, A) B, so the weak part of
 each step is the linear map B -> B + D B, built from the four stage
 matrices M1..M4:
 
@@ -140,7 +151,8 @@ def _run_with_richardson(solve, settings: IntegratorSettings):
 # With t twice the total power, t - p is the self-phase p plus twice the
 # cross-phase of the others.  Powers are re^2 + im^2 rather than abs(x) ** 2:
 # a diverging pass must run on to inf/nan for the Richardson check, and
-# float ** raises on overflow.
+# float ** raises on overflow.  A complex operand comes first in every mixed
+# operation (module docstring).
 _PUMP_KERNEL_TEMPLATE = """\
 def pump_kernel(loss, i_gamma, a, sizes):
     {x} = a
@@ -152,28 +164,28 @@ def pump_kernel(loss, i_gamma, a, sizes):
         half = h / 2
         sixth = h / 6
         t = 2.0 * sum({p})
-        s{i} = (loss + i_gamma * (t - p{i})) * x{i}
-        b{i} = x{i} + half * s{i}
+        s{i} = (i_gamma * (t - p{i}) + loss) * x{i}
+        b{i} = x{i} + s{i} * half
         re = b{i}.real
         im = b{i}.imag
         p{i} = re * re + im * im
         t = 2.0 * sum({p})
-        k = (loss + i_gamma * (t - p{i})) * b{i}
-        s{i} += 2 * k
-        c{i} = x{i} + half * k
+        k = (i_gamma * (t - p{i}) + loss) * b{i}
+        s{i} += k * 2.0
+        c{i} = x{i} + k * half
         re = c{i}.real
         im = c{i}.imag
         p{i} = re * re + im * im
         t = 2.0 * sum({p})
-        k = (loss + i_gamma * (t - p{i})) * c{i}
-        s{i} += 2 * k
-        d{i} = x{i} + h * k
+        k = (i_gamma * (t - p{i}) + loss) * c{i}
+        s{i} += k * 2.0
+        d{i} = x{i} + k * h
         re = d{i}.real
         im = d{i}.imag
         p{i} = re * re + im * im
         t = 2.0 * sum({p})
         stages += {stages}
-        x{i} = x{i} + sixth * (s{i} + (loss + i_gamma * (t - p{i})) * d{i})
+        x{i} = x{i} + (s{i} + (i_gamma * (t - p{i}) + loss) * d{i}) * sixth
         re = x{i}.real
         im = x{i}.imag
         p{i} = re * re + im * im
@@ -237,7 +249,8 @@ def _pump_stages(profile: DispersionProfile, a0, sizes: np.ndarray):
     a = [complex(x) for x in a0]
     stages, a_end = _pump_kernel(len(a))(-profile.alpha, 1j * profile.gamma, a,
                                          sizes.tolist())
-    return np.array(stages, dtype=complex).reshape(-1, 4, len(a)), np.array(a_end, dtype=complex)
+    stages = np.fromiter(stages, dtype=complex, count=len(stages))
+    return stages.reshape(-1, 4, len(a)), np.array(a_end, dtype=complex)
 
 
 def integrate_pumps(
@@ -353,9 +366,18 @@ def full_fwm_reference(
 
     Every ordered index triple (k, l, m) with omega_k + omega_l = omega_m +
     omega_n (on the supplied discrete grid, to relative tolerance 1e-9)
-    contributes i gamma e^{i dbeta z} A_k A_l A_m^* to field n.  Every field
-    has at least the trivial closures (k, l) = (n, m) and (m, n), so no sum
-    is empty.  Limited to 8 fields; the term count grows combinatorially.
+    contributes i gamma e^{i dbeta z} A_k A_l A_m^* to field n, with dbeta =
+    beta_k + beta_l - beta_m - beta_n.  Every field has at least the trivial
+    closures (k, l) = (n, m) and (m, n), so no sum is empty.  Limited to 8
+    fields; the term count grows combinatorially.
+
+    Each right-hand side is one contraction.  A (nf, nf**3) closure matrix
+    holds i gamma at (n, (k nf + l) nf + m) for every closure and zero
+    elsewhere; it multiplies the flattened outer product R_k R_l R_m^* of the
+    rotating-frame amplitudes R = A e^{i beta z}.  A closure's phase
+    factorizes, e^{i dbeta z} = e^{i beta_k z} e^{i beta_l z} e^{-i beta_m z}
+    e^{-i beta_n z}, so the product times e^{-i beta_n z} is the sum: a call
+    evaluates nf exponentials, and none on a profile whose beta is all zero.
     """
     settings.validate(profile.length)
     w = np.asarray(freqs, dtype=float)
@@ -368,17 +390,23 @@ def full_fwm_reference(
 
     beta = beta_eval(profile, w)
     scale = np.max(np.abs(w))
-    # all closures as index arrays over [n, k, l, m], in lexicographic order
+    # closure[n, (k nf + l) nf + m] = i gamma wherever (k, l, m) closes on n
     wn, wk, wl, wm = np.ix_(w, w, w, w)
-    n_idx, k_idx, l_idx, m_idx = np.nonzero(np.abs(wk + wl - wm - wn) <= 1e-9 * scale)
-    phase = 1j * (beta[k_idx] + beta[l_idx] - beta[m_idx] - beta[n_idx])
+    closure = np.where(np.abs(wk + wl - wm - wn) <= 1e-9 * scale, 1j * profile.gamma, 0j)
+    closure = closure.reshape(nf, nf**3)
+    alpha = profile.alpha
 
-    gamma, alpha = profile.gamma, profile.alpha
+    if beta.any():
+        i_beta = 1j * beta
 
-    def rhs(z, a):
-        terms = np.exp(phase * z) * a[k_idx] * a[l_idx] * a[m_idx].conjugate()
-        acc = np.bincount(n_idx, terms.real, nf) + 1j * np.bincount(n_idx, terms.imag, nf)
-        return 1j * gamma * acc - alpha * a
+        def rhs(z, a):
+            phasor = np.exp(i_beta * z)
+            r = a * phasor
+            fwm = closure @ np.outer(np.outer(r, r), r.conj()).ravel()
+            return fwm * phasor.conj() - alpha * a
+    else:
+        def rhs(z, a):
+            return closure @ np.outer(np.outer(a, a), a.conj()).ravel() - alpha * a
 
     def solve(step):
         final = rk4_integrate(rhs, a0, profile.length, step)[-1]

@@ -89,6 +89,15 @@ class InputState:
         for name in ("amplitude", "zeta"):
             if not cmath.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, not {getattr(self, name)}")
+        if self.kind == "squeezed_vacuum":
+            # its rates scale as sinh(|zeta|)**4, formed as _squeezed_rows forms
+            # it: float ** raises where the power overflows
+            try:
+                (math.sinh(abs(zeta)) ** 2) ** 2
+            except OverflowError:
+                raise ValueError(f"zeta {zeta} overflows the squeezed-vacuum rates: "
+                                 "sinh(|zeta|)**4 is not finite above |zeta| of about 178"
+                                 ) from None
         for name in ("pre_loss", "post_loss"):
             t = getattr(self, name)
             if t is not None:

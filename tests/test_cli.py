@@ -882,17 +882,23 @@ NO_LIGHT = ("squeezed_vacuum input carries no light: its zero-phase coincidence 
             "cannot normalize")
 # configs the schema accepts but that cannot be computed: (subcommand and flags,
 # the config but its input, the input's zeta, exit code, a part of the message);
-# zeta 800 overflows math.sinh and math.cosh
+# above |zeta| of about 178 sinh(|zeta|)**4 overflows, and above 710 math.sinh too
+ZETA_OVERFLOW = "overflows the squeezed-vacuum rates"
 DEGENERATE = [
     pytest.param(["sweep"], {}, 0, 1, NO_LIGHT, id="sweep-zeta-0"),
     pytest.param(["oracle", "--check", "quantum"], {}, 0, 1, NO_LIGHT, id="oracle-quantum-zeta-0"),
     pytest.param(["oracle", "--check", "all"], TestPhasematchCommand.symmetric_cfg(), 0, 1,
                  NO_LIGHT, id="oracle-all-zeta-0"),
-    pytest.param(["sweep"], {}, 800, 2, "numerical failure", id="sweep-zeta-800"),
-    pytest.param(["synth"], {"sweep": POWER_SWEEP}, 800, 2, "numerical failure",
+    pytest.param(["sweep"], {}, 800, 1, f"zeta 800.0 {ZETA_OVERFLOW}", id="sweep-zeta-800"),
+    pytest.param(["synth"], {"sweep": POWER_SWEEP}, 800, 1, f"zeta 800.0 {ZETA_OVERFLOW}",
                  id="synth-zeta-800"),
-    pytest.param(["oracle", "--check", "quantum"], {}, 800, 2, "numerical failure",
+    pytest.param(["oracle", "--check", "quantum"], {}, 800, 1, f"zeta 800.0 {ZETA_OVERFLOW}",
                  id="oracle-quantum-zeta-800"),
+    pytest.param(["sweep"], {}, 200, 1, f"zeta 200.0 {ZETA_OVERFLOW}", id="sweep-zeta-200"),
+    pytest.param(["synth"], {"sweep": POWER_SWEEP}, 200, 1, f"zeta 200.0 {ZETA_OVERFLOW}",
+                 id="synth-zeta-200"),
+    pytest.param(["oracle", "--check", "quantum"], {}, 200, 1, f"zeta 200.0 {ZETA_OVERFLOW}",
+                 id="oracle-quantum-zeta-200"),
 ]
 
 
@@ -955,20 +961,43 @@ def test_config_key_flag_is_unrecognized(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-def test_usage_error_exit_codes(tmp_path):
-    """An unknown flag is a usage error (exit 1); --help exits 0."""
+def run_child(tmp_path, argv):
+    """``python -m nwaybs.cli *argv`` in a fresh interpreter, on this package's source."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(nwaybs.__file__)))
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONWARNINGS", None)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "nwaybs.cli", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+
+
+def test_usage_error_exit_codes(tmp_path):
+    """An unknown flag is a usage error (exit 1); --help exits 0."""
     cfgp = write_config(tmp_path, BASE_CONFIG)
-    runs = {argv[-1]: subprocess.run([sys.executable, "-m", "nwaybs.cli", *argv], cwd=tmp_path,
-                                     env=env, capture_output=True, text=True)
+    runs = {argv[-1]: run_child(tmp_path, argv)
             for argv in (["sweep", "--config", cfgp, "--threads"], ["sweep", "--help"])}
     assert runs["--threads"].returncode == 1
     assert "unrecognized arguments: --threads" in runs["--threads"].stderr
     assert runs["--help"].returncode == 0
     assert runs["--help"].stdout.startswith("usage: nwaybs sweep")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("command", ["sweep", "synth"])
+def test_overflowing_model_prints_one_line_and_no_warning(tmp_path, command):
+    """numpy's overflow warnings stay off stderr: the input error is its one line."""
+    lines = {}
+    for name, sweep in (("overflow", {"powers_w": [0.1, 1e200], "phase_scale_rad_per_w": 1e200}),
+                        ("finite", POWER_SWEEP)):
+        cfg = {"n_modes": 3, "input": {"kind": "photon_pair"}, "sweep": sweep}
+        out = tmp_path / f"{name}.csv"
+        run = run_child(tmp_path, [command, "--config", write_config(tmp_path, cfg),
+                                   "--out", str(out)])
+        lines[name] = (run.returncode, run.stderr, out.exists())
+    assert lines == {
+        "overflow": (1, "input error: the model rates at pump power 1e+200 W are not finite: "
+                        "the phase, the input or a scale overflows\n", False),
+        "finite": (0, "", True)}
 
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")

@@ -99,7 +99,10 @@ def unshared_pump_stages(profile, a0, step):
 
     Kept as the bit-for-bit reference for ``propagation._pump_stages``:
     returns the (S, 4) stage positions, formed as Python floats, the
-    (S, 4, N) stage amplitudes and the final amplitudes (N,).
+    (S, 4, N) stage amplitudes and the final amplitudes (N,).  Its mixed
+    float-complex operations keep the float on the left on purpose: the
+    kernel writes each of them complex-first, so the bit-for-bit tests
+    also show that the operand order changes no bit.
     """
     loss, i_gamma = -profile.alpha, 1j * profile.gamma
 
@@ -675,7 +678,17 @@ class TestFullFwmReference:
         assert out.shape == (2,)
 
     def test_matches_per_term_sum(self):
-        prof = DispersionProfile(omega0=W0, beta_coeffs=(0.0, 0.0, 1e-27, 1e-40),
+        self.assert_matches_per_term_sum((0.0, 0.0, 1e-27, 1e-40))
+
+    # a flat profile takes no phasors; a linear beta has phasors whose
+    # product over every closure is 1
+    @pytest.mark.parametrize("beta_coeffs", [(0.0,), (1.0, 1e-13)], ids=["flat", "linear-beta"])
+    def test_matches_per_term_sum_without_net_phase(self, beta_coeffs):
+        self.assert_matches_per_term_sum(beta_coeffs)
+
+    @staticmethod
+    def assert_matches_per_term_sum(beta_coeffs):
+        prof = DispersionProfile(omega0=W0, beta_coeffs=beta_coeffs,
                                  gamma=2e-3, length=100.0, alpha=3e-5)
         grid = symmetric_grid(W0, [1e12, 2e12, 3e12])
         freqs = np.array(list(grid.pump_freqs) + list(grid.weak_freqs))

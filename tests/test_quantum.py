@@ -97,6 +97,18 @@ class TestInputState:
             InputState(kind="squeezed_vacuum", **{field: value})
         assert str(err.value) == f"{field} must be finite, not {shown}"
 
+    # 178.13882540390594 is the largest float whose sinh**4 is finite
+    @pytest.mark.parametrize("zeta", [178.13882540390597, 200, -200.0, 200j, 800, 1e300])
+    def test_rejects_a_zeta_whose_rates_overflow(self, zeta):
+        with pytest.raises(ValueError) as err:
+            InputState(kind="squeezed_vacuum", zeta=zeta)
+        assert str(err.value) == (f"zeta {InputState(kind='photon_pair', zeta=zeta).zeta} "
+                                  "overflows the squeezed-vacuum rates: sinh(|zeta|)**4 is not "
+                                  "finite above |zeta| of about 178")
+
+    def test_accepts_the_largest_zeta_whose_rates_do_not_overflow(self):
+        assert InputState(kind="squeezed_vacuum", zeta=-178.13882540390594).zeta < -178
+
     # mode 0 fails pair_coincidence's range check, which runs first and names N
     @pytest.mark.parametrize("modes,text,pair_text", [
         ((1, 2, 3), "photon_pair takes 2 mode index(es)", None),
