@@ -5,7 +5,9 @@ normalization of coincidences, a one-parameter fit converting pump peak
 power to nonlinear phase (phi = kappa * P), per-channel linear scale
 factors, and extraction of the squeezing magnitude |zeta| from the
 multiphoton/pair coincidence ratio.  A seeded synthetic-data generator
-closes the loop for validation.
+closes the loop for validation.  It checks each synthetic table once, with
+numpy, and builds its records from the checked table without checking each
+rate again.
 
 Both nonlinear fits run in this module, in numpy and plain Python:
 
@@ -42,7 +44,7 @@ import numpy as np
 # top level, not in the fits: benchmarks/worker.py reads sys.modules["scipy"].__version__
 import scipy
 
-from .quantum import (KINDS, InputState, _check_model_finite, correlation_curve,
+from .quantum import (INPUT_KINDS, KINDS, InputState, _check_model_finite, correlation_curve,
                       multiphoton_ratio_model)
 from .transfer import _check_modes, p_coeff, q_coeff
 
@@ -94,6 +96,36 @@ class CountRecord:
         set_field(self, "singles", singles)
         set_field(self, "coincidences", coincidences)
         set_field(self, "accidental_singles", accidental_singles)
+
+    @classmethod
+    def _from_table(cls, powers: np.ndarray, table: np.ndarray, pairs, accidental):
+        """One record per row of ``table``, its singles then the coincidences of ``pairs``.
+
+        ``__init__``'s rules hold for the whole table at once: the first record
+        to break one raises ``__init__``'s message, a negative or NaN power
+        before a negative rate (a NaN rate passes).  Each record then gets its
+        fields as ``__init__`` would set them: its element of ``powers``, a
+        tuple of floats, a dict in ``pairs`` order, and one shared
+        ``accidental_singles`` tuple.
+        """
+        accidental = _rates("accidental_singles", accidental)
+        bad_power = ~(powers >= 0)
+        bad = bad_power | (table < 0).any(axis=1) | any(r < 0 for r in accidental)
+        if bad.any():
+            first = bad.argmax()
+            raise ValueError("pump power must be >= 0" if bad_power[first]
+                             else "rates must be >= 0")
+        n_singles = table.shape[1] - len(pairs)
+        new, set_field = object.__new__, object.__setattr__
+        records = []
+        for power, row in zip(powers, table.tolist()):
+            rec = new(cls)
+            set_field(rec, "pump_peak_power", power)
+            set_field(rec, "singles", tuple(row[:n_singles]))
+            set_field(rec, "coincidences", dict(zip(pairs, row[n_singles:])))
+            set_field(rec, "accidental_singles", accidental)
+            records.append(rec)
+        return records
 
 
 @dataclass(frozen=True)
@@ -172,7 +204,8 @@ def _objective(kappa, powers: np.ndarray, values: np.ndarray, n_modes: int) -> f
 # with delta = 100x the measured gap absorbing the cross terms and the
 # rounding of sum |r'|.  A floating-point sum of P squares is within
 # gamma_P = P u / (1 - P u) of its exact value, in any order (Higham,
-# *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002, ch. 3),
+# *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002, ch. 3), so
+# in whatever order ``np.einsum`` sums a screen row's squares; that holds
 # once for the exact objective and once for the screen's: together about
 # 2 (P + 2) u obj'.  The slack takes twice that, 4 (P + 2) u obj', so the
 # rounding of the slack itself and of obj' - slack stays inside it.
@@ -230,7 +263,7 @@ def _screen_bounds(grid: np.ndarray, powers: np.ndarray, values: np.ndarray,
         r *= b
         r += a
         np.subtract(values, r, out=r)
-        obj[rows] = (r[:, np.newaxis, :] @ r[:, :, np.newaxis])[:, 0, 0]
+        obj[rows] = np.einsum("ij,ij->i", r, r)
         abs_sum[rows] = np.abs(r, out=r) @ ones
     slack = (2.0 * SCREEN_DELTA * abs_sum + len(powers) * SCREEN_DELTA**2
              + 4 * (n_all + 2) * 2.0**-53 * obj)
@@ -552,6 +585,10 @@ def fit_zeta(singles_rates, ratios) -> FitResult:
     )
 
 
+# InputState is frozen, so one default state of each kind serves every call
+_DEFAULT_STATES = {kind: InputState(kind=kind) for kind in INPUT_KINDS}
+
+
 def generate_synthetic(
     phase_scale: float,
     powers,
@@ -572,9 +609,12 @@ def generate_synthetic(
     for a fixed seed.  The returned list always starts with a zero-power
     record usable for normalization.  Each record is a row of one table: the
     singles, then the coincidences of the curve's port pairs, none for a kind
-    without a coincidence in ``KINDS``.  A non-finite phase scale, power or
-    model rate (an overflow), or an ``n_modes`` that is not an integer >= 2,
-    is a ``ValueError``.
+    without a coincidence in ``KINDS``.  The table is checked once, as a
+    whole, and its records are built from it (``CountRecord._from_table``).
+    A non-finite phase scale, power or model rate (an overflow), an
+    ``accidental_rate`` that is negative, not finite, or whose square
+    overflows for a kind with a coincidence, or an ``n_modes`` that is not an
+    integer >= 2, is a ``ValueError``.
     """
     _check_modes(n_modes)
     if not noise >= 0:
@@ -590,12 +630,21 @@ def generate_synthetic(
     if scales.shape != (n_modes,):
         raise ValueError(f"channel_scales has {scales.size} entries, but n_modes is {n_modes}: "
                          "give one scale per channel")
-    state = state or InputState(kind=input_kind)
+    state = state or (_DEFAULT_STATES[input_kind] if input_kind in INPUT_KINDS
+                      else InputState(kind=input_kind))
+    coincident = KINDS[state.kind].coincidence is not None
+    if not (math.isfinite(accidental_rate) and accidental_rate >= 0):
+        raise ValueError(f"accidental_rate must be finite and >= 0, not {accidental_rate}")
+    # its square scales the coincidences; a Python float's product overflows without a warning
+    acc = float(accidental_rate)
+    if coincident and not math.isfinite(acc * acc):
+        raise ValueError(f"accidental_rate {accidental_rate:g} overflows the coincidence rates: "
+                         "its square is not finite")
     # _check_model_finite reports an overflow as the one error, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         curve = correlation_curve(state, phase_scale * powers, n_modes=n_modes)
         # the kind's coincidence columns, in the curve's port-pair order
-        pairs = list(curve.g2) if KINDS[state.kind].coincidence else []
+        pairs = list(curve.g2) if coincident else []
         # one (P, N + K) table: the scaled singles, then the scaled coincidences
         table = np.column_stack([scales * curve.singles, *(
             scales[i - 1] * scales[j - 1] * accidental_rate**2 * curve.g2[i, j]
@@ -610,7 +659,4 @@ def generate_synthetic(
         if negative.any():
             raise ValueError(f"noise {noise:g} drew a negative rate at pump power "
                              f"{powers[negative.argmax()]:g} W; use a smaller noise")
-    acc = (accidental_rate,) * n_modes
-    return [CountRecord(pump_peak_power=power, singles=row[:n_modes],
-                        coincidences=dict(zip(pairs, row[n_modes:])), accidental_singles=acc)
-            for power, row in zip(powers, table.tolist())]
+    return CountRecord._from_table(powers, table, pairs, (acc,) * n_modes)

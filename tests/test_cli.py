@@ -528,6 +528,17 @@ class TestOracleCommand:
                    "--tol", "1e-10", "--out", str(tmp_path / "o.csv")])
         assert rc == 0
 
+    @pytest.mark.parametrize("zeta", [7, 8])
+    def test_strong_squeezing_passes(self, tmp_path, capsys, zeta):
+        # the composed map's entries grow as cosh^2|zeta|, and its symplectic
+        # residual with them: relative to them it is rounding, not an assembly bug
+        cfg = {"input": {"kind": "squeezed_vacuum", "modes": [1, 3], "zeta": zeta}}
+        out = tmp_path / "o.csv"
+        assert main(["oracle", "--config", write_config(tmp_path, cfg), "--check", "quantum",
+                     "--tol", "1e-10", "--out", str(out)]) == 0
+        assert "assembly bug" not in capsys.readouterr().err
+        assert out.exists()
+
     def test_impossible_tolerance_fails(self, tmp_path, input_cfg):
         rc = main(["oracle", "--config", input_cfg, "--check", "quantum",
                    "--tol", "1e-18", "--out", str(tmp_path / "o.csv")])

@@ -1174,6 +1174,147 @@ class TestGenerateSynthetic:
         assert all(type(r.pump_peak_power) is np.float64 for r in recs)
 
 
+def field_types(rec):
+    """The type of each field, and of each rate and coincidence key, of one record."""
+    return (type(rec.pump_peak_power), type(rec.singles), [type(v) for v in rec.singles],
+            type(rec.coincidences), [(type(k), type(v)) for k, v in rec.coincidences.items()],
+            type(rec.accidental_singles), [type(v) for v in rec.accidental_singles])
+
+
+def hash_or_error(rec):
+    try:
+        return hash(rec)
+    except TypeError as exc:
+        return f"TypeError: {exc}"
+
+
+def records_or_error(build):
+    try:
+        return build()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestRecordsFromTable:
+    """``generate_synthetic`` checks its table once and builds the records from it."""
+
+    @pytest.mark.parametrize("kind", INPUT_KINDS)
+    @pytest.mark.parametrize("noise", [0.0, 0.01])
+    def test_records_equal_constructed_ones(self, kind, noise):
+        state = InputState(kind=kind, zeta=0.3 if kind == "squeezed_vacuum" else 0.0)
+        recs = generate_synthetic(1.3, np.linspace(0.0, 2.0, 30), n_modes=4, state=state,
+                                  channel_scales=(0.9, 1.1, 0.8, 1.0), accidental_rate=1.7,
+                                  noise=noise, seed=3)
+        for rec in recs:
+            built = CountRecord(rec.pump_peak_power, rec.singles, dict(rec.coincidences),
+                                rec.accidental_singles)
+            assert rec == built and repr(rec) == repr(built)
+            assert hash_or_error(rec) == hash_or_error(built)
+            assert field_types(rec) == field_types(built)
+            assert type(rec.pump_peak_power) is np.float64
+            assert list(rec.coincidences) == list(built.coincidences)
+        assert all(rec.accidental_singles is recs[0].accidental_singles for rec in recs)
+        assert recs[0].accidental_singles == (1.7,) * 4
+
+    @given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 3),
+           st.sampled_from([2.0, 0.0, -1.0, math.nan]), st.integers(0, 2**31 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_checks_match_a_loop_of_the_constructor(self, n_rows, n_singles, n_pairs, acc, seed):
+        # every rule and its precedence: the first record to break one raises, its
+        # power before its rates, and a NaN rate passes
+        rng = np.random.default_rng(seed)
+        powers = rng.choice([0.0, 0.5, 1.0, -0.5, math.nan], n_rows, p=[.2, .3, .3, .1, .1])
+        table = rng.choice([0.0, 1.5, 3.0, -1.0, math.nan], (n_rows, n_singles + n_pairs),
+                           p=[.2, .3, .3, .1, .1])
+        pairs = [(1, k + 2) for k in range(n_pairs)]
+        accidental = (acc,) * n_singles
+
+        def loop():
+            return [CountRecord(power, row[:n_singles], dict(zip(pairs, row[n_singles:])),
+                                accidental)
+                    for power, row in zip(powers, table.tolist())]
+
+        got = records_or_error(lambda: CountRecord._from_table(powers, table, pairs, accidental))
+        assert repr(got) == repr(records_or_error(loop))
+        if not isinstance(got, str):
+            assert [field_types(r) for r in got] == [field_types(r) for r in loop()]
+
+    @pytest.mark.parametrize("powers,scales,message", [
+        ([0.5, 1.0], (1.0, -0.5, 1.0), "rates must be >= 0"),
+        ([0.5, -1.0], (1.0, 1.0, 1.0), "pump power must be >= 0"),
+        ([0.5, -1.0], (1.0, -0.5, 1.0), "rates must be >= 0"),
+        ([-1.0, 0.5], (1.0, -0.5, 1.0), "pump power must be >= 0"),
+    ], ids=["negative-scale", "negative-power", "rate-first", "power-first"])
+    def test_broken_rules_raise_the_parents_message(self, powers, scales, message):
+        # channel 2 of a photon pair on (1, 3) is dark at zero power, so a negative
+        # scale first gives a negative rate at the first nonzero power; without noise,
+        # whose own check names a negative rate first
+        kwargs = dict(channel_scales=scales)
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            generate_synthetic(1.3, powers, **kwargs)
+        assert records_or_error(lambda: parent_generate_synthetic(1.3, powers, **kwargs)) == (
+            f"ValueError: {message}")
+
+    def test_default_state_built_once_per_kind(self, monkeypatch):
+        # the default squeezed vacuum (zeta 0) carries no light, and raises so
+        def synth(**kwargs):
+            return records_or_error(lambda: generate_synthetic(0.9, [0.4, 0.8], **kwargs))
+
+        given = {kind: synth(state=InputState(kind=kind)) for kind in INPUT_KINDS}
+
+        def no_state(**kwargs):
+            raise AssertionError("a default state was built again")
+
+        monkeypatch.setattr(fitting, "InputState", no_state)
+        for kind in INPUT_KINDS:
+            assert repr(synth(input_kind=kind)) == repr(given[kind])
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match=r"^unknown input kind 'bogus'$"):
+            generate_synthetic(0.9, [0.4], input_kind="bogus")
+
+
+class TestAccidentalRate:
+    """``generate_synthetic`` rejects an accidental rate before the model is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_model(self, monkeypatch):
+        # the model is never built for a rejected rate
+        def model(*args, **kwargs):
+            raise AssertionError("the model was built")
+
+        monkeypatch.setattr(fitting, "correlation_curve", model)
+
+    @pytest.mark.parametrize("kind", INPUT_KINDS)
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, -1.0, -1e-300,
+                                      np.float64(math.nan), np.float64(-2.0)])
+    def test_not_finite_or_negative(self, kind, rate):
+        out = warned(generate_synthetic, 1.3, [0.0, 0.5, 1.0], 3, kind, None, rate)
+        assert out == (f"ValueError: accidental_rate must be finite and >= 0, not {rate}", [])
+
+    @pytest.mark.parametrize("kind", [k for k in INPUT_KINDS if k != "single_coherent"])
+    @pytest.mark.parametrize("rate", [1e200, np.float64(1e200), 10**160])
+    def test_square_overflows_for_a_kind_with_coincidences(self, kind, rate):
+        out = warned(generate_synthetic, 1.3, [0.0, 0.5, 1.0], 3, kind, None, rate)
+        assert out == (f"ValueError: accidental_rate {rate:g} overflows the coincidence "
+                       "rates: its square is not finite", [])
+
+    @pytest.mark.parametrize("rate", [1e200, np.float64(1e200)])
+    def test_single_coherent_takes_a_rate_whose_square_overflows(self, monkeypatch, rate):
+        # no coincidence column, so the square is never formed
+        monkeypatch.undo()
+        recs = generate_synthetic(1.3, [0.0, 0.5, 1.0], input_kind="single_coherent",
+                                  accidental_rate=rate)
+        assert all(rec.accidental_singles == (1e200,) * 3 for rec in recs)
+
+    @pytest.mark.parametrize("kind", INPUT_KINDS)
+    @pytest.mark.parametrize("rate", [0.0, 1e150, 1.3])
+    def test_finite_rates_with_a_finite_square_pass(self, monkeypatch, kind, rate):
+        monkeypatch.undo()
+        state = InputState(kind=kind, zeta=0.3 if kind == "squeezed_vacuum" else 0.0)
+        recs = generate_synthetic(1.3, [0.0, 0.5, 1.0], state=state, accidental_rate=rate)
+        assert all(rec.accidental_singles == (rate,) * 3 for rec in recs)
+
+
 class TestFullClosedLoop:
     def test_generate_normalize_fit(self):
         kappa = 2.0

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nwaybs.oracle import (
+    SYMPLECTIC_TOL,
     BogoliubovMap,
     FockState,
     compose,
@@ -80,6 +81,22 @@ class TestBogoliubovAlgebra:
         chain = loss_chain(3, zeta, ideal_transfer(3, phi).entries,
                            t_pre=(t, 1.0, 1.0), t_post=(1.0, t, 1.0))
         assert chain.symplectic_residual() < 1e-10
+
+
+    @pytest.mark.parametrize("zeta", [10.0, 12.0])
+    def test_strong_squeezing_composes(self, zeta):
+        # past the absolute tolerance, within it relative to max|S_ij|^2
+        chain = loss_chain(3, zeta, ideal_transfer(3, 0.7).entries,
+                           t_pre=(0.8, 1.0, 0.9), t_post=(1.0, 0.6, 1.0))
+        residual = chain.symplectic_residual()
+        assert SYMPLECTIC_TOL < residual <= SYMPLECTIC_TOL * np.abs(chain.matrix).max() ** 2
+
+    @pytest.mark.parametrize("zeta", [0.0, 0.4, 7.0])
+    def test_corrupted_map_raises(self, zeta):
+        bad = squeezer_map(3, zeta).matrix.copy()
+        bad[0, 0] *= 1 + 1e-6
+        with pytest.raises(AssertionError, match="assembly bug"):
+            compose([BogoliubovMap(bad), identity_map(3)])
 
 
 class TestWickMoments:

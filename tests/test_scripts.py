@@ -71,3 +71,25 @@ def test_time_oracles(monkeypatch):
     calls = script.oracle_calls()
     assert list(calls) == [f"integrate_weak.{v}.N2" for v in variants] + others
     assert all(script.min_ms(call, 1) > 0 for call in calls.values())
+
+
+def test_time_fits(monkeypatch):
+    # the script's own sizes; then the same calls at tiny sizes
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("time_fits", SCRIPTS / "time_fits.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+
+    def names(points, fit_points, zeta_points):
+        return [f"generate_synthetic.P{points}.exact", f"generate_synthetic.P{points}.noisy",
+                f"normalize_coincidences.P{points}",
+                *(f"fit_phase_scale.P{n}" for n in fit_points),
+                f"fit_channel_scales.P{points}", f"fit_zeta.P{zeta_points}.exact",
+                f"fit_zeta.P{zeta_points}.noisy", "CountRecord"]
+
+    assert list(script.fit_calls()) == names(30, (30, 600), 600)
+    for name, value in (("POINTS", 6), ("FIT_POINTS", (6,)), ("ZETA_POINTS", 10)):
+        monkeypatch.setattr(script, name, value)
+    calls = script.fit_calls()
+    assert list(calls) == names(6, (6,), 10)
+    assert all(script.min_ms(call, 1) > 0 for call in calls.values())
