@@ -16,7 +16,8 @@ tasks:
 * ``loss_chain_wick.N<n>``: the squeezer, loss and transfer chain with
   explicit ancillas, then its Wick moments on the input ports;
 * ``fock_evolve.N4``: a truncated two-mode squeezed state (cutoff 6)
-  through the ideal splitter;
+  through the ideal splitter; ``fock_evolve.pair.N4``: the photon-pair
+  basis state (1, 0, 1, 0) through the same splitter;
 * ``mc_phase_average.N5``: the dual-coherent phase average over 20000
   draws.
 
@@ -33,6 +34,7 @@ import numpy as np
 
 from nwaybs.dispersion import DispersionProfile, find_zgvd, symmetric_grid
 from nwaybs.oracle import (
+    fock_basis_state,
     fock_evolve,
     loss_chain,
     mc_phase_average,
@@ -109,6 +111,8 @@ def oracle_calls() -> dict:
     calls.update({f"loss_chain_wick.N{n}": wick_call(n) for n in (3, 4)})
     squeezed, u4 = two_mode_squeezed_fock(0.3, n_modes=4, cutoff=6), ideal_transfer(4, 0.9)
     calls["fock_evolve.N4"] = lambda: fock_evolve(squeezed, u4.entries)
+    pair = fock_basis_state((1, 0, 1, 0), 4)
+    calls["fock_evolve.pair.N4"] = lambda: fock_evolve(pair, u4.entries)
     u5 = ideal_transfer(5, 0.8)
     calls["mc_phase_average.N5"] = lambda: mc_phase_average(0.2, u5, samples=SAMPLES, seed=1)
     return calls

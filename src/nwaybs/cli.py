@@ -354,8 +354,9 @@ def _oracle_classical_rows(cfg, tol):
 def _oracle_quantum_rows(cfg, tol):
     """The g2 of the input pair that sweep writes against the Wick oracle's, at 25 phases.
 
-    ``correlation_curve`` runs first: it raises for an input with no light.
-    The Wick side runs on one transfer stack whose row 0, phase 0, is its
+    ``correlation_curve`` runs first: it raises for an input with no light,
+    and rates it cannot represent are an input error, as in sweep.  The Wick
+    side runs on one transfer stack whose row 0, phase 0, is its
     normalization.
     """
     from .oracle import loss_chain, wick_moments
@@ -363,7 +364,12 @@ def _oracle_quantum_rows(cfg, tol):
     n_modes = cfg["n_modes"]
     state = cfg.get("input", InputState(kind="squeezed_vacuum", zeta=0.4))
     phis = np.linspace(0.0, 2.0 * math.pi / n_modes, 25)
-    closed = correlation_curve(state, phis, n_modes).g2[min(state.modes), max(state.modes)]
+    # _check_model_finite reports an overflow as the one error, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        curve = correlation_curve(state, phis, n_modes)
+    _check_model_finite(state.kind, np.column_stack([curve.singles, *curve.g2.values()]),
+                        n_modes, lambda k: f"phi {phis[k]:g}")
+    closed = curve.g2[min(state.modes), max(state.modes)]
     t_pre, t_post = (state.transmissions(name, n_modes) for name in ("pre_loss", "post_loss"))
     chains = (loss_chain(n_modes, state.zeta, u, t_pre, t_post, state.modes)
               for u in ideal_transfer(n_modes, [0.0, *phis]).entries)

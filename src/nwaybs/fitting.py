@@ -97,6 +97,12 @@ class CountRecord:
         set_field(self, "coincidences", coincidences)
         set_field(self, "accidental_singles", accidental_singles)
 
+    def __hash__(self):
+        """The hash of the fields, the coincidences as a set of items: records
+        that compare equal hash equal, whatever their dicts' key order."""
+        return hash((self.pump_peak_power, self.singles, frozenset(self.coincidences.items()),
+                     self.accidental_singles))
+
     @classmethod
     def _from_table(cls, powers: np.ndarray, table: np.ndarray, pairs, accidental):
         """One record per row of ``table``, its singles then the coincidences of ``pairs``.

@@ -229,7 +229,7 @@ def two_mode_squeezed_fock(
 
 
 def _sqrt_factorial_product(occ) -> float:
-    return math.sqrt(reduce(lambda acc, n: acc * math.factorial(n), occ, 1))
+    return math.sqrt(math.prod(map(math.factorial, occ)))
 
 
 def fock_evolve(state: FockState, unitary: np.ndarray) -> FockState:
@@ -244,6 +244,9 @@ def fock_evolve(state: FockState, unitary: np.ndarray) -> FockState:
     m = state.n_modes
     if u.shape != (m, m):
         raise ValueError("unitary dimension must match the state's mode count")
+    # the non-zero entries (j, U_jk) of each column k, as Python complex scalars:
+    # the expansion runs on scalars, where a numpy element costs a call each time
+    columns = [[(j, x) for j, x in enumerate(column) if x != 0] for column in u.T.tolist()]
     zero = (0,) * m
     out: dict = {}
     for occ, amp in state.amplitudes.items():
@@ -255,13 +258,9 @@ def fock_evolve(state: FockState, unitary: np.ndarray) -> FockState:
             for _ in range(occ[k]):
                 nxt: dict = {}
                 for mono, c in poly.items():
-                    for j in range(m):
-                        if u[j, k] == 0:
-                            continue
-                        lifted = list(mono)
-                        lifted[j] += 1
-                        key = tuple(lifted)
-                        nxt[key] = nxt.get(key, 0.0) + c * u[j, k]
+                    for j, x in columns[k]:
+                        key = mono[:j] + (mono[j] + 1,) + mono[j + 1:]
+                        nxt[key] = nxt.get(key, 0.0) + c * x
                 poly = nxt
         for mono, c in poly.items():
             out[mono] = out.get(mono, 0.0) + c * _sqrt_factorial_product(mono)

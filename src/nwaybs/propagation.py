@@ -296,13 +296,15 @@ def _weak_increments(z, h, a, dbeta, gamma, alpha):
     h = h[:, None, None]
     s = m[:, 0]
     total = s.copy()
-    s = m[:, 1] + h / 2 * (m[:, 1] @ s)
-    total += 2 * s
-    s = m[:, 2] + h / 2 * (m[:, 2] @ s)
-    total += 2 * s
-    s = m[:, 3] + h * (m[:, 3] @ s)
-    total += s
-    return h / 6 * total
+    # stages 2 to 4 in place: s = m + scale (m @ s).  Each IEEE * and + has the
+    # operands of the written form, swapped, so every bit is the same
+    for stage, scale in ((1, h / 2), (2, h / 2), (3, h)):
+        s = np.matmul(m[:, stage], s)
+        s *= scale
+        s += m[:, stage]
+        total += 2 * s if stage < 3 else s
+    total *= h / 6
+    return total
 
 
 def integrate_weak(
@@ -396,17 +398,20 @@ def full_fwm_reference(
     closure = closure.reshape(nf, nf**3)
     alpha = profile.alpha
 
+    # the ufunc's outer product takes its operands as they are, where np.outer
+    # re-wraps and ravels both on every call; same products, same order
+    outer = np.multiply.outer
     if beta.any():
         i_beta = 1j * beta
 
         def rhs(z, a):
             phasor = np.exp(i_beta * z)
             r = a * phasor
-            fwm = closure @ np.outer(np.outer(r, r), r.conj()).ravel()
+            fwm = closure @ outer(outer(r, r), r.conj()).ravel()
             return fwm * phasor.conj() - alpha * a
     else:
         def rhs(z, a):
-            return closure @ np.outer(np.outer(a, a), a.conj()).ravel() - alpha * a
+            return closure @ outer(outer(a, a), a.conj()).ravel() - alpha * a
 
     def solve(step):
         final = rk4_integrate(rhs, a0, profile.length, step)[-1]

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -539,6 +540,25 @@ class TestOracleCommand:
         assert "assembly bug" not in capsys.readouterr().err
         assert out.exists()
 
+    def test_all_stops_at_an_overflowing_closed_form(self, tmp_path, capsys):
+        # the quantum rows run first, so the input error comes before the RK4 run
+        cfg = {"profile": {"omega0_rad_s": W0, "beta_coeffs_si": [0.0],
+                           "gamma_per_w_m": 2e-3, "length_m": 100.0},
+               "grid": {"pump_freqs_rad_s": [W0 + 1e12, W0 + 2e12, W0 + 3e12],
+                        "weak_freqs_rad_s": [W0 - 1e12, W0 - 2e12, W0 - 3e12]},
+               "pumps": {"powers_w": [0.5] * 3},
+               "input": {"kind": "squeezed_vacuum", "zeta": 178}}
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["oracle", "--config", write_config(tmp_path, cfg), "--check", "all",
+                       "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "input error: the model rates at phi 0 are not finite: "
+            "the phase, the input or a scale overflows\n")
+        assert not out.exists()
+
     def test_impossible_tolerance_fails(self, tmp_path, input_cfg):
         rc = main(["oracle", "--config", input_cfg, "--check", "quantum",
                    "--tol", "1e-18", "--out", str(tmp_path / "o.csv")])
@@ -994,19 +1014,38 @@ def test_usage_error_exit_codes(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
-@pytest.mark.parametrize("command", ["sweep", "synth"])
+def squeezed_config(zeta):
+    return {"n_modes": 3, "input": {"kind": "squeezed_vacuum", "zeta": zeta}}
+
+
+def power_sweep_config(sweep):
+    return {"n_modes": 3, "input": {"kind": "photon_pair"}, "sweep": sweep}
+
+
+# per command: its argv, an overflowing and a finite config, and where the rates overflow;
+# squeezed vacuum's rates overflow at zeta 178, inside the |zeta| InputState accepts
+OVERFLOW_CASES = {
+    "sweep": (["sweep"], power_sweep_config({"powers_w": [0.1, 1e200],
+                                             "phase_scale_rad_per_w": 1e200}),
+              power_sweep_config(POWER_SWEEP), "pump power 1e+200 W"),
+    "oracle": (["oracle", "--check", "quantum"], squeezed_config(178), squeezed_config(175),
+               "phi 0"),
+}
+OVERFLOW_CASES["synth"] = (["synth"], *OVERFLOW_CASES["sweep"][1:])
+
+
+@pytest.mark.parametrize("command", ["sweep", "synth", "oracle"])
 def test_overflowing_model_prints_one_line_and_no_warning(tmp_path, command):
     """numpy's overflow warnings stay off stderr: the input error is its one line."""
+    argv, overflow, finite, at = OVERFLOW_CASES[command]
     lines = {}
-    for name, sweep in (("overflow", {"powers_w": [0.1, 1e200], "phase_scale_rad_per_w": 1e200}),
-                        ("finite", POWER_SWEEP)):
-        cfg = {"n_modes": 3, "input": {"kind": "photon_pair"}, "sweep": sweep}
+    for name, cfg in (("overflow", overflow), ("finite", finite)):
         out = tmp_path / f"{name}.csv"
-        run = run_child(tmp_path, [command, "--config", write_config(tmp_path, cfg),
+        run = run_child(tmp_path, [*argv, "--config", write_config(tmp_path, cfg),
                                    "--out", str(out)])
         lines[name] = (run.returncode, run.stderr, out.exists())
     assert lines == {
-        "overflow": (1, "input error: the model rates at pump power 1e+200 W are not finite: "
+        "overflow": (1, f"input error: the model rates at {at} are not finite: "
                         "the phase, the input or a scale overflows\n", False),
         "finite": (0, "", True)}
 

@@ -1,6 +1,7 @@
 """Quantum-oracle tests: Bogoliubov/Wick, truncated Fock, and MC averaging."""
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -203,6 +204,65 @@ class TestFockRoute:
             ref = wick_moments(chain0, ports=(1, 3))[2]
             out = fock_evolve(fock_basis_state((1, 0, 1), 3), tm.entries)
             assert g2 / ref == pytest.approx(out.probability((1, 0, 1)), abs=1e-6)
+
+
+def expanded_with_numpy_elements(state, unitary):
+    """``fock_evolve``'s amplitudes from the expansion on numpy elements of ``unitary``,
+    each tested for zero in the innermost loop: the bit reference of the scalar one."""
+    def sqrt_factorial_product(occ):
+        return math.sqrt(reduce(lambda acc, n: acc * math.factorial(n), occ, 1))
+
+    u = np.asarray(unitary, dtype=complex)
+    m = state.n_modes
+    out = {}
+    for occ, amp in state.amplitudes.items():
+        poly = {(0,) * m: amp / sqrt_factorial_product(occ)}
+        for k in range(m):
+            for _ in range(occ[k]):
+                nxt = {}
+                for mono, c in poly.items():
+                    for j in range(m):
+                        if u[j, k] == 0:
+                            continue
+                        lifted = list(mono)
+                        lifted[j] += 1
+                        key = tuple(lifted)
+                        nxt[key] = nxt.get(key, 0.0) + c * u[j, k]
+                poly = nxt
+        for mono, c in poly.items():
+            out[mono] = out.get(mono, 0.0) + c * sqrt_factorial_product(mono)
+    return {k: v for k, v in out.items() if v != 0.0}
+
+
+def amplitude_bits(amplitudes):
+    """Each occupation in order with the bits of its amplitude's parts."""
+    return [(occ, float(a.real).hex(), float(a.imag).hex()) for occ, a in amplitudes.items()]
+
+
+class TestFockExpansionBits:
+    """The expansion on Python scalars gives the numpy-element expansion's amplitudes."""
+
+    @given(st.integers(2, 5), st.sampled_from(["identity", "permutation", "zeroed"]),
+           st.sampled_from(["basis", "squeezed"]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_bit_identical(self, n, kind, source, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "identity":
+            u = np.eye(n, dtype=complex)
+        elif kind == "permutation":
+            u = np.eye(n, dtype=complex)[rng.permutation(n)] * np.exp(2j * rng.random(n))
+        else:
+            u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            u[rng.random((n, n)) < 0.3] = 0.0
+        if source == "basis":
+            state = fock_basis_state(rng.multinomial(rng.integers(1, 5), [1 / n] * n), n)
+        else:
+            modes = tuple(rng.choice(np.arange(1, n + 1), 2, replace=False))
+            zeta = complex(rng.uniform(0.05, 0.8) * np.exp(1j * rng.uniform(0, 2 * math.pi)))
+            state = two_mode_squeezed_fock(zeta, n_modes=n, modes=modes, cutoff=6)
+        out = fock_evolve(state, u)
+        assert amplitude_bits(out.amplitudes) == amplitude_bits(
+            expanded_with_numpy_elements(state, u))
 
 
 class TestMcPhaseAverage:

@@ -618,7 +618,53 @@ def test_grid_point_plus_step_is_next_grid_point(length, steps):
     assert np.array_equal(z[:-1] + np.diff(z), z[1:])
 
 
+def full_fwm_with_np_outer(profile, freqs, initial_amps, settings):
+    """``full_fwm_reference`` with right-hand sides that form the triple product
+    with two ``np.outer`` calls: the bit reference of the ufunc form."""
+    w = np.asarray(freqs, dtype=float)
+    a0 = np.asarray(initial_amps, dtype=complex)
+    nf = len(w)
+    beta = beta_eval(profile, w)
+    wn, wk, wl, wm = np.ix_(w, w, w, w)
+    closure = np.where(np.abs(wk + wl - wm - wn) <= 1e-9 * np.max(np.abs(w)),
+                       1j * profile.gamma, 0j).reshape(nf, nf**3)
+    alpha = profile.alpha
+
+    if beta.any():
+        def rhs(z, a):
+            phasor = np.exp(1j * beta * z)
+            r = a * phasor
+            fwm = closure @ np.outer(np.outer(r, r), r.conj()).ravel()
+            return fwm * phasor.conj() - alpha * a
+    else:
+        def rhs(z, a):
+            return closure @ np.outer(np.outer(a, a), a.conj()).ravel() - alpha * a
+
+    def solve(step):
+        final = rk4_integrate(rhs, a0, profile.length, step)[-1]
+        return final, final
+
+    return _run_with_richardson(solve, settings)
+
+
 class TestFullFwmReference:
+    @pytest.mark.parametrize("beta_coeffs,alpha", [((0.0,), 0.0), ((0.0, 0.0, 1e-27, 1e-40), 0.0),
+                                                   ((0.0, 0.0, 1e-27, 1e-40), 3e-4)],
+                             ids=["flat", "dispersive", "lossy"])
+    def test_bit_identical_to_np_outer_form(self, beta_coeffs, alpha):
+        # three pumps and three weak fields, the verify shape, with the Richardson check on
+        prof = DispersionProfile(omega0=W0, beta_coeffs=beta_coeffs, gamma=2e-3,
+                                 length=100.0, alpha=alpha)
+        grid = symmetric_grid(W0, (1.3e12, 2.9e12, 4.1e12))
+        freqs = list(grid.pump_freqs) + list(grid.weak_freqs)
+        rng = np.random.default_rng(7)
+        amps = np.concatenate([PumpConfig(powers=(0.4, 0.5, 0.3), phases=(0.0, 1.0, 2.5)).amplitudes,
+                               4e-4 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))])
+        settings = settings_for(prof, 100)
+        assert settings.richardson_check
+        out = full_fwm_reference(prof, freqs, amps, settings)
+        assert out.tobytes() == full_fwm_with_np_outer(prof, freqs, amps, settings).tobytes()
+
     def test_single_field_self_phase(self):
         prof = flat_profile()
         a0 = np.array([0.5 + 0.1j])

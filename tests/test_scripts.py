@@ -63,7 +63,8 @@ def test_time_oracles(monkeypatch):
     spec.loader.exec_module(script)
     variants = ("matched", "mismatched", "unequal", "lossy")
     others = ["full_fwm_reference", "full_fwm_reference.dispersive", "loss_chain_wick.N3",
-              "loss_chain_wick.N4", "fock_evolve.N4", "mc_phase_average.N5"]
+              "loss_chain_wick.N4", "fock_evolve.N4", "fock_evolve.pair.N4",
+              "mc_phase_average.N5"]
     assert list(script.oracle_calls()) == [
         f"integrate_weak.{v}.N{n}" for v in variants for n in (3, 5, 8)] + others
     for name, value in (("N_MODES", (2,)), ("DIVISIONS", 100), ("SAMPLES", 100)):
